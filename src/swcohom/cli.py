@@ -5,8 +5,8 @@ pretty and csv printers are views over the same report object.  Reports
 embed the seed, the backend and the library version, and identical
 configuration produces byte-identical output.
 
-Exit codes: 0 success, 2 internal cross-check failure, 3 resource-guard
-refusal.
+Exit codes: 0 success, 2 internal cross-check failure or usage error (from
+argparse, including out-of-range integer options), 3 resource-guard refusal.
 """
 
 import argparse
@@ -296,6 +296,23 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= ``lo``; anything else is a usage error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, value))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="swcohom",
@@ -317,8 +334,8 @@ def build_parser():
 
     p = sub.add_parser("series", help="distinct-odd-parts partition series",
                        parents=[common])
-    p.add_argument("max_degree", type=int)
-    p.add_argument("--check-reduced", type=int, metavar="P", default=0,
+    p.add_argument("max_degree", type=_nonnegative_int)
+    p.add_argument("--check-reduced", type=_nonnegative_int, metavar="P", default=0,
                    help="cross-check against the reduced complex up to weight P")
     p.set_defaults(func=cmd_series)
 
@@ -326,10 +343,10 @@ def build_parser():
                        parents=[common])
     p.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
                    default="symmetric")
-    p.add_argument("--weight-max", type=int, default=5)
+    p.add_argument("--weight-max", type=_positive_int, default=5)
     p.add_argument("--mode", choices=("reduced", "full", "both"), default="reduced")
     p.add_argument("--algebra", help="JSON file with commutative algebra structure constants")
-    p.add_argument("--trunc-degree", type=int, default=3)
+    p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.add_argument("--representatives", action="store_true")
     p.set_defaults(func=cmd_cohomology)
 
@@ -337,27 +354,27 @@ def build_parser():
                        parents=[common])
     p.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
                    default="symmetric")
-    p.add_argument("--weight", type=int, default=3)
+    p.add_argument("--weight", type=_positive_int, default=3)
     p.add_argument("--algebra")
-    p.add_argument("--trunc-degree", type=int, default=3)
+    p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.set_defaults(func=cmd_horizontal)
 
     p = sub.add_parser("cubic", help="simplicial-cube comparison and regular-rep acyclicity",
                        parents=[common])
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.set_defaults(func=cmd_cubic)
 
     p = sub.add_parser("gl", help="gl(V) exterior invariants and wheel identities",
                        parents=[common])
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--lie", help="JSON file with Lie algebra structure constants")
-    p.add_argument("--degree-max", type=int, default=None)
+    p.add_argument("--degree-max", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_gl)
 
     p = sub.add_parser("hecke-check", help="Bernstein-type centralizer verification",
                        parents=[common])
-    p.add_argument("--trunc-degree", type=int, default=3)
-    p.add_argument("--level-max", type=int, default=3)
+    p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
+    p.add_argument("--level-max", type=_positive_int, default=3)
     p.set_defaults(func=cmd_hecke_check)
 
     p = sub.add_parser("selftest", help="fast end-to-end sanity checks",

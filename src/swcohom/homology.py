@@ -364,16 +364,8 @@ def cubic_complex(diagram):
             col0 = offsets[comp.parts]
             for local, vec in enumerate(src.basis()):
                 for sign, refined in subdivisions(comp):
-                    tgt = diagram.space(refined)
-                    row0 = offsets[refined.parts]
-                    for r, c in enumerate(tgt.coords_of(vec)):
-                        if c:
-                            key = (row0 + r, col0 + local)
-                            s = ent.get(key, 0) + sign * c
-                            if s:
-                                ent[key] = s
-                            else:
-                                ent.pop(key, None)
+                    _add_block(ent, diagram.space(refined), offsets[refined.parts],
+                               col0 + local, vec, sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 
@@ -472,14 +464,15 @@ def deformation_complex_truncated(seq, max_weight):
 
 
 def _add_block(ent, target_space, row0, col, vec, sign):
-    for r, c in enumerate(target_space.coords_of(vec)):
-        if c:
-            key = (row0 + r, col)
-            s = ent.get(key, 0) + sign * c
-            if s:
-                ent[key] = s
-            else:
-                ent.pop(key, None)
+    """Add ``sign`` times the coordinates of ``vec`` in ``target_space`` to
+    column ``col`` of ``ent``, starting at row ``row0``; zero sums are dropped."""
+    for r, c in target_space.coords_of(vec).items():
+        key = (row0 + r, col)
+        s = ent.get(key, 0) + sign * c
+        if s:
+            ent[key] = s
+        else:
+            ent.pop(key, None)
 
 
 class TruncatedCohomology:
@@ -537,11 +530,14 @@ class ReducedComplexData:
         return q.representatives() if q is not None else None
 
     def class_of(self, w, vec):
-        """Coordinates of [vec] in the representative basis of T_w."""
+        """Dense coordinate list of [vec] in the representative basis of T_w."""
         q = self.quotients.get(w)
         if q is None:
             raise ResourceLimitError("no representative basis at weight %d" % w)
-        return q.coords_of(vec)
+        dense = [Fraction(0)] * q.dim
+        for i, c in q.coords_of(vec).items():
+            dense[i] = c
+        return dense
 
     def cup(self, m, n, u, v):
         """Class of mu(u (x) v) in T_{m+n}; u, v are AlgebraElements."""
@@ -610,14 +606,11 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
             data.diffs[w] = None
             data.diff_status[w] = "not-computed"
 
+    # each differential's rank is both the out-rank of w and the in-rank of w + 1
+    ranks = {w: rank(data.diffs[w], backend=backend, rng=rng)
+             for w in range(1, max_weight + 1) if data.diff_status[w] == "matrix"}
     for w in range(1, max_weight + 1):
-        out_rank = 0
-        if data.diff_status[w] == "matrix":
-            out_rank = rank(data.diffs[w], backend=backend, rng=rng)
-        in_rank = 0
-        if w > 1 and data.diff_status[w - 1] == "matrix" and data.diffs[w - 1] is not None:
-            in_rank = rank(data.diffs[w - 1], backend=backend, rng=rng)
-        data.h_dims[w] = data.t_dims[w] - out_rank - in_rank
+        data.h_dims[w] = data.t_dims[w] - ranks.get(w, 0) - ranks.get(w - 1, 0)
         data.final[w] = data.diff_status[w] != "not-computed"
     return data
 
@@ -642,10 +635,8 @@ def _reduced_differential_matrix(seq, data, w):
         checked.add(w)
     ent = {}
     for j, repvec in enumerate(src.representatives()):
-        coords = tgt.coords_of(_reduced_delta(seq, w, repvec))
-        for i, c in enumerate(coords):
-            if c:
-                ent[(i, j)] = c
+        for i, c in tgt.coords_of(_reduced_delta(seq, w, repvec)).items():
+            ent[(i, j)] = c
     return SparseMatrix(tgt.dim, src.dim, ent)
 
 

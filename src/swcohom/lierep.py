@@ -501,9 +501,8 @@ def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):
         mat_ent = {}
         for col, vec in enumerate(invariants.basis()):
             img = T.apply(vec)
-            for r, c in enumerate(invariants.coords_of(img)):
-                if c:
-                    mat_ent[(r, col)] = c
+            for r, c in invariants.coords_of(img).items():
+                mat_ent[(r, col)] = c
         gens.append(SparseMatrix(invariants.dim, invariants.dim, mat_ent))
     module = SnModule(n, invariants.dim, gens, name="(g^%d)^g" % n)
     top = cubic_cohomology(cubic_invariants_diagram(module), backend=backend, rng=rng)[n - 1]

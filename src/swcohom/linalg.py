@@ -1,7 +1,9 @@
 """Exact sparse linear algebra over Q with a two-prime modular fast path.
 
 Vectors are dicts {index: Fraction} with no stored zeros; matrices store a
-sparse {(row, col): Fraction} map.  Ranks default to the modular protocol:
+sparse {(row, col): Fraction} map.  Coordinates in a subspace basis are
+sparse too: ``coords_of`` returns {position: Fraction} holding only the
+nonzero coefficients.  Ranks default to the modular protocol:
 compute the rank modulo two independent random ~62-bit primes and accept on
 agreement, escalating to fraction-free (Bareiss) elimination over Z on
 disagreement.  Echelon bases (kernels, images, subspace arithmetic) are
@@ -37,7 +39,7 @@ class SparseMatrix:
                 if v:
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, rows, cols))
-                    ent[(i, j)] = Fraction(v)
+                    ent[(i, j)] = v if isinstance(v, Fraction) else Fraction(v)
         self.entries = ent
 
     @classmethod
@@ -45,8 +47,7 @@ class SparseMatrix:
         ent = {}
         for i, row in enumerate(row_dicts):
             for j, v in row.items():
-                if v:
-                    ent[(i, j)] = Fraction(v)
+                ent[(i, j)] = v
         return cls(len(row_dicts), cols, ent)
 
     @classmethod
@@ -132,19 +133,33 @@ class Echelon:
 
     Rows are stored per pivot column with pivot value 1 and the pivot column
     cleared from every other stored row (full RREF); a column index keeps
-    back-substitution proportional to actual fill.
+    back-substitution proportional to actual fill.  The sorted pivot list
+    and the pivot -> position map are built on first use and dropped by every
+    accepted ``insert``.
     """
 
     def __init__(self):
-        self.rows = {}      # pivot col -> row dict
-        self._uses = {}     # col -> set of pivot cols whose rows touch it
+        self.rows = {}          # pivot col -> row dict
+        self._uses = {}         # col -> set of pivot cols whose rows touch it
+        self._pivots = None     # sorted pivot cols, cached
+        self._positions = None  # pivot col -> index in the sorted pivots, cached
 
     def __len__(self):
         return len(self.rows)
 
     @property
     def pivots(self):
-        return sorted(self.rows)
+        """Pivot columns in increasing order (shared; do not mutate)."""
+        if self._pivots is None:
+            self._pivots = sorted(self.rows)
+        return self._pivots
+
+    @property
+    def positions(self):
+        """{pivot col: position of its row in ``pivots``} (shared; do not mutate)."""
+        if self._positions is None:
+            self._positions = {p: k for k, p in enumerate(self.pivots)}
+        return self._positions
 
     def reduce(self, vec):
         """Residue of ``vec`` after clearing every pivot coordinate."""
@@ -191,6 +206,7 @@ class Echelon:
                     del orow[c]
                     self._uses[c].discard(other)
         self.rows[piv] = row
+        self._pivots = self._positions = None
         for c in row:
             self._uses.setdefault(c, set()).add(piv)
         return piv
@@ -246,14 +262,17 @@ class Subspace:
         return not self._ech.reduce(vec)
 
     def coords_of(self, vec):
-        """Coordinates of ``vec`` in the echelon basis; raises if not a member.
+        """Sparse coordinates {position: Fraction} of ``vec`` in ``basis()``.
 
-        In RREF the coefficient along the row with pivot p is simply vec[p].
+        Only nonzero coefficients are stored; raises ValueError if ``vec`` is
+        not a member.  In RREF the coefficient along the row with pivot p is
+        simply vec[p].
         """
-        res = self._ech.reduce(vec)
-        if res:
+        if self._ech.reduce(vec):
             raise ValueError("vector not in subspace")
-        return [Fraction(vec.get(p, 0)) for p in self.pivots]
+        positions = self._ech.positions
+        return {positions[c]: v if isinstance(v, Fraction) else Fraction(v)
+                for c, v in vec.items() if v and c in positions}
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other.basis())
@@ -558,7 +577,10 @@ class QuotientSpace:
         return self._rep_space.basis()
 
     def coords_of(self, vec):
-        """Coordinates of [vec] in the representative basis (vec must lie in V)."""
+        """Sparse coordinates {position: Fraction} of [vec] in ``representatives()``.
+
+        ``vec`` must lie in V; zero coefficients are not stored.
+        """
         res = self.U.reduce(vec)
         return self._rep_space.coords_of(res)
 

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from swcohom import CrossCheckError
 from swcohom.cli import main
 
@@ -150,6 +152,25 @@ def test_cross_check_exit_code(monkeypatch):
     monkeypatch.setattr(cli, "cmd_selftest", boom)
     code, _ = run_cli("selftest")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "-1"),
+    ("horizontal", "--weight", "0"),
+    ("cubic", "--n", "0"),
+    ("cohomology", "--weight-max", "0"),
+    ("cohomology", "--weight-max", "-2"),
+    ("gl", "--dim", "0"),
+    ("cohomology", "--sequence", "hecke", "--trunc-degree", "-1"),
+], ids=["series-neg", "horizontal-weight0", "cubic-n0", "cohomology-wmax0",
+        "cohomology-wmax-neg", "gl-dim0", "hecke-trunc-neg"])
+def test_out_of_range_integer_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "must be at least" in captured.err
 
 
 def test_seed_and_backend_embedded():

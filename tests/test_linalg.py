@@ -146,11 +146,47 @@ def test_subspace_membership_and_coords():
     assert not U.contains({1: 1})
     v = {0: 3, 1: 6, 2: -1}
     coords = U.coords_of(v)
+    basis = U.basis()
     rebuilt = {}
-    for c, row in zip(coords, U.basis()):
-        for k, x in row.items():
+    for pos, c in coords.items():
+        for k, x in basis[pos].items():
             rebuilt[k] = rebuilt.get(k, 0) + c * x
     assert {k: v_ for k, v_ in rebuilt.items() if v_} == v
+    with pytest.raises(ValueError):
+        U.coords_of({1: 1})
+
+
+def test_sparse_coords_rebuild_randomized():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        U = _random_subspace(rng, n)
+        basis = U.basis()
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+        vec = {}
+        for w, row in zip(weights, basis):
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) + w * x
+        vec = {k: x for k, x in vec.items() if x}
+        coords = U.coords_of(vec)
+        assert all(c != 0 for c in coords.values())
+        assert all(0 <= pos < U.dim for pos in coords)
+        assert coords == {i: w for i, w in enumerate(weights) if w}
+        rebuilt = {}
+        for pos, c in coords.items():
+            for k, x in basis[pos].items():
+                rebuilt[k] = rebuilt.get(k, 0) + c * x
+        assert {k: x for k, x in rebuilt.items() if x} == vec
+
+
+def test_coords_positions_shift_after_insert():
+    U = Subspace.from_vectors([{2: 1}, {4: 1}], 5)
+    assert U.coords_of({4: 7}) == {1: 7}
+    # a new row with a smaller pivot moves the rows for pivots 2 and 4 down
+    U._ech.insert({0: 1})
+    assert U.pivots == [0, 2, 4]
+    assert U.coords_of({4: 7}) == {2: 7}
+    assert U.coords_of({0: 1, 2: -1}) == {0: 1, 1: -1}
 
 
 def test_sum_intersect_trivial_and_complementary():
