@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError, __version__
 from .combinat import distinct_odd_partition_series
@@ -41,10 +42,7 @@ from .symgrp import e_element
 
 
 def _sequence_from_args(args):
-    algebra = None
-    if getattr(args, "algebra", None):
-        algebra = CommutativeAlgebraSpec.from_json(args.algebra)
-    return bundled_sequence(args.sequence, algebra=algebra,
+    return bundled_sequence(args.sequence, algebra=args.algebra,
                             trunc_degree=getattr(args, "trunc_degree", 3))
 
 
@@ -197,7 +195,7 @@ def cmd_cubic(args):
 
 def cmd_gl(args):
     if args.lie:
-        g = LieAlgebraSpec.from_json(args.lie)
+        g = args.lie
         d = None
     else:
         d = args.dim
@@ -252,7 +250,7 @@ def cmd_hecke_check(args):
             ok = ok and dim == expected
     payload["centralizers"] = cents
     data = reduced_complex(seq, args.level_max, backend=args.backend, rng=rng)
-    binom = {w: _binom(D + 1, w) for w in range(1, args.level_max + 1)}
+    binom = {w: comb(D + 1, w) for w in range(1, args.level_max + 1)}
     payload["reduced"] = {
         "T": {str(w): data.t_dims[w] for w in range(1, args.level_max + 1)},
         "expected": {str(w): binom[w] for w in binom},
@@ -265,15 +263,6 @@ def cmd_hecke_check(args):
     payload["reduced"]["differential_zero"] = diff_ok
     ok = ok and t_ok and diff_ok
     return payload, ok
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def cmd_selftest(args):
@@ -313,6 +302,20 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
+def _spec_file(spec_cls):
+    """argparse type: a JSON structure-constant file, loaded and validated.
+
+    A missing, unreadable or malformed file, or a table that fails
+    validation, is a usage error naming the file.
+    """
+    def load(path):
+        try:
+            return spec_cls.from_json(path)
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError("cannot load %s: %s" % (path, exc)) from None
+    return load
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="swcohom",
@@ -345,7 +348,8 @@ def build_parser():
                    default="symmetric")
     p.add_argument("--weight-max", type=_positive_int, default=5)
     p.add_argument("--mode", choices=("reduced", "full", "both"), default="reduced")
-    p.add_argument("--algebra", help="JSON file with commutative algebra structure constants")
+    p.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec),
+                   help="JSON file with commutative algebra structure constants")
     p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.add_argument("--representatives", action="store_true")
     p.set_defaults(func=cmd_cohomology)
@@ -355,7 +359,7 @@ def build_parser():
     p.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
                    default="symmetric")
     p.add_argument("--weight", type=_positive_int, default=3)
-    p.add_argument("--algebra")
+    p.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec))
     p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.set_defaults(func=cmd_horizontal)
 
@@ -367,7 +371,8 @@ def build_parser():
     p = sub.add_parser("gl", help="gl(V) exterior invariants and wheel identities",
                        parents=[common])
     p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--lie", help="JSON file with Lie algebra structure constants")
+    p.add_argument("--lie", type=_spec_file(LieAlgebraSpec),
+                   help="JSON file with Lie algebra structure constants")
     p.add_argument("--degree-max", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_gl)
 

@@ -52,10 +52,6 @@ class CubeVertex:
     def weight(self):
         return len(self.bits) + 1
 
-    @property
-    def ones(self):
-        return sum(self.bits)
-
 
 def to_binary(comp):
     """Cut vector of a composition: bit j is 1 iff j, j+1 are in different parts."""

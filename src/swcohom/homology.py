@@ -20,43 +20,35 @@ from fractions import Fraction
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions, to_binary
 from .linalg import (
+    AlgebraElement,
     CochainComplex,
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    add_scaled,
     kernel_basis,
     rank,
     subspace_sum,
 )
-from .sequences import AlgebraElement, SymmetricGroupSequence
+from .sequences import SymmetricGroupSequence
 from .symgrp import (
+    SWEEP_CAP,
     Permutation,
     all_permutations,
     class_representative,
     conjugate_tuple_by_t,
     has_distinct_odd_type,
     partitions,
+    signed_class_dim,
     signed_orbit_tuples,
     young_positions,
 )
 
 # weights above this use the conjugation-orbit route for Q[S_*]
 SYMMETRIC_MATRIX_MAX_WEIGHT = 6
-# largest symmetric group swept for the dual differential check
-SYMMETRIC_DUAL_CAP = 9
-
-
-def _vstack(mats):
-    cols = mats[0].cols
-    ent = {}
-    off = 0
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        for (i, j), v in m.entries.items():
-            ent[(i + off, j)] = v
-        off += m.rows
-    return SparseMatrix(off, cols, ent)
+# largest symmetric group swept for the dual differential check and, above
+# the matrix cap, for the class count that gives dim T_w
+SYMMETRIC_DUAL_CAP = SWEEP_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +184,7 @@ def centralizer(seq, comp, route="auto"):
     subgroup; the generic route solves the commutant equations [a, g] = 0.
     The two agree and the test suite compares them on small levels.
     """
-    cache = seq.__dict__.setdefault("_centralizer_cache", {})
+    cache = seq.centralizer_cache
     key = (comp.parts, route)
     if key in cache:
         return cache[key]
@@ -228,18 +220,8 @@ def _centralizer_commutant(seq, comp):
         for j, lb in enumerate(seq.basis(n)):
             acc = {}
             for gl, gc in g.coeffs.items():
-                for l, c in seq._mul_basis_raw(n, gl, lb).items():
-                    s = acc.get(l, 0) + gc * c
-                    if s:
-                        acc[l] = s
-                    else:
-                        acc.pop(l, None)
-                for l, c in seq._mul_basis_raw(n, lb, gl).items():
-                    s = acc.get(l, 0) - gc * c
-                    if s:
-                        acc[l] = s
-                    else:
-                        acc.pop(l, None)
+                add_scaled(acc, seq._mul_basis_raw(n, gl, lb), gc)
+                add_scaled(acc, seq._mul_basis_raw(n, lb, gl), -gc)
             for l, c in acc.items():
                 rows.setdefault((gi, l), {})[j] = c
     mat = SparseMatrix.from_row_dicts(list(rows.values()), dim)
@@ -315,24 +297,18 @@ class CubicDiagram:
 def cubic_invariants_diagram(module):
     """Vertices are the joint fixed spaces of the Young generators."""
     n = module.n
-    eye = SparseMatrix.identity(module.dim)
+    # an int diagonal keeps the shift t_i - 1 free of Fraction products
+    diagonal = {(k, k): 1 for k in range(module.dim)}
     vertex = {}
     for comp in compositions(n):
         positions = young_positions(comp)
         if not positions:
             vertex[to_binary(comp).bits] = Subspace.full(module.dim)
             continue
-        mats = []
-        for i in positions:
-            ent = dict(module.gens[i - 1].entries)
-            for k in range(module.dim):
-                s = ent.get((k, k), 0) - 1
-                if s:
-                    ent[(k, k)] = s
-                else:
-                    ent.pop((k, k), None)
-            mats.append(SparseMatrix(module.dim, module.dim, ent))
-        vertex[to_binary(comp).bits] = kernel_basis(_vstack(mats))
+        mats = [SparseMatrix(module.dim, module.dim,
+                             add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
+                for i in positions]
+        vertex[to_binary(comp).bits] = kernel_basis(SparseMatrix.vstack(mats))
     return CubicDiagram(n, module.dim, vertex)
 
 
@@ -378,16 +354,9 @@ def top_quotient(module, backend="modular", rng=None):
     """dim M / sum_i (1 + t_i) M, computed directly from the stacked images."""
     if module.n == 1:
         return module.dim
-    blocks = []
-    for T in module.gens:
-        ent = dict(T.entries)
-        for k in range(module.dim):
-            s = ent.get((k, k), 0) + 1
-            if s:
-                ent[(k, k)] = s
-            else:
-                ent.pop((k, k), None)
-        blocks.append(SparseMatrix(module.dim, module.dim, ent))
+    diagonal = {(k, k): 1 for k in range(module.dim)}
+    blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
+              for T in module.gens]
     stacked = blocks[0]
     for b in blocks[1:]:
         stacked = stacked.hstack(b)
@@ -466,13 +435,8 @@ def deformation_complex_truncated(seq, max_weight):
 def _add_block(ent, target_space, row0, col, vec, sign):
     """Add ``sign`` times the coordinates of ``vec`` in ``target_space`` to
     column ``col`` of ``ent``, starting at row ``row0``; zero sums are dropped."""
-    for r, c in target_space.coords_of(vec).items():
-        key = (row0 + r, col)
-        s = ent.get(key, 0) + sign * c
-        if s:
-            ent[key] = s
-        else:
-            ent.pop(key, None)
+    coords = target_space.coords_of(vec)
+    add_scaled(ent, {(row0 + r, col): c for r, c in coords.items()}, sign)
 
 
 class TruncatedCohomology:
@@ -574,9 +538,14 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
     if max_weight + 1 <= matrix_cap:
         build_weights.append(max_weight + 1)
     for w in build_weights:
-        if w > matrix_cap:
-            data.t_dims[w] = _signed_class_count(w)
+        if symmetric and w > matrix_cap:
+            # dim T_w for Q[S_w] is the number of sign-twisted class functions
+            if w > SYMMETRIC_DUAL_CAP:
+                raise ResourceLimitError("class sweep of S_%d exceeds the guard (n <= %d)"
+                                         % (w, SYMMETRIC_DUAL_CAP))
+            data.t_dims[w] = signed_class_dim(w)
         else:
+            # no other sequence has a fallback: above its cap this refuses
             seq.check_level(w)
             top = centralizer(seq, Composition((1,) * w))
             if w == 1:
@@ -617,8 +586,8 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
 
 def _reduced_delta(seq, w, vec):
     el = seq.vec_to_element(w, vec)
-    img = seq.mu(1, w, seq.one(1), el) + seq.mu(w, 1, el, seq.one(1)).scale((-1) ** (w + 1))
-    return seq.element_to_vec(img)
+    out = seq.element_to_vec(seq.mu(1, w, seq.one(1), el))
+    return add_scaled(out, seq.element_to_vec(seq.mu(w, 1, el, seq.one(1))), (-1) ** (w + 1))
 
 
 def _reduced_differential_matrix(seq, data, w):
@@ -626,7 +595,7 @@ def _reduced_differential_matrix(seq, data, w):
     tgt = data.quotients[w + 1]
     # the induced map is only defined on cosets if the subspace maps into the
     # subspace one weight up; assert that, once per sequence and weight
-    checked = seq.__dict__.setdefault("_coset_welldef_checked", set())
+    checked = seq.coset_checked_weights
     if w not in checked:
         for uvec in src.U.basis():
             if tgt.U.reduce(_reduced_delta(seq, w, uvec)):
@@ -655,18 +624,6 @@ def _reduced_differential_dual_zero(w):
             if val:
                 raise CrossCheckError(
                     "reduced differential does not vanish dually at weight %d" % w)
-
-
-def _signed_class_count(n):
-    """dim T_n for Q[S_n] by sweeping every conjugacy class with signs."""
-    if n > SYMMETRIC_DUAL_CAP:
-        raise ResourceLimitError(
-            "class sweep of S_%d exceeds the guard (n <= %d)" % (n, SYMMETRIC_DUAL_CAP))
-    count = 0
-    for ct in partitions(n):
-        if signed_orbit_tuples(n, class_representative(n, ct).images) is not None:
-            count += 1
-    return count
 
 
 def _signed_class_basis_tuples(n):

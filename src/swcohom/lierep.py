@@ -17,50 +17,24 @@ Internally the tensors are integer numpy arrays scaled by a known
 denominator, so every check is exact integer arithmetic.
 """
 
-import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from . import CrossCheckError, ResourceLimitError
-from .linalg import SparseMatrix, kernel_basis
-from .homology import SnModule, _vstack, cubic_cohomology, cubic_invariants_diagram, top_quotient
+from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, kernel_basis
+from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_quotient
 from .symgrp import all_permutations
 
 MAX_TENSOR_ENTRIES = 10 ** 7
 
 
-class LieAlgebraSpec:
+class LieAlgebraSpec(StructureConstantSpec):
     """Lie algebra from structure constants; antisymmetry and Jacobi checked."""
 
-    def __init__(self, dim, table, name="g"):
-        self.dim = dim
-        self.name = name
-        self.table = tuple(tuple(tuple(Fraction(x) for x in row) for row in block)
-                           for block in table)
-        if len(self.table) != dim or any(len(b) != dim for b in self.table) \
-                or any(len(r) != dim for b in self.table for r in b):
-            raise ValueError("structure table must be dim^3")
-        self._validate()
-
-    def bracket_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                coef = a * b
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] += coef * c
-        return tuple(out)
-
-    def _basis_vec(self, i):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+    default_name = "g"
 
     def _validate(self):
         d = self.dim
@@ -71,9 +45,9 @@ class LieAlgebraSpec:
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    x = self.bracket_coords(self.table[i][j], self._basis_vec(k))
-                    y = self.bracket_coords(self.table[j][k], self._basis_vec(i))
-                    z = self.bracket_coords(self.table[k][i], self._basis_vec(j))
+                    x = self.mul_coords(self.table[i][j], self._basis_vec(k))
+                    y = self.mul_coords(self.table[j][k], self._basis_vec(i))
+                    z = self.mul_coords(self.table[k][i], self._basis_vec(j))
                     for t in range(d):
                         if x[t] + y[t] + z[t]:
                             raise ValueError("Jacobi identity fails at (%d,%d,%d)"
@@ -136,21 +110,6 @@ class LieAlgebraSpec:
         z = [Fraction(0)] * d
         return cls(d, [[list(z) for _ in range(d)] for _ in range(d)],
                    name="abelian(%d)" % d)
-
-    @classmethod
-    def from_json(cls, doc):
-        if isinstance(doc, str):
-            with open(doc, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        table = [[[Fraction(x) for x in row] for row in block] for block in doc["table"]]
-        return cls(doc["dim"], table, name=doc.get("name", "g"))
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "name": self.name,
-            "table": [[[str(x) for x in row] for row in block] for block in self.table],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +209,7 @@ def perm_matrix(perm, d):
 
 def perm_action(u, d):
     """Linear extension of slot permutation to a group algebra element."""
-    m = u.n
+    m = u.level
     size = d ** m
     dens = [c.denominator for c in u.coeffs.values()]
     if all(x == 1 for x in dens):
@@ -341,12 +300,7 @@ def _ad_wedge_matrix(g, xi, m):
                 merged = tuple(sorted(rest + (j,)))
                 # j starts at position `slot` in the wedge word; sort it in
                 sign = (-1) ** slot * _insertion_sign(rest, j)
-                key = (index[merged], col)
-                s = ent.get(key, 0) + sign * c
-                if s:
-                    ent[key] = s
-                else:
-                    ent.pop(key, None)
+                add_scaled(ent, {(index[merged], col): c}, sign)
     n = len(basis)
     return SparseMatrix(n, n, ent)
 
@@ -366,7 +320,7 @@ def exterior_invariants_dims(g, maxdeg):
             out.append(0)
             continue
         mats = [_ad_wedge_matrix(g, xi, m) for xi in range(g.dim)]
-        out.append(kernel_basis(_vstack(mats)).dim)
+        out.append(kernel_basis(SparseMatrix.vstack(mats)).dim)
     return out
 
 
@@ -414,16 +368,11 @@ def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
                                 continue
                             sign = _sort_sign(idxs)
                             key_tuple = tuple(sorted(idxs))
-                            row_key = (xi, s, key_tuple)
-                            row = rows.setdefault(row_key, {})
-                            val = row.get(col, 0) + sign * c
-                            if val:
-                                row[col] = val
-                            else:
-                                row.pop(col, None)
+                            row = rows.setdefault((xi, s, key_tuple), {})
+                            add_scaled(row, {col: c}, sign)
         mat = SparseMatrix.from_row_dicts(list(rows.values()), len(dom_basis))
         dims.append(kernel_basis(mat).dim)
-        expected.append(_binom(zdim * (D + 1), m))
+        expected.append(comb(zdim * (D + 1), m))
     return dims, expected, dims == expected
 
 
@@ -435,15 +384,6 @@ def _sort_sign(seq):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +416,10 @@ def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):
         for idx in product(range(g.dim), repeat=n):
             col = _flat_index(idx, g.dim)
             for k in range(n):
-                for r, v in cols_of_A[idx[k]].items():
-                    j = list(idx)
-                    j[k] = r
-                    key = (_flat_index(j, g.dim), col)
-                    s = ent.get(key, 0) + v
-                    if s:
-                        ent[key] = s
-                    else:
-                        ent.pop(key, None)
+                add_scaled(ent, {(_flat_index(idx[:k] + (r,) + idx[k + 1:], g.dim), col): v
+                                 for r, v in cols_of_A[idx[k]].items()})
         mats.append(SparseMatrix(dim, dim, ent))
-    invariants = kernel_basis(_vstack(mats))
+    invariants = kernel_basis(SparseMatrix.vstack(mats))
 
     if n == 1:
         return invariants.dim

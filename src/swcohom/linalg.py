@@ -1,16 +1,22 @@
 """Exact sparse linear algebra over Q with a two-prime modular fast path.
 
-Vectors are dicts {index: Fraction} with no stored zeros; matrices store a
-sparse {(row, col): Fraction} map.  Coordinates in a subspace basis are
-sparse too: ``coords_of`` returns {position: Fraction} holding only the
+Vectors are dicts {index: Fraction} with no stored zeros, and ``add_scaled``
+is the one place that adds a scaled sparse vector into another.  Matrices
+store a sparse {(row, col): Fraction} map.  Coordinates in a subspace basis
+are sparse too: ``coords_of`` returns {position: Fraction} holding only the
 nonzero coefficients.  Ranks default to the modular protocol:
 compute the rank modulo two independent random ~62-bit primes and accept on
 agreement, escalating to fraction-free (Bareiss) elimination over Z on
 disagreement.  Echelon bases (kernels, images, subspace arithmetic) are
 always exact; division-normalised reduction happens only at basis
 extraction.
+
+The same sparse dicts carry algebra elements (``AlgebraElement``: basis
+label -> coefficient) and the structure constants of small algebras given by
+a multiplication table (``StructureConstantSpec``).
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,8 +27,18 @@ PRIME_BITS = 62
 _DEFAULT_RNG = random.Random(0x53C0)
 
 
-def _clean(vec):
-    return {k: v for k, v in vec.items() if v}
+def add_scaled(acc, vec, coef=1):
+    """Add ``coef`` times the sparse vector ``vec`` into ``acc``; returns ``acc``.
+
+    Keys whose sum cancels are dropped, so ``acc`` never stores a zero.
+    """
+    for k, v in vec.items():
+        s = acc.get(k, 0) + coef * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class SparseMatrix:
@@ -51,17 +67,6 @@ class SparseMatrix:
         return cls(len(row_dicts), cols, ent)
 
     @classmethod
-    def from_dense(cls, rows_list):
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        ent = {}
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = Fraction(v)
-        return cls(r, c, ent)
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
@@ -88,30 +93,19 @@ class SparseMatrix:
     def apply(self, vec):
         """Matrix times column vector (vector given as {col: value})."""
         out = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x:
-                s = out.get(i, 0) + v * x
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+        cols = self.col_dicts()
+        for j, x in vec.items():
+            add_scaled(out, cols[j], x)
         return out
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols_of_other = other.row_dicts()
-        ent = {}
+        rows_of_other = other.row_dicts()
+        out = [dict() for _ in range(self.rows)]
         for (i, k), v in self.entries.items():
-            for j, w in cols_of_other[k].items():
-                key = (i, j)
-                s = ent.get(key, 0) + v * w
-                if s:
-                    ent[key] = s
-                else:
-                    ent.pop(key, None)
-        return SparseMatrix(self.rows, other.cols, ent)
+            add_scaled(out[i], rows_of_other[k], v)
+        return SparseMatrix.from_row_dicts(out, other.cols)
 
     def is_zero(self):
         return not self.entries
@@ -123,6 +117,20 @@ class SparseMatrix:
         for (i, j), v in other.entries.items():
             ent[(i, j + self.cols)] = v
         return SparseMatrix(self.rows, self.cols + other.cols, ent)
+
+    @classmethod
+    def vstack(cls, mats):
+        """The matrices of ``mats`` (equal column counts) stacked top to bottom."""
+        cols = mats[0].cols
+        ent = {}
+        off = 0
+        for m in mats:
+            if m.cols != cols:
+                raise ValueError("column mismatch in vstack")
+            for (i, j), v in m.entries.items():
+                ent[(i + off, j)] = v
+            off += m.rows
+        return cls(off, cols, ent)
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
@@ -162,24 +170,16 @@ class Echelon:
         return self._positions
 
     def reduce(self, vec):
-        """Residue of ``vec`` after clearing every pivot coordinate."""
-        v = dict(vec)
-        while True:
-            hit = None
-            for c in v:
-                if c in self.rows:
-                    hit = c
-                    break
-            if hit is None:
-                return _clean(v)
-            coef = v[hit]
-            row = self.rows[hit]
-            for c, x in row.items():
-                s = v.get(c, 0) - coef * x
-                if s:
-                    v[c] = s
-                else:
-                    v.pop(c, None)
+        """Residue of ``vec`` after clearing every pivot coordinate.
+
+        One pass suffices: a stored row is zero in every other pivot column
+        (full RREF), so the coefficient to clear at pivot p is ``vec[p]``.
+        """
+        v = {c: x for c, x in vec.items() if x}
+        for c, x in vec.items():
+            if c in self.rows:
+                add_scaled(v, self.rows[c], -x)
+        return v
 
     def insert(self, vec):
         """Reduce and, if nonzero, add as a new pivot row.  Returns the pivot or None."""
@@ -276,9 +276,6 @@ class Subspace:
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other.basis())
-
-    def to_matrix(self):
-        return SparseMatrix.from_row_dicts(self.basis(), self.ambient_dim)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -502,10 +499,6 @@ def image_basis(M):
     return Subspace.from_vectors(M.col_dicts(), M.rows)
 
 
-def row_space(M):
-    return Subspace.from_vectors(M.row_dicts(), M.cols)
-
-
 def subspace_sum(U, W):
     if U.ambient_dim != W.ambient_dim:
         raise ValueError("ambient mismatch")
@@ -538,17 +531,6 @@ def subspace_intersect(U, W):
     return Subspace(n, inter)
 
 
-def quotient_dim(superspace, U):
-    """dim(superspace / U); containment is checked, not assumed."""
-    if isinstance(superspace, int):
-        superspace = Subspace.full(superspace)
-    if superspace.ambient_dim != U.ambient_dim:
-        raise ValueError("ambient mismatch")
-    if not superspace.contains_subspace(U):
-        raise ValueError("quotient by a non-subspace")
-    return superspace.dim - U.dim
-
-
 class QuotientSpace:
     """Quotient V/U with echelon-selected coset representatives.
 
@@ -561,12 +543,11 @@ class QuotientSpace:
             raise ValueError("U is not contained in V")
         self.V = V
         self.U = U
-        reps = []
         ech = Echelon()
         for row in V.basis():
             res = U.reduce(row)
-            if res and ech.insert(res) is not None:
-                reps.append(res)
+            if res:
+                ech.insert(res)
         self._rep_space = Subspace(V.ambient_dim, ech)
 
     @property
@@ -654,3 +635,107 @@ class CochainComplex:
         rhs = sum((-1) ** (deg - self.degree_start) * d for deg, d in hdims.items())
         if lhs != rhs:
             raise CrossCheckError("Euler characteristic mismatch: %d vs %d" % (lhs, rhs))
+
+
+# ---------------------------------------------------------------------------
+# algebra elements and structure constants
+
+
+class AlgebraElement:
+    """Sparse element of one level of an algebra: {basis label: Fraction}, no zeros."""
+
+    __slots__ = ("level", "coeffs")
+
+    def __init__(self, level, coeffs=None):
+        self.level = level
+        self.coeffs = {}
+        if coeffs:
+            for l, c in coeffs.items():
+                c = Fraction(c)
+                if c:
+                    self.coeffs[l] = c
+
+    def items(self):
+        return self.coeffs.items()
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def scale(self, c):
+        c = Fraction(c)
+        return AlgebraElement(self.level, {l: c * v for l, v in self.coeffs.items()})
+
+    def __add__(self, other):
+        if self.level != other.level:
+            raise ValueError("level mismatch")
+        return AlgebraElement(self.level, add_scaled(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, AlgebraElement)
+                and self.level == other.level and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return "AlgebraElement(level=%d, %d terms)" % (self.level, len(self.coeffs))
+
+
+class StructureConstantSpec:
+    """Finite-dimensional algebra over Q given by its structure constants.
+
+    ``table[i][j]`` holds the coordinates of e_i * e_j.  A subclass checks
+    its own laws in ``_validate``, which runs at construction, and lists in
+    ``vectors`` the extra coordinate vectors it carries (such as a unit), so
+    that they travel through JSON with the table.
+    """
+
+    vectors = ()
+    default_name = "A"
+
+    def __init__(self, dim, table, name=None):
+        self.dim = dim
+        self.name = self.default_name if name is None else name
+        self.table = tuple(tuple(tuple(Fraction(x) for x in row) for row in block)
+                           for block in table)
+        if len(self.table) != dim or any(len(b) != dim for b in self.table) \
+                or any(len(r) != dim for b in self.table for r in b):
+            raise ValueError("structure table must be dim^3")
+        self._validate()
+
+    def _basis_vec(self, i):
+        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+
+    def mul_coords(self, u, v):
+        """Coordinates of the product of two coordinate vectors."""
+        out = [Fraction(0)] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if not b:
+                    continue
+                coef = a * b
+                for k, c in enumerate(self.table[i][j]):
+                    if c:
+                        out[k] += coef * c
+        return tuple(out)
+
+    @classmethod
+    def from_json(cls, doc):
+        """Build from a dict, or from the path of a JSON file holding one."""
+        if isinstance(doc, str):
+            with open(doc, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        table = [[[Fraction(x) for x in row] for row in block] for block in doc["table"]]
+        extra = {f: [Fraction(x) for x in doc[f]] for f in cls.vectors}
+        return cls(doc["dim"], table, name=doc.get("name"), **extra)
+
+    def to_json(self):
+        doc = {
+            "dim": self.dim,
+            "name": self.name,
+            "table": [[[str(x) for x in row] for row in block] for block in self.table],
+        }
+        doc.update((f, [str(x) for x in getattr(self, f)]) for f in self.vectors)
+        return doc

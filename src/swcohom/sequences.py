@@ -9,75 +9,20 @@ that are unital algebra maps and associative across levels.  Bundled here:
 * ``HeckeSequence``           - degree-truncated degenerate affine Hecke
   algebras with generators t_i, y_j and the relation y_i t_i - t_i y_{i+1} = 1.
 
-Basis orders are fixed (permutations lexicographic; skew by (multi-index,
-permutation); Hecke graded-lexicographic), so every matrix downstream is
-reproducible bit for bit.
+Elements of every level are ``linalg.AlgebraElement`` objects (re-exported
+here); the coefficient algebra of the skew sequence is a
+``linalg.StructureConstantSpec``.  Basis orders are fixed (permutations
+lexicographic; skew by (multi-index, permutation); Hecke
+graded-lexicographic), so every matrix downstream is reproducible bit for
+bit.
 """
 
-import json
 from fractions import Fraction
 from itertools import product
 
 from . import ResourceLimitError, TruncationOverflowError
-from .linalg import SparseMatrix
-from .symgrp import (
-    GroupAlgebraElement,
-    Permutation,
-    all_permutations,
-    compose,
-    young_positions,
-)
-
-
-class AlgebraElement:
-    """Sparse element of a sequence level: {basis label: Fraction}, no zeros."""
-
-    __slots__ = ("level", "coeffs")
-
-    def __init__(self, level, coeffs=None):
-        self.level = level
-        self.coeffs = {}
-        if coeffs:
-            for l, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[l] = c
-
-    @classmethod
-    def make(cls, level, mapping):
-        return cls(level, mapping)
-
-    def items(self):
-        return self.coeffs.items()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AlgebraElement(self.level, {l: c * v for l, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        if self.level != other.level:
-            raise ValueError("level mismatch")
-        out = dict(self.coeffs)
-        for l, c in other.coeffs.items():
-            s = out.get(l, 0) + c
-            if s:
-                out[l] = s
-            else:
-                out.pop(l, None)
-        return AlgebraElement(self.level, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.level == other.level and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return "AlgebraElement(level=%d, %d terms)" % (self.level, len(self.coeffs))
+from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, add_scaled
+from .symgrp import Permutation, all_permutations, compose, young_positions
 
 
 class MultiplicativeSequence:
@@ -90,6 +35,10 @@ class MultiplicativeSequence:
         self.level_cap = level_cap
         self._basis_cache = {}
         self._index_cache = {}
+        # filled by homology: (composition parts, route) -> centralizer, and
+        # the weights whose reduced differential was checked on cosets
+        self.centralizer_cache = {}
+        self.coset_checked_weights = set()
 
     # -- subclass surface -------------------------------------------------
     def _build_basis(self, n):
@@ -142,18 +91,13 @@ class MultiplicativeSequence:
         acc = {}
         for la, ca in u.coeffs.items():
             for lb, cb in v.coeffs.items():
-                for l, c in self._mul_basis_raw(n, la, lb).items():
-                    s = acc.get(l, 0) + ca * cb * c
-                    if s:
-                        acc[l] = s
-                    else:
-                        acc.pop(l, None)
+                add_scaled(acc, self._mul_basis_raw(n, la, lb), ca * cb)
         for l in acc:
             if not self._label_ok(n, l):
                 raise TruncationOverflowError(
                     "%s: product leaves the representable window at %r"
                     % (self.seq_id, l))
-        return AlgebraElement.make(n, acc)
+        return AlgebraElement(n, acc)
 
     def mu(self, m, n, u, v):
         """The pairing A_m (x) A_n -> A_{m+n} applied to a pure tensor."""
@@ -163,13 +107,8 @@ class MultiplicativeSequence:
         acc = {}
         for la, ca in u.coeffs.items():
             for lb, cb in v.coeffs.items():
-                label = self._mu_basis_label(m, n, la, lb)
-                s = acc.get(label, 0) + ca * cb
-                if s:
-                    acc[label] = s
-                else:
-                    acc.pop(label, None)
-        return AlgebraElement.make(m + n, acc)
+                add_scaled(acc, {self._mu_basis_label(m, n, la, lb): ca}, cb)
+        return AlgebraElement(m + n, acc)
 
     def subalgebra_generators(self, comp):
         raise NotImplementedError
@@ -181,10 +120,10 @@ class MultiplicativeSequence:
 
     def vec_to_element(self, n, vec):
         basis = self.basis(n)
-        return AlgebraElement.make(n, {basis[i]: c for i, c in vec.items() if c})
+        return AlgebraElement(n, {basis[i]: c for i, c in vec.items() if c})
 
     def basis_element(self, n, i):
-        return AlgebraElement.make(n, {self.basis(n)[i]: Fraction(1)})
+        return AlgebraElement(n, {self.basis(n)[i]: Fraction(1)})
 
     def left_mult_matrix(self, n, u):
         idx = self.index_of(n)
@@ -204,19 +143,6 @@ class MultiplicativeSequence:
                 ent[(idx[l], j)] = c
         return SparseMatrix(self.dim(n), self.dim(n), ent)
 
-    def commutator_matrix(self, n, u):
-        """Matrix of a -> [u, a] = ua - au on A_n."""
-        L = self.left_mult_matrix(n, u)
-        R = self.right_mult_matrix(n, u)
-        ent = dict(L.entries)
-        for key, v in R.entries.items():
-            s = ent.get(key, 0) - v
-            if s:
-                ent[key] = s
-            else:
-                ent.pop(key, None)
-        return SparseMatrix(L.rows, L.cols, ent)
-
 
 # ---------------------------------------------------------------------------
 # Q[S_*]
@@ -234,7 +160,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return all_permutations(n, cap=self.level_cap)
 
     def one(self, n):
-        return AlgebraElement.make(n, {Permutation.identity(n): 1})
+        return AlgebraElement(n, {Permutation.identity(n): 1})
 
     def _mul_basis_raw(self, n, la, lb):
         return {compose(la, lb): Fraction(1)}
@@ -246,42 +172,31 @@ class SymmetricGroupSequence(MultiplicativeSequence):
     def subalgebra_generators(self, comp):
         n = comp.weight
         self.check_level(n)
-        return [AlgebraElement.make(n, {Permutation.transposition(n, i): 1})
+        return [AlgebraElement(n, {Permutation.transposition(n, i): 1})
                 for i in young_positions(comp)]
-
-    def from_group_algebra(self, el):
-        return AlgebraElement.make(el.n, dict(el.coeffs))
-
-    def to_group_algebra(self, u):
-        return GroupAlgebraElement(u.level, dict(u.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # commutative coefficient algebras and skew group algebras
 
 
-class CommutativeAlgebraSpec:
+class CommutativeAlgebraSpec(StructureConstantSpec):
     """Commutative associative unital algebra given by structure constants.
 
     ``table[i][j]`` holds the coordinates of e_i * e_j; commutativity,
     associativity and the unit law are verified at construction.
     """
 
-    def __init__(self, dim, table, unit, name="A"):
-        self.dim = dim
-        self.name = name
-        self.table = tuple(tuple(tuple(Fraction(x) for x in row) for row in block)
-                           for block in table)
+    vectors = ("unit",)
+
+    def __init__(self, dim, table, unit, name=None):
         self.unit = tuple(Fraction(x) for x in unit)
-        if len(self.table) != dim or any(len(b) != dim for b in self.table) \
-                or any(len(r) != dim for b in self.table for r in b):
-            raise ValueError("structure table must be dim^3")
-        if len(self.unit) != dim:
-            raise ValueError("unit must have dim coordinates")
-        self._validate()
+        super().__init__(dim, table, name)
 
     def _validate(self):
         d = self.dim
+        if len(self.unit) != d:
+            raise ValueError("unit must have dim coordinates")
         for i in range(d):
             for j in range(i + 1, d):
                 if self.table[i][j] != self.table[j][i]:
@@ -296,23 +211,6 @@ class CommutativeAlgebraSpec:
         for i in range(d):
             if self.mul_coords(self.unit, self._basis_vec(i)) != self._basis_vec(i):
                 raise ValueError("unit law fails")
-
-    def _basis_vec(self, i):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
-
-    def mul_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                coef = a * b
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] += coef * c
-        return tuple(out)
 
     def unit_basis_index(self):
         """Index k when the unit is the basis vector e_k, else None."""
@@ -336,24 +234,6 @@ class CommutativeAlgebraSpec:
         c = Fraction(c)
         table = [[(1, 0), (0, 1)], [(0, 1), (c, 0)]]
         return cls(2, table, (1, 0), name="Q[x]/(x^2-%s)" % c)
-
-    @classmethod
-    def from_json(cls, doc):
-        if isinstance(doc, str):
-            with open(doc, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        dim = doc["dim"]
-        table = [[[Fraction(x) for x in row] for row in block] for block in doc["table"]]
-        unit = [Fraction(x) for x in doc["unit"]]
-        return cls(dim, table, unit, name=doc.get("name", "A"))
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "name": self.name,
-            "table": [[[str(x) for x in row] for row in block] for block in self.table],
-            "unit": [str(x) for x in self.unit],
-        }
 
 
 class SkewGroupSequence(MultiplicativeSequence):
@@ -384,7 +264,7 @@ class SkewGroupSequence(MultiplicativeSequence):
                     break
             if c:
                 acc[(a, pid)] = c
-        return AlgebraElement.make(n, acc)
+        return AlgebraElement(n, acc)
 
     def _permute_tuple(self, p, a):
         inv = p.inverse()
@@ -395,17 +275,13 @@ class SkewGroupSequence(MultiplicativeSequence):
         bp = self._permute_tuple(p, b)
         r = compose(p, q)
         # slotwise product a_l * bp_l expanded through the structure constants
+        # (every key is a distinct prefix, so nothing accumulates or cancels)
         partial = {(): Fraction(1)}
         for l in range(n):
             row = self.algebra.table[a[l]][bp[l]]
-            nxt = {}
-            for prefix, c in partial.items():
-                for k, x in enumerate(row):
-                    if x:
-                        key = prefix + (k,)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * x
-            partial = nxt
-        return {(key, r): c for key, c in partial.items() if c}
+            partial = {prefix + (k,): c * x for prefix, c in partial.items()
+                       for k, x in enumerate(row) if x}
+        return {(key, r): c for key, c in partial.items()}
 
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
@@ -426,14 +302,14 @@ class SkewGroupSequence(MultiplicativeSequence):
                     continue
                 if unit_ix is not None:
                     a = tuple(k if l == slot else unit_ix for l in range(n))
-                    gens.append(AlgebraElement.make(n, {(a, pid): 1}))
+                    gens.append(AlgebraElement(n, {(a, pid): 1}))
                 else:
                     gens.append(self._slot_insertion(n, slot, k))
         return gens
 
     def _group_element(self, n, perm):
         one = self.one(n)
-        return AlgebraElement.make(
+        return AlgebraElement(
             n, {(a, compose(p, perm)): c for (a, p), c in one.coeffs.items()})
 
     def _slot_insertion(self, n, slot, k):
@@ -450,7 +326,7 @@ class SkewGroupSequence(MultiplicativeSequence):
                     break
             if c:
                 acc[(a, pid)] = c
-        return AlgebraElement.make(n, acc)
+        return AlgebraElement(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +362,7 @@ class HeckeSequence(MultiplicativeSequence):
 
     def one(self, n):
         zero = tuple(0 for _ in range(n))
-        return AlgebraElement.make(n, {(zero, Permutation.identity(n)): 1})
+        return AlgebraElement(n, {(zero, Permutation.identity(n)): 1})
 
     # -- the d_i calculus --------------------------------------------------
     def partial(self, n, i, perm):
@@ -513,13 +389,7 @@ class HeckeSequence(MultiplicativeSequence):
                 out[rest] = Fraction(base)
             ti = i + 1 if i == j else (i - 1 if i == j + 1 else i)
             tj = Permutation.transposition(n, j)
-            for q, c in self.partial(n, ti, rest).items():
-                r = compose(tj, q)
-                s = out.get(r, 0) + c
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+            add_scaled(out, {compose(tj, q): c for q, c in self.partial(n, ti, rest).items()})
         self._partial_cache[key] = out
         return out
 
@@ -555,38 +425,19 @@ class HeckeSequence(MultiplicativeSequence):
             j = next(k for k, x in enumerate(b) if x) + 1
             b2 = tuple(x - 1 if k == j - 1 else x for k, x in enumerate(b))
             sj = perm.images[j - 1]
-            out = {}
-            for (c, rho), v in self._push(n, perm, b2).items():
-                cc = tuple(x + 1 if k == sj - 1 else x for k, x in enumerate(c))
-                keyc = (cc, rho)
-                s = out.get(keyc, 0) + v
-                if s:
-                    out[keyc] = s
-                else:
-                    out.pop(keyc, None)
+            # raising the exponent of y_sj is injective on labels
+            out = {(tuple(x + 1 if k == sj - 1 else x for k, x in enumerate(c)), rho): v
+                   for (c, rho), v in self._push(n, perm, b2).items()}
             for tau, d in self.partial(n, sj, perm).items():
-                for (c, rho), v in self._push(n, tau, b2).items():
-                    keyc = (c, rho)
-                    s = out.get(keyc, 0) - d * v
-                    if s:
-                        out[keyc] = s
-                    else:
-                        out.pop(keyc, None)
+                add_scaled(out, self._push(n, tau, b2), -d)
         self._push_cache[key] = out
         return out
 
     def _mul_basis_raw(self, n, la, lb):
         (a, p), (b, q) = la, lb
-        out = {}
-        for (c, rho), v in self._push(n, p, b).items():
-            exps = tuple(x + y for x, y in zip(a, c))
-            label = (exps, compose(rho, q))
-            s = out.get(label, 0) + v
-            if s:
-                out[label] = s
-            else:
-                out.pop(label, None)
-        return out
+        # (c, rho) -> (a + c, rho q) is injective, so no two terms meet
+        return {(tuple(x + y for x, y in zip(a, c)), compose(rho, q)): v
+                for (c, rho), v in self._push(n, p, b).items()}
 
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
@@ -599,11 +450,11 @@ class HeckeSequence(MultiplicativeSequence):
         gens = []
         zero = tuple(0 for _ in range(n))
         for i in young_positions(comp):
-            gens.append(AlgebraElement.make(
+            gens.append(AlgebraElement(
                 n, {(zero, Permutation.transposition(n, i)): 1}))
         for i in range(n):
             e = tuple(1 if k == i else 0 for k in range(n))
-            gens.append(AlgebraElement.make(n, {(e, Permutation.identity(n)): 1}))
+            gens.append(AlgebraElement(n, {(e, Permutation.identity(n)): 1}))
         return gens
 
     # -- word interface ----------------------------------------------------
@@ -611,13 +462,13 @@ class HeckeSequence(MultiplicativeSequence):
         """The generator t_i or y_i of level n as an element."""
         zero = tuple(0 for _ in range(n))
         if kind == "t":
-            return AlgebraElement.make(
+            return AlgebraElement(
                 n, {(zero, Permutation.transposition(n, i)): 1})
         if kind == "y":
             if not (1 <= i <= n):
                 raise ValueError("y_%d undefined at level %d" % (i, n))
             e = tuple(1 if k == i - 1 else 0 for k in range(n))
-            return AlgebraElement.make(n, {(e, Permutation.identity(n)): 1})
+            return AlgebraElement(n, {(e, Permutation.identity(n)): 1})
         raise ValueError("unknown generator kind %r" % kind)
 
     def normal_form(self, word, n):

@@ -1,4 +1,4 @@
-"""Permutations, group algebra elements and sign-twisted class functions.
+"""Permutations, sign-twisted class functions and the elements e_m.
 
 Conventions, fixed once and asserted by tests:
 
@@ -11,7 +11,9 @@ Sign-twisted class functions (f(s p s^-1) = sign(s) f(p)) live on
 conjugacy classes whose centraliser contains no odd permutation; the basis
 is produced by a breadth-first sweep of each class that tracks signs and
 aborts on inconsistency, so a wrong conjugation convention cannot silently
-flip values.
+flip values.  Elements of Q[S_n] (such as ``e_element``) are
+``linalg.AlgebraElement`` objects keyed by ``Permutation``, i.e. elements of
+``sequences.SymmetricGroupSequence`` at level n.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,10 @@ from functools import lru_cache
 from itertools import permutations as _it_permutations
 
 from . import ResourceLimitError
+from .linalg import AlgebraElement
 
 ENUMERATION_CAP = 8      # largest n for which S_n is materialised element by element
+SWEEP_CAP = 9            # largest n whose conjugacy classes are swept sign by sign
 COUNTING_CAP = 14        # class-based dimension counts avoid enumeration up to here
 
 
@@ -54,15 +58,6 @@ class Permutation:
             raise ValueError("t_%d undefined in S_%d" % (i, n))
         img = list(range(1, n + 1))
         img[i - 1], img[i] = img[i], img[i - 1]
-        return cls(tuple(img))
-
-    @classmethod
-    def cycle(cls, n, points):
-        """The cycle sending points[0] -> points[1] -> ... -> points[0]."""
-        img = list(range(1, n + 1))
-        pts = list(points)
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            img[a - 1] = b
         return cls(tuple(img))
 
     def is_identity(self):
@@ -153,81 +148,6 @@ def all_permutations(n, cap=ENUMERATION_CAP):
     return tuple(Permutation(p) for p in _it_permutations(range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
-def perm_index(n):
-    """Map permutation -> position in the lexicographic enumeration."""
-    return {p: i for i, p in enumerate(all_permutations(n))}
-
-
-class GroupAlgebraElement:
-    """Sparse element of Q[S_n]: {Permutation: Fraction}, no stored zeros."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                if p.n != n:
-                    raise ValueError("element of S_%d in Q[S_%d]" % (p.n, n))
-                c = Fraction(c)
-                if c:
-                    self.coeffs[p] = c
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {Permutation.identity(n): Fraction(1)})
-
-    @classmethod
-    def of(cls, p):
-        return cls(p.n, {p: Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            s = out.get(p, 0) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return GroupAlgebraElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return GroupAlgebraElement(self.n, {p: c * v for p, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for p, a in self.coeffs.items():
-            for q, b in other.coeffs.items():
-                r = compose(p, q)
-                s = out.get(r, 0) + a * b
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return GroupAlgebraElement(self.n, out)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgebraElement)
-                and self.n == other.n and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for p, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].images):
-            bits.append("%s*%r" % (c, p.images))
-        return " + ".join(bits)
-
-
 def young_positions(comp):
     """Indices i with i and i+1 in the same interval part of the composition."""
     out = []
@@ -312,15 +232,15 @@ def has_distinct_odd_type(ctype):
 def signed_class_dim(n):
     """dim of the space of sign-twisted class functions on S_n.
 
-    Up to the enumeration cap this is established by the orbit sweep itself;
-    beyond it (n <= COUNTING_CAP) the cycle-type criterion - all parts odd
-    and pairwise distinct - is used without touching the group.
+    Up to ``SWEEP_CAP`` this is established by the signed orbit sweep of each
+    class itself; beyond it (n <= COUNTING_CAP) the cycle-type criterion - all
+    parts odd and pairwise distinct - is used without touching the group.
     """
     if n == 0:
         return 1
-    if n <= ENUMERATION_CAP:
+    if n <= SWEEP_CAP:
         return sum(1 for ct in partitions(n)
-                   if signed_orbit(class_representative(n, ct)) is not None)
+                   if signed_orbit_tuples(n, class_representative(n, ct).images) is not None)
     if n <= COUNTING_CAP:
         return sum(1 for ct in partitions(n) if has_distinct_odd_type(ct))
     raise ResourceLimitError("signed_class_dim capped at n=%d" % COUNTING_CAP)
@@ -366,9 +286,4 @@ def e_element(m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return GroupAlgebraElement.unit(1)
-    orbit = signed_orbit(long_cycle(m))
-    if orbit is None:
-        return GroupAlgebraElement(m)
-    return GroupAlgebraElement(m, {p: Fraction(v) for p, v in orbit.items()})
+    return AlgebraElement(m, signed_orbit(long_cycle(m)))

@@ -173,6 +173,44 @@ def test_out_of_range_integer_is_a_usage_error(argv, capsys):
     assert "usage:" in captured.err and "must be at least" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--sequence", "hecke", "--trunc-degree", "2", "--weight-max", "4"),
+    ("cohomology", "--sequence", "skew", "--weight-max", "5"),
+], ids=["hecke-d2-w4", "skew-w5"])
+def test_non_symmetric_sequence_refuses_above_its_cap(argv):
+    # only Q[S_w] may take dim T_w from the sign-twisted class count: here it
+    # would give T_4 = 1 for Hecke (the true value is 0) and T_5 = 1 for skew
+    code, out = run_cli(*argv)
+    assert code == 3
+    assert out == ""
+
+
+# a commutative table whose product is not associative: (e0 e0) e1 = 0 but
+# e0 (e0 e1) = e1
+NON_ASSOCIATIVE = {"dim": 2, "unit": ["1", "0"],
+                   "table": [[["0", "1"], ["1", "0"]], [["1", "0"], ["0", "0"]]]}
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    (("cohomology", "--sequence", "skew"), "--algebra", None),
+    (("gl",), "--lie", None),
+    (("cohomology", "--sequence", "skew"), "--algebra", NON_ASSOCIATIVE),
+], ids=["algebra-missing", "lie-missing", "algebra-non-associative"])
+def test_bad_structure_constant_file_is_a_usage_error(command, flag, doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, flag, str(path))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and str(path) in captured.err
+    assert "Traceback" not in captured.err
+    if doc is not None:
+        assert "not associative" in captured.err
+
+
 def test_seed_and_backend_embedded():
     code, doc = run_json("--seed", "42", "--backend", "exact", "selftest")
     assert code == 0

@@ -8,9 +8,9 @@ from swcohom.linalg import (
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    add_scaled,
     image_basis,
     kernel_basis,
-    quotient_dim,
     rank,
     rank_exact,
     rank_mod,
@@ -156,6 +156,28 @@ def test_subspace_membership_and_coords():
         U.coords_of({1: 1})
 
 
+def test_add_scaled_drops_cancelled_keys():
+    acc = {0: Fraction(1), 1: Fraction(2)}
+    assert add_scaled(acc, {1: Fraction(1), 2: Fraction(3)}, -2) is acc
+    assert acc == {0: Fraction(1), 2: Fraction(-6)}
+    assert add_scaled({}, {5: Fraction(1, 2)}) == {5: Fraction(1, 2)}
+
+
+def test_reduce_residue_is_pivot_free_and_congruent():
+    # one pass of Echelon.reduce must clear every pivot and change vec only by
+    # an element of the subspace
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        U = _random_subspace(rng, n)
+        vec = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+               for j in range(n) if rng.random() < 0.7}
+        res = U.reduce(vec)
+        assert all(x != 0 for x in res.values())
+        assert not set(res) & set(U.pivots)
+        assert U.contains(add_scaled(dict(vec), res, -1))
+
+
 def test_sparse_coords_rebuild_randomized():
     rng = random.Random(31)
     for _ in range(60):
@@ -222,12 +244,12 @@ def _random_subspace(rng, n):
 
 def test_quotient_dim():
     V = Subspace.full(5)
-    assert quotient_dim(V, Subspace.zero(5)) == 5
-    assert quotient_dim(V, V) == 0
-    assert quotient_dim(5, Subspace.from_vectors([{0: 1}], 5)) == 4
+    assert QuotientSpace(V, Subspace.zero(5)).dim == 5
+    assert QuotientSpace(V, V).dim == 0
+    assert QuotientSpace(Subspace.full(5), Subspace.from_vectors([{0: 1}], 5)).dim == 4
     with pytest.raises(ValueError):
-        quotient_dim(Subspace.from_vectors([{0: 1}], 5),
-                     Subspace.from_vectors([{1: 1}], 5))
+        QuotientSpace(Subspace.from_vectors([{0: 1}], 5),
+                      Subspace.from_vectors([{1: 1}], 5))
 
 
 def test_quotient_space_reps():

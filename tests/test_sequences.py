@@ -33,7 +33,7 @@ def hecke():
 
 
 def basis_el(seq, n, label):
-    return AlgebraElement.make(n, {label: 1})
+    return AlgebraElement(n, {label: 1})
 
 
 # -- symmetric ---------------------------------------------------------------

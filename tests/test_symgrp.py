@@ -4,8 +4,8 @@ import pytest
 
 from swcohom import ResourceLimitError
 from swcohom.combinat import Composition, distinct_odd_partition_series
+from swcohom.sequences import AlgebraElement, SymmetricGroupSequence
 from swcohom.symgrp import (
-    GroupAlgebraElement,
     Permutation,
     all_permutations,
     class_representative,
@@ -98,12 +98,12 @@ def test_signed_class_functions_satisfy_twist():
 
 
 def test_e_elements():
-    assert e_element(1) == GroupAlgebraElement.unit(1)
+    assert e_element(1) == SymmetricGroupSequence().one(1)
     assert e_element(2).is_zero()
     e3 = e_element(3)
     t1, t2 = t(3, 1), t(3, 2)
-    expected = GroupAlgebraElement(3, {compose(t1, t2): Fraction(1),
-                                       compose(t2, t1): Fraction(-1)})
+    expected = AlgebraElement(3, {compose(t1, t2): Fraction(1),
+                                  compose(t2, t1): Fraction(-1)})
     assert e3 == expected
     assert e_element(4).is_zero()
 
@@ -135,8 +135,9 @@ def test_e_m_annihilates_centralizer_pairing():
 
 
 def test_group_algebra_arithmetic():
-    t1 = GroupAlgebraElement.of(t(3, 1))
-    one = GroupAlgebraElement.unit(3)
-    assert t1 * t1 == one
+    sym = SymmetricGroupSequence()
+    t1 = AlgebraElement(3, {t(3, 1): 1})
+    one = sym.one(3)
+    assert sym.multiply(3, t1, t1) == one
     assert (t1 + t1).scale(Fraction(1, 2)) == t1
     assert (t1 - t1).is_zero()
