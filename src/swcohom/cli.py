@@ -5,8 +5,10 @@ pretty and csv printers are views over the same report object.  Reports
 embed the seed, the backend and the library version, and identical
 configuration produces byte-identical output.
 
-Exit codes: 0 success, 2 internal cross-check failure or usage error (from
-argparse, including out-of-range integer options), 3 resource-guard refusal.
+Exit codes: 0 success; 2 usage error (from argparse, including out-of-range
+integer options and unloadable structure-constant files); 3 resource-guard
+refusal; 4 cross-check failure, either raised inside a computation (nothing
+is printed) or a report whose own check is false (the report is printed).
 """
 
 import argparse
@@ -398,9 +400,9 @@ def main(argv=None):
         return 3
     except (CrossCheckError, TruncationOverflowError) as exc:
         sys.stderr.write("cross-check failure: %s\n" % exc)
-        return 2
+        return 4
     _emit(args, _envelope(args, args.command, payload))
-    return 0 if ok else 2
+    return 0 if ok else 4
 
 
 if __name__ == "__main__":

@@ -30,25 +30,7 @@ from .linalg import (
     rank,
     subspace_sum,
 )
-from .sequences import SymmetricGroupSequence
-from .symgrp import (
-    SWEEP_CAP,
-    Permutation,
-    all_permutations,
-    class_representative,
-    conjugate_tuple_by_t,
-    has_distinct_odd_type,
-    partitions,
-    signed_class_dim,
-    signed_orbit_tuples,
-    young_positions,
-)
-
-# weights above this use the conjugation-orbit route for Q[S_*]
-SYMMETRIC_MATRIX_MAX_WEIGHT = 6
-# largest symmetric group swept for the dual differential check and, above
-# the matrix cap, for the class count that gives dim T_w
-SYMMETRIC_DUAL_CAP = SWEEP_CAP
+from .symgrp import Permutation, all_permutations, young_positions
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +159,25 @@ def random_module(n, rng, max_dim=8):
 # centralizers
 
 
-def centralizer(seq, comp, route="auto"):
+def centralizer(seq, comp):
     """C(lambda): elements of A_|lambda| commuting with the image subalgebra.
 
-    For Q[S_*] the default route sums conjugation orbits of the Young
-    subgroup; the generic route solves the commutant equations [a, g] = 0.
-    The two agree and the test suite compares them on small levels.
+    A sequence may supply its own route (``seq.orbit_centralizer``: for Q[S_*]
+    the conjugation-orbit sums of the Young subgroup); otherwise the
+    commutant equations [a, g] = 0 are solved.  The test suite compares the
+    two routes on small levels.
     """
     cache = seq.centralizer_cache
-    key = (comp.parts, route)
-    if key in cache:
-        return cache[key]
-    if route == "auto":
-        if isinstance(seq, SymmetricGroupSequence):
-            out = _centralizer_orbits(seq, comp)
-        else:
-            out = _centralizer_commutant(seq, comp)
-    elif route == "orbits":
-        out = _centralizer_orbits(seq, comp)
-    elif route == "commutant":
-        out = _centralizer_commutant(seq, comp)
-    else:
-        raise ValueError("unknown route %r" % route)
-    cache[key] = out
+    out = cache.get(comp.parts)
+    if out is None:
+        out = seq.orbit_centralizer(comp)
+        if out is None:
+            out = commutant_centralizer(seq, comp)
+        cache[comp.parts] = out
     return out
 
 
-def _centralizer_commutant(seq, comp):
+def commutant_centralizer(seq, comp):
     """Kernel of the commutant equations [g, a] = 0 over the generators.
 
     The commutators are accumulated in the untruncated label space: a
@@ -228,35 +202,6 @@ def _centralizer_commutant(seq, comp):
     return kernel_basis(mat)
 
 
-def _centralizer_orbits(seq, comp):
-    if not isinstance(seq, SymmetricGroupSequence):
-        raise ValueError("the conjugation-orbit route only applies to Q[S_*]")
-    n = comp.weight
-    index = {p.images: i for i, p in enumerate(seq.basis(n))}
-    positions = young_positions(comp)
-    if not positions:
-        return Subspace.full(seq.dim(n))
-    seen = set()
-    vectors = []
-    for start in index:
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for i in positions:
-                    q = conjugate_tuple_by_t(t, i)
-                    if q not in orbit:
-                        orbit.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        seen |= orbit
-        vectors.append({index[t]: Fraction(1) for t in orbit})
-    return Subspace.from_vectors(vectors, seq.dim(n))
-
-
 # ---------------------------------------------------------------------------
 # cubic diagrams and their complexes
 
@@ -268,15 +213,14 @@ class CubicDiagram:
     at construction for weight <= 6 and spot-checked above.
     """
 
-    def __init__(self, weight, ambient_dim, spaces, check=True):
+    def __init__(self, weight, ambient_dim, spaces):
         self.weight = weight
         self.ambient_dim = ambient_dim
         self.spaces = dict(spaces)
         for comp in compositions(weight):
             if to_binary(comp).bits not in self.spaces:
                 raise ValueError("missing vertex %r" % (comp,))
-        if check:
-            self._check_containments()
+        self._check_containments()
 
     def space(self, comp):
         return self.spaces[to_binary(comp).bits]
@@ -473,9 +417,10 @@ class ReducedComplexData:
 
     ``diff_status[w]`` records how the differential out of weight w was
     handled: "matrix" (computed on representatives), "dual-zero" (proved
-    zero by pairing against every sign-twisted class function one weight
-    up), "source-zero" (T_w = 0), or "not-computed" (beyond the caps; the
-    top cohomology is then only an upper bound and flagged non-final).
+    zero by ``seq.delta_vanishes_dually``; for Q[S_*], by pairing against
+    every sign-twisted class function one weight up), "source-zero"
+    (T_w = 0), or "not-computed" (beyond the caps; the top cohomology is then
+    only an upper bound and flagged non-final).
     """
 
     def __init__(self, seq, max_weight):
@@ -531,22 +476,15 @@ def _two_part_compositions(w):
 def reduced_complex(seq, max_weight, backend="modular", rng=None):
     """Build T_1..T_P with the induced differential; see ReducedComplexData."""
     data = ReducedComplexData(seq, max_weight)
-    symmetric = isinstance(seq, SymmetricGroupSequence)
-    matrix_cap = SYMMETRIC_MATRIX_MAX_WEIGHT if symmetric else seq.level_cap
     # one extra weight, when affordable, makes the top differential computable
     build_weights = list(range(1, max_weight + 1))
-    if max_weight + 1 <= matrix_cap:
+    if max_weight + 1 <= seq.matrix_cap:
         build_weights.append(max_weight + 1)
     for w in build_weights:
-        if symmetric and w > matrix_cap:
-            # dim T_w for Q[S_w] is the number of sign-twisted class functions
-            if w > SYMMETRIC_DUAL_CAP:
-                raise ResourceLimitError("class sweep of S_%d exceeds the guard (n <= %d)"
-                                         % (w, SYMMETRIC_DUAL_CAP))
-            data.t_dims[w] = signed_class_dim(w)
+        if w > seq.matrix_cap:
+            # a count without matrices, or a refusal (the default)
+            data.t_dims[w] = seq.reduced_dim_above_cap(w)
         else:
-            # no other sequence has a fallback: above its cap this refuses
-            seq.check_level(w)
             top = centralizer(seq, Composition((1,) * w))
             if w == 1:
                 sub = Subspace.zero(seq.dim(1))
@@ -567,8 +505,7 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
         if w in data.quotients and (w + 1) in data.quotients:
             data.diffs[w] = _reduced_differential_matrix(seq, data, w)
             data.diff_status[w] = "matrix"
-        elif symmetric and w + 1 <= SYMMETRIC_DUAL_CAP:
-            _reduced_differential_dual_zero(w)
+        elif seq.delta_vanishes_dually(w):
             data.diffs[w] = None
             data.diff_status[w] = "dual-zero"
         else:
@@ -609,40 +546,6 @@ def _reduced_differential_matrix(seq, data, w):
     return SparseMatrix(tgt.dim, src.dim, ent)
 
 
-def _reduced_differential_dual_zero(w):
-    """Prove delta_w = 0 for Q[S_*] by pairing with every f in V_{w+1}.
-
-    f(delta(a)) = f(shift a) + (-1)^(w+1) f(a extended by a fixed point); by
-    sign-twisted conjugation-covariance the two terms cancel, and this
-    routine checks that identity pointwise on all of S_w.
-    """
-    for f in _signed_class_basis_tuples(w + 1):
-        for p in all_permutations(w):
-            shifted = (1,) + tuple(v + 1 for v in p.images)
-            extended = p.images + (w + 1,)
-            val = f.get(shifted, 0) + (-1) ** (w + 1) * f.get(extended, 0)
-            if val:
-                raise CrossCheckError(
-                    "reduced differential does not vanish dually at weight %d" % w)
-
-
-def _signed_class_basis_tuples(n):
-    """Sign-twisted indicators (tuple-keyed) of the admissible classes.
-
-    Classes failing the distinct-odd-parts criterion admit none; the sweep
-    itself still validates consistency on the classes it returns.
-    """
-    out = []
-    for ct in partitions(n):
-        if not has_distinct_odd_type(ct):
-            continue
-        orbit = signed_orbit_tuples(n, class_representative(n, ct).images)
-        if orbit is None:
-            raise CrossCheckError("distinct-odd class %r failed the sign sweep" % (ct,))
-        out.append(orbit)
-    return out
-
-
 def reduced_cohomology(seq, max_weight, backend="modular", rng=None):
     """Per-weight dims of the reduced complex's cohomology."""
     return reduced_complex(seq, max_weight, backend=backend, rng=rng).h_dims
@@ -650,8 +553,6 @@ def reduced_cohomology(seq, max_weight, backend="modular", rng=None):
 
 def first_cohomology_direct(seq):
     """H^1 = {a central in A_1 with mu(a,1) + mu(1,a) central in A_2}."""
-    if not seq.generated_by_first_two:
-        raise ValueError("sequence is not generated by its first two members")
     z1 = centralizer(seq, Composition((1,)))
     z2 = centralizer(seq, Composition((2,)))
     cols = {}
@@ -672,13 +573,6 @@ def first_cohomology_direct(seq):
             el = el + basis_els[j].scale(c)
         out.append(el)
     return ker.dim, out
-
-
-def cup(seq, m, n, u, v, max_weight=None, backend="modular", rng=None):
-    """Convenience wrapper: class of mu(u (x) v) in T_{m+n}."""
-    P = max_weight if max_weight is not None else m + n
-    data = reduced_complex(seq, P, backend=backend, rng=rng)
-    return data.cup(m, n, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,9 @@ def _is_probable_prime(n):
     return True
 
 
-def random_prime(rng, bits=PRIME_BITS):
+def random_prime(rng):
     while True:
-        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        n = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1
         if _is_probable_prime(n):
             return n
 
@@ -587,16 +587,6 @@ class CochainComplex:
             if not self.differentials[k + 1].matmul(self.differentials[k]).is_zero():
                 raise ValueError("d.d != 0 between degrees %d and %d"
                                  % (degree_start + k, degree_start + k + 2))
-
-    @property
-    def degrees(self):
-        return range(self.degree_start, self.degree_start + len(self.dims))
-
-    def differential(self, degree):
-        k = degree - self.degree_start
-        if 0 <= k < len(self.differentials):
-            return self.differentials[k]
-        return None
 
     def cohomology_dims(self, backend="modular", rng=None):
         """H^k dims; only ranks are needed, so the modular path applies."""

@@ -20,25 +20,57 @@ bit.
 from fractions import Fraction
 from itertools import product
 
-from . import ResourceLimitError, TruncationOverflowError
-from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, add_scaled
-from .symgrp import Permutation, all_permutations, compose, young_positions
+from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
+from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, Subspace, add_scaled
+from .symgrp import (
+    SWEEP_CAP,
+    Permutation,
+    all_permutations,
+    compose,
+    conjugate_tuple_by_t,
+    signed_class_basis,
+    signed_class_dim,
+    young_positions,
+)
 
 
 class MultiplicativeSequence:
-    """Shared bilinear plumbing; subclasses provide basis-level products."""
+    """Shared bilinear plumbing; subclasses provide basis-level products.
+
+    Besides the products, a sequence declares what ``homology`` may shortcut
+    for it: ``matrix_cap`` (the largest weight whose reduced quotient T_w is
+    built from matrices), ``orbit_centralizer``, ``reduced_dim_above_cap`` and
+    ``delta_vanishes_dually``.  The defaults here claim nothing special, so
+    above its level cap a sequence refuses.
+    """
 
     seq_id = "abstract"
-    generated_by_first_two = True
 
     def __init__(self, level_cap):
         self.level_cap = level_cap
         self._basis_cache = {}
         self._index_cache = {}
-        # filled by homology: (composition parts, route) -> centralizer, and
-        # the weights whose reduced differential was checked on cosets
+        # filled by homology: composition parts -> centralizer, and the
+        # weights whose reduced differential was checked on cosets
         self.centralizer_cache = {}
         self.coset_checked_weights = set()
+
+    @property
+    def matrix_cap(self):
+        return self.level_cap
+
+    def orbit_centralizer(self, comp):
+        """C(comp) without solving the commutant equations, or None."""
+        return None
+
+    def reduced_dim_above_cap(self, w):
+        """dim T_w for w above ``matrix_cap``; no general formula, so refuse."""
+        raise ResourceLimitError(
+            "%s: level %d exceeds cap %d" % (self.seq_id, w, self.matrix_cap))
+
+    def delta_vanishes_dually(self, w):
+        """True when delta_w: T_w -> T_{w+1} is proved zero without matrices."""
+        return False
 
     # -- subclass surface -------------------------------------------------
     def _build_basis(self, n):
@@ -152,6 +184,8 @@ class SymmetricGroupSequence(MultiplicativeSequence):
     """Group algebras of the symmetric groups with block-placement pairings."""
 
     seq_id = "symmetric"
+    # above this, dim T_w is the sign-twisted class count
+    matrix_cap = 6
 
     def __init__(self, level_cap=8):
         super().__init__(level_cap)
@@ -174,6 +208,58 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         self.check_level(n)
         return [AlgebraElement(n, {Permutation.transposition(n, i): 1})
                 for i in young_positions(comp)]
+
+    def orbit_centralizer(self, comp):
+        """Sums over the orbits of the Young subgroup acting by conjugation."""
+        n = comp.weight
+        index = {p.images: i for i, p in enumerate(self.basis(n))}
+        positions = young_positions(comp)
+        if not positions:
+            return Subspace.full(self.dim(n))
+        seen = set()
+        vectors = []
+        for start in index:
+            if start in seen:
+                continue
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                nxt = []
+                for t in frontier:
+                    for i in positions:
+                        q = conjugate_tuple_by_t(t, i)
+                        if q not in orbit:
+                            orbit.add(q)
+                            nxt.append(q)
+                frontier = nxt
+            seen |= orbit
+            vectors.append({index[t]: Fraction(1) for t in orbit})
+        return Subspace.from_vectors(vectors, self.dim(n))
+
+    def reduced_dim_above_cap(self, w):
+        """dim T_w for Q[S_w] is the number of sign-twisted class functions."""
+        if w > SWEEP_CAP:
+            raise ResourceLimitError("class sweep of S_%d exceeds the guard (n <= %d)"
+                                     % (w, SWEEP_CAP))
+        return signed_class_dim(w)
+
+    def delta_vanishes_dually(self, w):
+        """Prove delta_w = 0 by pairing with every sign-twisted f on S_{w+1}.
+
+        f(delta(a)) = f(shift a) + (-1)^(w+1) f(a extended by a fixed point); by
+        sign-twisted conjugation-covariance the two terms cancel, and this
+        checks that identity pointwise on all of S_w.
+        """
+        if w + 1 > SWEEP_CAP:
+            return False
+        for f in signed_class_basis(w + 1):
+            for p in all_permutations(w):
+                shifted = (1,) + tuple(v + 1 for v in p.images)
+                extended = p.images + (w + 1,)
+                if f.get(shifted, 0) + (-1) ** (w + 1) * f.get(extended, 0):
+                    raise CrossCheckError(
+                        "reduced differential does not vanish dually at weight %d" % w)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +565,12 @@ class HeckeSequence(MultiplicativeSequence):
         return el
 
 
-def bundled_sequence(seq_id, algebra=None, trunc_degree=3, level_caps=None):
+def bundled_sequence(seq_id, algebra=None, trunc_degree=3):
     """Construct one of the three bundled sequences by identifier."""
-    caps = level_caps or {}
     if seq_id == "symmetric":
-        return SymmetricGroupSequence(level_cap=caps.get("symmetric", 8))
+        return SymmetricGroupSequence()
     if seq_id == "skew":
-        return SkewGroupSequence(algebra=algebra, level_cap=caps.get("skew", 4))
+        return SkewGroupSequence(algebra=algebra)
     if seq_id == "hecke":
-        return HeckeSequence(trunc_degree=trunc_degree,
-                             level_cap=caps.get("hecke", 3))
+        return HeckeSequence(trunc_degree=trunc_degree)
     raise ValueError("unknown sequence %r" % seq_id)

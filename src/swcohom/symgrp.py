@@ -17,11 +17,10 @@ flip values.  Elements of Q[S_n] (such as ``e_element``) are
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _it_permutations
 
-from . import ResourceLimitError
+from . import CrossCheckError, ResourceLimitError
 from .linalg import AlgebraElement
 
 ENUMERATION_CAP = 8      # largest n for which S_n is materialised element by element
@@ -246,26 +245,20 @@ def signed_class_dim(n):
     raise ResourceLimitError("signed_class_dim capped at n=%d" % COUNTING_CAP)
 
 
-@dataclass(frozen=True)
-class SignedClassFunction:
-    """f: S_n -> Q supported on one conjugacy class, with f(sps^-1) = sign(s)f(p)."""
-
-    n: int
-    cycle_type: tuple
-    values: dict
-
-    def __call__(self, p):
-        return self.values.get(p, Fraction(0))
-
-
 def signed_class_basis(n):
-    """One sign-twisted indicator per admissible class, in partition order."""
+    """One sign-twisted indicator {one-line tuple: +-1} per distinct-odd class.
+
+    Classes failing the distinct-odd-parts criterion admit none; the sweep
+    itself still validates consistency on the classes it returns.
+    """
     out = []
-    for ct in sorted(partitions(n), reverse=True):
-        orbit = signed_orbit(class_representative(n, ct))
-        if orbit is not None:
-            out.append(SignedClassFunction(
-                n, ct, {p: Fraction(v) for p, v in orbit.items()}))
+    for ct in partitions(n):
+        if not has_distinct_odd_type(ct):
+            continue
+        orbit = signed_orbit_tuples(n, class_representative(n, ct).images)
+        if orbit is None:
+            raise CrossCheckError("distinct-odd class %r failed the sign sweep" % (ct,))
+        out.append(orbit)
     return out
 
 

@@ -150,8 +150,18 @@ def test_cross_check_exit_code(monkeypatch):
     # build_parser looks the handler up at build time, so patching the module
     # attribute reroutes the subcommand
     monkeypatch.setattr(cli, "cmd_selftest", boom)
-    code, _ = run_cli("selftest")
-    assert code == 2
+    code, out = run_cli("selftest")
+    assert code == 4
+    assert out == ""
+
+
+def test_failed_report_check_exit_code(monkeypatch):
+    import swcohom.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_selftest", lambda args: ({"all_passed": False}, False))
+    code, doc = run_json("selftest")
+    assert code == 4
+    assert doc["report"] == {"all_passed": False}
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,12 @@
   ``__version__`` are fine) from another module of the package: shared
   helpers are public where they live;
 * no module reaches into ``__dict__``: state such as caches is a plain
-  attribute set in ``__init__``.
+  attribute set in ``__init__``;
+* no module asks which sequence it holds (``isinstance`` against a sequence
+  class), and ``homology`` imports nothing from ``sequences``: what a
+  sequence supports beyond the generic routes it declares itself
+  (``matrix_cap``, ``orbit_centralizer``, ``reduced_dim_above_cap``,
+  ``delta_vanishes_dually``).
 """
 
 import ast
@@ -12,6 +17,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from swcohom.sequences import MultiplicativeSequence
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "swcohom").glob("*.py"))
 
@@ -31,3 +38,35 @@ def test_no_dict_access(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     hits = ["line %d" % k for k, line in enumerate(lines, 1) if "__dict__" in line]
     assert not hits, hits
+
+
+def _sequence_class_names():
+    out, todo = set(), [MultiplicativeSequence]
+    while todo:
+        cls = todo.pop()
+        out.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_isinstance_on_sequences(path):
+    names = _sequence_class_names()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & names]
+    assert not hits, hits
+
+
+def test_homology_does_not_import_sequences():
+    path = next(p for p in SOURCES if p.name == "homology.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[-1] == "sequences")
+            or (isinstance(node, ast.Import)
+                and any(a.name.split(".")[-1] == "sequences" for a in node.names))]
+    assert not hits, hits
+    assert "SymmetricGroupSequence" not in path.read_text(encoding="utf-8")

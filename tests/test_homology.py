@@ -8,6 +8,7 @@ from swcohom.linalg import SparseMatrix, subspace_intersect
 from swcohom.homology import (
     SnModule,
     centralizer,
+    commutant_centralizer,
     cubic_cohomology,
     cubic_invariants_diagram,
     deformation_cohomology_truncated,
@@ -56,8 +57,8 @@ def test_symmetric_centralizer_dims(sym):
 def test_centralizer_two_routes_agree(sym):
     for n in range(1, 6):
         for comp in compositions(n):
-            a = centralizer(sym, comp, route="orbits")
-            b = centralizer(sym, comp, route="commutant")
+            a = sym.orbit_centralizer(comp)
+            b = commutant_centralizer(sym, comp)
             assert a == b, comp
 
 
@@ -238,6 +239,17 @@ def test_reduced_symmetric_p6(sym):
     for w in range(1, 6):
         if data.diffs.get(w) is not None:
             assert data.diffs[w].is_zero()
+
+
+def test_both_proofs_of_vanishing_delta_agree(sym):
+    # the dual proof (sign-twisted class functions one weight up) and the
+    # matrix route (representatives of T_w and T_{w+1}) overlap at w <= 5
+    for w in range(1, 8):
+        assert sym.delta_vanishes_dually(w), w
+    data = reduced_complex(sym, 5)
+    for w in range(1, 6):
+        assert data.diff_status[w] in ("matrix", "source-zero"), w
+        assert data.diffs[w] is None or data.diffs[w].is_zero(), w
 
 
 def test_reduced_skew_cross_route(skew):

@@ -91,10 +91,10 @@ def test_signed_class_functions_satisfy_twist():
         gens = [t(n, i) for i in range(1, n)]
         reps = [class_representative(n, ct) for ct in partitions(n)]
         for f in basis:
-            support = list(f.values)
+            support = [Permutation(img) for img in f]
             for s in gens:
                 for p in reps + support[:6]:
-                    assert f(conjugate(p, s)) == s.sign() * f(p)
+                    assert f.get(conjugate(p, s).images, 0) == s.sign() * f.get(p.images, 0)
 
 
 def test_e_elements():
