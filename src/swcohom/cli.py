@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError, __version__
-from .combinat import distinct_odd_partition_series
+from .combinat import compositions, distinct_odd_partition_series
 from .homology import (
     SnModule,
     centralizer,
@@ -30,14 +30,6 @@ from .homology import (
     reduced_complex,
     relative_cube_dims,
     top_quotient,
-)
-from .combinat import compositions
-from .lierep import (
-    LieAlgebraSpec,
-    exterior_invariants_dims,
-    perm_action,
-    verify_wheel_action,
-    wheel_vanishing_table,
 )
 from .sequences import CommutativeAlgebraSpec, bundled_sequence
 from .symgrp import e_element
@@ -196,11 +188,23 @@ def cmd_cubic(args):
 
 
 def cmd_gl(args):
+    # lierep imports numpy, which no other subcommand needs
+    from .lierep import (LieAlgebraSpec, check_tensor_size, exterior_invariants_dims,
+                         perm_action, verify_wheel_action, wheel_vanishing_table)
+
     if args.lie:
         g = args.lie
         d = None
     else:
         d = args.dim
+        wheel_ms = [m for m in (1, 3, 5) if m <= 3 or d ** (2 * m) <= 10 ** 6]
+        max_m = min(2 * d + 1, 6)
+        # refuse before any work: guard every wheel tensor built below, in build order
+        for m in wheel_ms:
+            check_tensor_size(m, d)
+        for dd in range(1, d + 1):
+            for m in range(1, max_m + 1):
+                check_tensor_size(m, dd)
         g = LieAlgebraSpec.gl(d)
     maxdeg = args.degree_max if args.degree_max is not None else g.dim
     dims = exterior_invariants_dims(g, maxdeg)
@@ -208,19 +212,16 @@ def cmd_gl(args):
     ok = True
     if d is not None:
         kox = {}
-        for m in (1, 3, 5):
-            if d ** (2 * m) > 10 ** 6 and m > 3:
-                continue
+        for m in wheel_ms:
             passed, ratio = verify_wheel_action(m, d)
             kox["m=%d" % m] = {"pass": passed,
                                "ratio": str(ratio) if ratio is not None else "0=0"}
             ok = ok and passed
         payload["wheel_action"] = kox
-        table = wheel_vanishing_table(min(2 * d + 1, 6), d)
+        table = wheel_vanishing_table(max_m, d)
         payload["vanishing"] = {"m=%d" % m: bool(z)
                                 for (m, dd), z in table.items() if dd == d}
-        expected_vanish = {m: (m % 2 == 0 or m > 2 * d - 1)
-                           for m in range(1, min(2 * d + 1, 6) + 1)}
+        expected_vanish = {m: (m % 2 == 0 or m > 2 * d - 1) for m in range(1, max_m + 1)}
         van_ok = all(table[(m, d)] == expected_vanish[m] for m in expected_vanish
                      if (m, d) in table)
         payload["vanishing_pattern_ok"] = van_ok
@@ -268,6 +269,8 @@ def cmd_hecke_check(args):
 
 
 def cmd_selftest(args):
+    from .lierep import LieAlgebraSpec, exterior_invariants_dims, verify_wheel_action
+
     rng = random.Random(args.seed)
     checks = {}
     series = distinct_odd_partition_series(12)
@@ -316,6 +319,13 @@ def _spec_file(spec_cls):
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError("cannot load %s: %s" % (path, exc)) from None
     return load
+
+
+def _lie_spec_file(path):
+    """argparse type for ``--lie``; imports lierep (and numpy) only when used."""
+    from .lierep import LieAlgebraSpec
+
+    return _spec_file(LieAlgebraSpec)(path)
 
 
 def build_parser():
@@ -373,7 +383,7 @@ def build_parser():
     p = sub.add_parser("gl", help="gl(V) exterior invariants and wheel identities",
                        parents=[common])
     p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--lie", type=_spec_file(LieAlgebraSpec),
+    p.add_argument("--lie", type=_lie_spec_file,
                    help="JSON file with Lie algebra structure constants")
     p.add_argument("--degree-max", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_gl)

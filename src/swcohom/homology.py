@@ -15,8 +15,6 @@ complex, the horizontal complexes and the reduced complex are all built
 explicitly and compared by the test suite.
 """
 
-from fractions import Fraction
-
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions, to_binary
 from .linalg import (
@@ -73,16 +71,16 @@ class SnModule:
 
     @classmethod
     def sign(cls, n):
-        neg = SparseMatrix(1, 1, {(0, 0): Fraction(-1)})
+        neg = SparseMatrix(1, 1, {(0, 0): -1})
         return cls(n, 1, [neg for _ in range(n - 1)], "sign")
 
     @classmethod
     def natural(cls, n):
         gens = []
         for i in range(1, n):
-            ent = {(k, k): Fraction(1) for k in range(n) if k not in (i - 1, i)}
-            ent[(i - 1, i)] = Fraction(1)
-            ent[(i, i - 1)] = Fraction(1)
+            ent = {(k, k): 1 for k in range(n) if k not in (i - 1, i)}
+            ent[(i - 1, i)] = 1
+            ent[(i, i - 1)] = 1
             gens.append(SparseMatrix(n, n, ent))
         return cls(n, n, gens, "perm")
 
@@ -95,7 +93,7 @@ class SnModule:
             ent = {}
             for k, p in enumerate(basis):
                 q = Permutation(tuple(_lmul_t(p.images, i)))
-                ent[(index[q], k)] = Fraction(1)
+                ent[(index[q], k)] = 1
             gens.append(SparseMatrix(len(basis), len(basis), ent))
         return cls(n, len(basis), gens, "regular")
 
@@ -241,8 +239,7 @@ class CubicDiagram:
 def cubic_invariants_diagram(module):
     """Vertices are the joint fixed spaces of the Young generators."""
     n = module.n
-    # an int diagonal keeps the shift t_i - 1 free of Fraction products
-    diagonal = {(k, k): 1 for k in range(module.dim)}
+    diagonal = SparseMatrix.identity(module.dim).entries
     vertex = {}
     for comp in compositions(n):
         positions = young_positions(comp)
@@ -298,7 +295,7 @@ def top_quotient(module, backend="modular", rng=None):
     """dim M / sum_i (1 + t_i) M, computed directly from the stacked images."""
     if module.n == 1:
         return module.dim
-    diagonal = {(k, k): 1 for k in range(module.dim)}
+    diagonal = SparseMatrix.identity(module.dim).entries
     blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
               for T in module.gens]
     stacked = blocks[0]
@@ -443,7 +440,7 @@ class ReducedComplexData:
         q = self.quotients.get(w)
         if q is None:
             raise ResourceLimitError("no representative basis at weight %d" % w)
-        dense = [Fraction(0)] * q.dim
+        dense = [0] * q.dim
         for i, c in q.coords_of(vec).items():
             dense[i] = c
         return dense

@@ -79,7 +79,7 @@ class LieAlgebraSpec(StructureConstantSpec):
     def gl(cls, d):
         """gl(d) on matrix units E_{ab}, index a*d + b."""
         dim = d * d
-        table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for a in range(d):
             for b in range(d):
                 for c in range(d):
@@ -95,20 +95,18 @@ class LieAlgebraSpec(StructureConstantSpec):
     @classmethod
     def sl2(cls):
         """Basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-        z = [Fraction(0)] * 3
-        table = [[list(z) for _ in range(3)] for _ in range(3)]
-        table[0][1][2] = Fraction(1)
-        table[1][0][2] = Fraction(-1)
-        table[2][0][0] = Fraction(2)
-        table[0][2][0] = Fraction(-2)
-        table[2][1][1] = Fraction(-2)
-        table[1][2][1] = Fraction(2)
+        table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        table[0][1][2] = 1
+        table[1][0][2] = -1
+        table[2][0][0] = 2
+        table[0][2][0] = -2
+        table[2][1][1] = -2
+        table[1][2][1] = 2
         return cls(3, table, name="sl(2)")
 
     @classmethod
     def abelian(cls, d):
-        z = [Fraction(0)] * d
-        return cls(d, [[list(z) for _ in range(d)] for _ in range(d)],
+        return cls(d, [[[0] * d for _ in range(d)] for _ in range(d)],
                    name="abelian(%d)" % d)
 
 
@@ -116,7 +114,8 @@ class LieAlgebraSpec(StructureConstantSpec):
 # wheels and their action on tensor powers of V
 
 
-def _guard(m, d):
+def check_tensor_size(m, d):
+    """Refuse (ResourceLimitError) a gl(V)^(x)m tensor with d^(2m) entries above the guard."""
     if d ** (2 * m) > MAX_TENSOR_ENTRIES:
         raise ResourceLimitError("tensor of %d entries exceeds the guard" % d ** (2 * m))
 
@@ -127,7 +126,7 @@ def wheel(m, d):
     Axes alternate (v_1, w_1, ..., v_m, w_m); the entry pattern is
     w_k = v_{k+1} cyclically, i.e. sum_a E_{a1 a2} (x) ... (x) E_{am a1}.
     """
-    _guard(m, d)
+    check_tensor_size(m, d)
     T = np.zeros((d,) * (2 * m), dtype=np.int64)
     for a in product(range(d), repeat=m):
         idx = []
@@ -151,7 +150,7 @@ def _pair_transform(T, perm):
 
 def alt2_wheel_raw(m, d):
     """(N, m!) with x_m = N / m!; N is an exact integer tensor."""
-    _guard(m, d)
+    check_tensor_size(m, d)
     W = wheel(m, d)
     N = np.zeros_like(W)
     for p in all_permutations(m):
@@ -190,7 +189,7 @@ def act_on_power(t, d):
 def perm_matrix(perm, d):
     """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
     m = perm.n
-    _guard(m, d)
+    check_tensor_size(m, d)
     size = d ** m
     P = np.zeros((size, size), dtype=np.int64)
     for j in product(range(d), repeat=m):
@@ -217,7 +216,7 @@ def perm_action(u, d):
         for p, c in u.coeffs.items():
             M += int(c) * perm_matrix(p, d)
         return M
-    M = np.full((size, size), Fraction(0), dtype=object)
+    M = np.zeros((size, size), dtype=object)
     for p, c in u.coeffs.items():
         M = M + c * perm_matrix(p, d).astype(object)
     return M
@@ -429,7 +428,7 @@ def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):
         for idx in product(range(g.dim), repeat=n):
             j = list(idx)
             j[k - 1], j[k] = j[k], j[k - 1]
-            swap_ent[(_flat_index(j, g.dim), _flat_index(idx, g.dim))] = Fraction(1)
+            swap_ent[(_flat_index(j, g.dim), _flat_index(idx, g.dim))] = 1
         T = SparseMatrix(dim, dim, swap_ent)
         mat_ent = {}
         for col, vec in enumerate(invariants.basis()):

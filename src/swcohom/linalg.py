@@ -1,15 +1,18 @@
 """Exact sparse linear algebra over Q with a two-prime modular fast path.
 
-Vectors are dicts {index: Fraction} with no stored zeros, and ``add_scaled``
-is the one place that adds a scaled sparse vector into another.  Matrices
-store a sparse {(row, col): Fraction} map.  Coordinates in a subspace basis
-are sparse too: ``coords_of`` returns {position: Fraction} holding only the
-nonzero coefficients.  Ranks default to the modular protocol:
-compute the rank modulo two independent random ~62-bit primes and accept on
-agreement, escalating to fraction-free (Bareiss) elimination over Z on
-disagreement.  Echelon bases (kernels, images, subspace arithmetic) are
-always exact; division-normalised reduction happens only at basis
-extraction.
+A coefficient is an ``int``, or a ``Fraction`` only where something divides
+(``Echelon.insert`` normalising a pivot other than +-1) or parses
+(``StructureConstantSpec.from_json``), so integral data stay ``int``.
+Vectors are dicts {index: coefficient} with no stored zeros, and
+``add_scaled`` is the one place that adds a scaled sparse vector into
+another.  Matrices store a sparse {(row, col): coefficient} map.
+Coordinates in a subspace basis are sparse too: ``coords_of`` returns
+{position: coefficient} holding only the nonzero coefficients.  Ranks
+default to the modular protocol: compute the rank modulo two independent
+random ~62-bit primes and accept on agreement, escalating to fraction-free
+(Bareiss) elimination over Z on disagreement.  Echelon bases (kernels,
+images, subspace arithmetic) are always exact; division-normalised
+reduction happens only at basis extraction.
 
 The same sparse dicts carry algebra elements (``AlgebraElement``: basis
 label -> coefficient) and the structure constants of small algebras given by
@@ -19,6 +22,7 @@ a multiplication table (``StructureConstantSpec``).
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import CrossCheckError
 
@@ -42,7 +46,7 @@ def add_scaled(acc, vec, coef=1):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q.  Entries: {(row, col): Fraction}."""
+    """Immutable sparse matrix over Q.  Entries: {(row, col): int or Fraction}."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -55,7 +59,7 @@ class SparseMatrix:
                 if v:
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise ValueError("entry (%d,%d) outside %dx%d" % (i, j, rows, cols))
-                    ent[(i, j)] = v if isinstance(v, Fraction) else Fraction(v)
+                    ent[(i, j)] = v
         self.entries = ent
 
     @classmethod
@@ -72,7 +76,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def row_dicts(self):
         out = [dict() for _ in range(self.rows)]
@@ -187,7 +191,8 @@ class Echelon:
         if not res:
             return None
         piv = min(res)
-        inv = 1 / Fraction(res[piv])
+        x = res[piv]
+        inv = x if x in (1, -1) else 1 / Fraction(x)
         row = {c: v * inv for c, v in res.items()}
         # clear the new pivot column from existing rows
         for other in list(self._uses.get(piv, ())):
@@ -240,8 +245,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.from_vectors(({i: Fraction(1)} for i in range(ambient_dim)),
-                                ambient_dim)
+        return cls.from_vectors(({i: 1} for i in range(ambient_dim)), ambient_dim)
 
     @property
     def dim(self):
@@ -262,17 +266,16 @@ class Subspace:
         return not self._ech.reduce(vec)
 
     def coords_of(self, vec):
-        """Sparse coordinates {position: Fraction} of ``vec`` in ``basis()``.
+        """Sparse coordinates {position: int or Fraction} of ``vec`` in ``basis()``.
 
         Only nonzero coefficients are stored; raises ValueError if ``vec`` is
         not a member.  In RREF the coefficient along the row with pivot p is
-        simply vec[p].
+        simply vec[p], so an ``int`` entry stays an ``int``.
         """
         if self._ech.reduce(vec):
             raise ValueError("vector not in subspace")
         positions = self._ech.positions
-        return {positions[c]: v if isinstance(v, Fraction) else Fraction(v)
-                for c, v in vec.items() if v and c in positions}
+        return {positions[c]: v for c, v in vec.items() if v and c in positions}
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other.basis())
@@ -377,9 +380,7 @@ def rank_exact(M):
     for row in M.row_dicts():
         if not row:
             continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in row.values()))
         rows.append({j: int(v * den) for j, v in row.items()})
     if not rows:
         return 0
@@ -425,12 +426,6 @@ def rank_exact(M):
         if not rows:
             break
     return rank
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rank(M, backend="modular", rng=None, audit=0.0):
@@ -485,7 +480,7 @@ def kernel_basis(M):
     for j in range(M.cols):
         if j in pivots:
             continue
-        vec = {j: Fraction(1)}
+        vec = {j: 1}
         for p, row in rows.items():
             c = row.get(j)
             if c:
@@ -558,7 +553,7 @@ class QuotientSpace:
         return self._rep_space.basis()
 
     def coords_of(self, vec):
-        """Sparse coordinates {position: Fraction} of [vec] in ``representatives()``.
+        """Sparse coordinates {position: int or Fraction} of [vec] in ``representatives()``.
 
         ``vec`` must lie in V; zero coefficients are not stored.
         """
@@ -632,7 +627,7 @@ class CochainComplex:
 
 
 class AlgebraElement:
-    """Sparse element of one level of an algebra: {basis label: Fraction}, no zeros."""
+    """Sparse element of one level of an algebra: {basis label: int or Fraction}, no zeros."""
 
     __slots__ = ("level", "coeffs")
 
@@ -641,7 +636,6 @@ class AlgebraElement:
         self.coeffs = {}
         if coeffs:
             for l, c in coeffs.items():
-                c = Fraction(c)
                 if c:
                     self.coeffs[l] = c
 
@@ -652,7 +646,6 @@ class AlgebraElement:
         return not self.coeffs
 
     def scale(self, c):
-        c = Fraction(c)
         return AlgebraElement(self.level, {l: c * v for l, v in self.coeffs.items()})
 
     def __add__(self, other):
@@ -686,19 +679,18 @@ class StructureConstantSpec:
     def __init__(self, dim, table, name=None):
         self.dim = dim
         self.name = self.default_name if name is None else name
-        self.table = tuple(tuple(tuple(Fraction(x) for x in row) for row in block)
-                           for block in table)
+        self.table = tuple(tuple(tuple(row) for row in block) for block in table)
         if len(self.table) != dim or any(len(b) != dim for b in self.table) \
                 or any(len(r) != dim for b in self.table for r in b):
             raise ValueError("structure table must be dim^3")
         self._validate()
 
     def _basis_vec(self, i):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
     def mul_coords(self, u, v):
         """Coordinates of the product of two coordinate vectors."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, a in enumerate(u):
             if not a:
                 continue

@@ -17,7 +17,6 @@ graded-lexicographic), so every matrix downstream is reproducible bit for
 bit.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
@@ -77,8 +76,9 @@ class MultiplicativeSequence:
         raise NotImplementedError
 
     def _mul_basis_raw(self, n, la, lb):
-        """Product of two basis labels as a raw {label: Fraction} dict.
+        """Product of two basis labels as a raw {label: int or Fraction} dict.
 
+        Nothing here divides: integral structure constants give ``int``s.
         Labels in the result may fall outside the representable basis; the
         caller decides whether surviving ones are an error.
         """
@@ -155,7 +155,7 @@ class MultiplicativeSequence:
         return AlgebraElement(n, {basis[i]: c for i, c in vec.items() if c})
 
     def basis_element(self, n, i):
-        return AlgebraElement(n, {self.basis(n)[i]: Fraction(1)})
+        return AlgebraElement(n, {self.basis(n)[i]: 1})
 
     def left_mult_matrix(self, n, u):
         idx = self.index_of(n)
@@ -197,7 +197,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return AlgebraElement(n, {Permutation.identity(n): 1})
 
     def _mul_basis_raw(self, n, la, lb):
-        return {compose(la, lb): Fraction(1)}
+        return {compose(la, lb): 1}
 
     def _mu_basis_label(self, m, n, la, lb):
         img = la.images + tuple(v + m for v in lb.images)
@@ -233,7 +233,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
                             nxt.append(q)
                 frontier = nxt
             seen |= orbit
-            vectors.append({index[t]: Fraction(1) for t in orbit})
+            vectors.append({index[t]: 1 for t in orbit})
         return Subspace.from_vectors(vectors, self.dim(n))
 
     def reduced_dim_above_cap(self, w):
@@ -276,7 +276,7 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
     vectors = ("unit",)
 
     def __init__(self, dim, table, unit, name=None):
-        self.unit = tuple(Fraction(x) for x in unit)
+        self.unit = tuple(unit)
         super().__init__(dim, table, name)
 
     def _validate(self):
@@ -308,8 +308,8 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
     def probably_domain(self, rng, trials=64):
         """Heuristic zero-divisor scan; a pass is evidence, not proof."""
         for _ in range(trials):
-            u = tuple(Fraction(rng.randint(-3, 3)) for _ in range(self.dim))
-            v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(self.dim))
+            u = tuple(rng.randint(-3, 3) for _ in range(self.dim))
+            v = tuple(rng.randint(-3, 3) for _ in range(self.dim))
             if any(u) and any(v) and not any(self.mul_coords(u, v)):
                 return False
         return True
@@ -317,7 +317,6 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
     @classmethod
     def quadratic(cls, c=2):
         """Q[x]/(x^2 - c); the default c = 2 gives a quadratic field."""
-        c = Fraction(c)
         table = [[(1, 0), (0, 1)], [(0, 1), (c, 0)]]
         return cls(2, table, (1, 0), name="Q[x]/(x^2-%s)" % c)
 
@@ -343,7 +342,7 @@ class SkewGroupSequence(MultiplicativeSequence):
         acc = {}
         pid = Permutation.identity(n)
         for a in product(range(self.algebra.dim), repeat=n):
-            c = Fraction(1)
+            c = 1
             for i in a:
                 c *= self.algebra.unit[i]
                 if not c:
@@ -362,7 +361,7 @@ class SkewGroupSequence(MultiplicativeSequence):
         r = compose(p, q)
         # slotwise product a_l * bp_l expanded through the structure constants
         # (every key is a distinct prefix, so nothing accumulates or cancels)
-        partial = {(): Fraction(1)}
+        partial = {(): 1}
         for l in range(n):
             row = self.algebra.table[a[l]][bp[l]]
             partial = {prefix + (k,): c * x for prefix, c in partial.items()
@@ -402,10 +401,10 @@ class SkewGroupSequence(MultiplicativeSequence):
         acc = {}
         pid = Permutation.identity(n)
         for a in product(range(self.algebra.dim), repeat=n):
-            c = Fraction(1)
+            c = 1
             for l, i in enumerate(a):
                 if l == slot:
-                    c *= Fraction(1) if i == k else Fraction(0)
+                    c *= int(i == k)
                 else:
                     c *= self.algebra.unit[i]
                 if not c:
@@ -472,7 +471,7 @@ class HeckeSequence(MultiplicativeSequence):
             out = {}
             base = self._partial_of_t(i, j)
             if base:
-                out[rest] = Fraction(base)
+                out[rest] = base
             ti = i + 1 if i == j else (i - 1 if i == j + 1 else i)
             tj = Permutation.transposition(n, j)
             add_scaled(out, {compose(tj, q): c for q, c in self.partial(n, ti, rest).items()})
@@ -496,17 +495,18 @@ class HeckeSequence(MultiplicativeSequence):
         raise AssertionError("non-identity permutation has a left descent")
 
     def _push(self, n, perm, b):
-        """Normal form of s y^b as {(exps, permutation): Fraction}.
+        """Normal form of s y^b as {(exps, permutation): int}.
 
-        Uses s y_j = y_{s(j)} s - d_{s(j)}(s) one variable at a time;
-        exponents in the output may exceed the truncation window.
+        Uses s y_j = y_{s(j)} s - d_{s(j)}(s) one variable at a time; every
+        rewriting coefficient is +-1, so nothing divides.  Exponents in the
+        output may exceed the truncation window.
         """
         key = (n, perm.images, b)
         hit = self._push_cache.get(key)
         if hit is not None:
             return hit
         if not any(b):
-            out = {(b, perm): Fraction(1)}
+            out = {(b, perm): 1}
         else:
             j = next(k for k, x in enumerate(b) if x) + 1
             b2 = tuple(x - 1 if k == j - 1 else x for k, x in enumerate(b))

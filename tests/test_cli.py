@@ -1,6 +1,9 @@
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,30 @@ def test_deterministic_output():
 def test_resource_guard_exit_code():
     code, out = run_cli("cohomology", "--sequence", "symmetric", "--weight-max", "12")
     assert code == 3
+
+
+def test_gl_refuses_an_oversized_tensor_before_any_work(monkeypatch, capsys):
+    import swcohom.lierep as lierep
+
+    def boom(*args):
+        raise AssertionError("gl(4) built before the guard")
+
+    monkeypatch.setattr(lierep, "exterior_invariants_dims", boom)
+    monkeypatch.setattr(lierep.LieAlgebraSpec, "gl", boom)
+    code, out = run_cli("gl", "--dim", "4")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == \
+        "resource guard: tensor of %d entries exceeds the guard\n" % 4 ** 12
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    import swcohom
+
+    src = str(Path(swcohom.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import swcohom.cli; "
+            "assert 'numpy' not in sys.modules" % src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cross_check_exit_code(monkeypatch):

@@ -10,6 +10,9 @@
   sequence supports beyond the generic routes it declares itself
   (``matrix_cap``, ``orbit_centralizer``, ``reduced_dim_above_cap``,
   ``delta_vanishes_dually``).
+* a coefficient is an ``int`` until something divides: every true division
+  (``/``) has a ``Fraction(...)`` operand, because int / int gives a float,
+  and no code asks whether a value is a ``Fraction``.
 """
 
 import ast
@@ -70,3 +73,28 @@ def test_homology_does_not_import_sequences():
                 and any(a.name.split(".")[-1] == "sequences" for a in node.names))]
     assert not hits, hits
     assert "SymmetricGroupSequence" not in path.read_text(encoding="utf-8")
+
+
+def _is_fraction_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_division_is_exact(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and not (_is_fraction_call(node.left) or _is_fraction_call(node.right)))
+            or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)
+                and not _is_fraction_call(node.value))]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_isinstance_on_fraction(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and "Fraction" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
+    assert not hits, hits

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from swcohom.homology import centralizer
 from swcohom.linalg import (
     CochainComplex,
+    Echelon,
     QuotientSpace,
     SparseMatrix,
     Subspace,
@@ -83,6 +85,31 @@ def test_kernel_image_one_plus_t1():
     for v in I.basis():
         # attained exactly: v is a combination of columns, check membership
         assert image_basis(M).contains(v)
+
+
+def _entries_are_ints(vectors):
+    return all(type(c) is int for v in vectors for c in v.values())
+
+
+def test_integral_data_stay_int():
+    # a directed graph's incidence matrix (4-cycle plus the chord 0 -> 2) is
+    # totally unimodular, so its RREF has only +-1 pivots and never divides
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    M = SparseMatrix(4, len(edges), {(v, e): s for e, (a, b) in enumerate(edges)
+                                     for v, s in ((a, -1), (b, 1))})
+    K = kernel_basis(M)
+    assert K.dim == 2
+    assert _entries_are_ints(K.basis())
+    C = centralizer(SymmetricGroupSequence(), Composition((2, 2)))
+    assert C.dim > 0 and _entries_are_ints(C.basis())
+
+
+def test_pivot_normalisation_divides_exactly():
+    ech = Echelon()
+    assert ech.insert({0: 2, 1: 1}) == 0
+    row = ech.rows[0]
+    assert row == {0: 1, 1: Fraction(1, 2)}
+    assert not any(isinstance(c, float) for c in row.values())
 
 
 def test_kernel_image_extremes():
