@@ -15,6 +15,8 @@ complex, the horizontal complexes and the reduced complex are all built
 explicitly and compared by the test suite.
 """
 
+from math import lcm
+
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions, to_binary
 from .linalg import (
@@ -160,44 +162,84 @@ def random_module(n, rng, max_dim=8):
 def centralizer(seq, comp):
     """C(lambda): elements of A_|lambda| commuting with the image subalgebra.
 
-    A sequence may supply its own route (``seq.orbit_centralizer``: for Q[S_*]
-    the conjugation-orbit sums of the Young subgroup); otherwise the
-    commutant equations [a, g] = 0 are solved.  The test suite compares the
-    two routes on small levels.
+    C(1^n) solves the commutant equations on all of A_n, once per level.  A
+    coarser lambda only adds Young generators t_i, which normalise the image
+    of 1^n, so C(lambda) is the part of C(1^n) that S_lambda fixes: the image
+    of its averaging operator when every t_i permutes basis labels
+    (``seq.label_conjugation``), else the t_i's commutant inside C(1^n).
+    The test suite compares both with the full-algebra commutant.
     """
     cache = seq.centralizer_cache
     out = cache.get(comp.parts)
     if out is None:
-        out = seq.orbit_centralizer(comp)
-        if out is None:
-            out = commutant_centralizer(seq, comp)
+        n = comp.weight
+        top_comp = Composition((1,) * n)
+        perms = [seq.label_conjugation(n, i) for i in young_positions(comp)]
+        gens = seq.subalgebra_generators(comp)
+        if not perms:
+            out = commutant(seq, n, gens, Subspace.full(seq.dim(n)))
+        elif None in perms:
+            # the generators that 1^n lacks: the Young generators of comp
+            top_gens = seq.subalgebra_generators(top_comp)
+            young = [g for g in gens if g not in top_gens]
+            out = commutant(seq, n, young, centralizer(seq, top_comp))
+        else:
+            out = _average(centralizer(seq, top_comp), perms)
         cache[comp.parts] = out
     return out
 
 
-def commutant_centralizer(seq, comp):
-    """Kernel of the commutant equations [g, a] = 0 over the generators.
+def commutant(seq, n, gens, space):
+    """The elements of ``space`` (a Subspace of A_n) commuting with every g in ``gens``.
 
     The commutators are accumulated in the untruncated label space: a
     coefficient that falls outside the representable window is still a
     linear constraint on a, never an error.
     """
-    n = comp.weight
-    dim = seq.dim(n)
-    gens = seq.subalgebra_generators(comp)
     if not gens:
-        return Subspace.full(dim)
+        return space
+    labels = seq.basis(n)
+    basis = space.basis()
     rows = {}
     for gi, g in enumerate(gens):
-        for j, lb in enumerate(seq.basis(n)):
+        for j, vec in enumerate(basis):
             acc = {}
-            for gl, gc in g.coeffs.items():
-                add_scaled(acc, seq._mul_basis_raw(n, gl, lb), gc)
-                add_scaled(acc, seq._mul_basis_raw(n, lb, gl), -gc)
-            for l, c in acc.items():
-                rows.setdefault((gi, l), {})[j] = c
-    mat = SparseMatrix.from_row_dicts(list(rows.values()), dim)
-    return kernel_basis(mat)
+            for k, c in vec.items():
+                for gl, gc in g.coeffs.items():
+                    add_scaled(acc, seq._mul_basis_raw(n, gl, labels[k]), gc * c)
+                    add_scaled(acc, seq._mul_basis_raw(n, labels[k], gl), -gc * c)
+            for l, x in acc.items():
+                rows.setdefault((gi, l), {})[j] = x
+    ker = kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), len(basis)))
+    # kernel vectors are coordinates in space's basis; take them back to A_n
+    combos = SparseMatrix.from_row_dicts(ker.basis(), len(basis)).matmul(
+        SparseMatrix.from_row_dicts(basis, space.ambient_dim))
+    return Subspace.from_vectors(combos.row_dicts(), space.ambient_dim)
+
+
+def _average(space, perms):
+    """Image of ``space`` under averaging over the group the index permutations
+    ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints."""
+    orbit_of = {}
+    for start in range(space.ambient_dim):
+        if start not in orbit_of:
+            orbit = orbit_of[start] = [start]
+            for k in orbit:
+                for q in (perm[k] for perm in perms):
+                    if q not in orbit_of:
+                        orbit_of[q] = orbit
+                        orbit.append(q)
+    vectors = {}    # keyed by orbit sums, so a repeated average is built once
+    for vec in space.basis():
+        sums = {}   # orbit representative -> coefficient sum over the orbit
+        for k, c in vec.items():
+            add_scaled(sums, {orbit_of[k][0]: c})
+        key = frozenset(sums.items())
+        if key not in vectors:
+            scale = lcm(*(len(orbit_of[r]) for r in sums))
+            vectors[key] = {k: c * (scale // len(orbit_of[r]))
+                            for r, c in sums.items() for k in orbit_of[r]}
+    return Subspace.from_vectors(vectors.values(), space.ambient_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_
 from .symgrp import all_permutations
 
 MAX_TENSOR_ENTRIES = 10 ** 7
+MAX_WEDGE_DIM = 5000     # largest exterior power whose ad-invariants are solved
 
 
 class LieAlgebraSpec(StructureConstantSpec):
@@ -311,7 +312,11 @@ def _insertion_sign(sorted_rest, j):
 
 
 def exterior_invariants_dims(g, maxdeg):
-    """dim of the ad-invariants of each exterior power, degrees 0..maxdeg."""
+    """dim of the ad-invariants of each exterior power, degrees 0..maxdeg;
+    refused before any kernel work above ``MAX_WEDGE_DIM`` basis vectors."""
+    widest = max(comb(g.dim, m) for m in range(maxdeg + 1))
+    if widest > MAX_WEDGE_DIM:
+        raise ResourceLimitError("exterior power of dim %d exceeds the guard" % widest)
     out = [1]
     for m in range(1, maxdeg + 1):
         basis = _wedge_basis(g.dim, m)

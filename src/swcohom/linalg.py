@@ -474,17 +474,13 @@ def kernel_basis(M):
     ech = Echelon()
     for row in M.row_dicts():
         ech.insert(row)
-    pivots = set(ech.pivots)
-    rows = {p: ech.rows[p] for p in pivots}
     out = Echelon()
     for j in range(M.cols):
-        if j in pivots:
+        if j in ech.rows:
             continue
         vec = {j: 1}
-        for p, row in rows.items():
-            c = row.get(j)
-            if c:
-                vec[p] = -c
+        for p in ech._uses.get(j, ()):
+            vec[p] = -ech.rows[p][j]
         out.insert(vec)
     return Subspace(M.cols, out)
 

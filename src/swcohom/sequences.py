@@ -20,13 +20,13 @@ bit.
 from itertools import product
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
-from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, Subspace, add_scaled
+from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, add_scaled
 from .symgrp import (
     SWEEP_CAP,
     Permutation,
     all_permutations,
     compose,
-    conjugate_tuple_by_t,
+    conjugate_by_t,
     signed_class_basis,
     signed_class_dim,
     young_positions,
@@ -36,9 +36,10 @@ from .symgrp import (
 class MultiplicativeSequence:
     """Shared bilinear plumbing; subclasses provide basis-level products.
 
-    Besides the products, a sequence declares what ``homology`` may shortcut
-    for it: ``matrix_cap`` (the largest weight whose reduced quotient T_w is
-    built from matrices), ``orbit_centralizer``, ``reduced_dim_above_cap`` and
+    Besides the products, a sequence declares facts, never routes, that
+    ``homology`` may use: ``matrix_cap`` (the largest weight whose reduced
+    quotient T_w is built from matrices), ``conjugate_label`` (where t_i b t_i
+    sends a basis label), ``reduced_dim_above_cap`` and
     ``delta_vanishes_dually``.  The defaults here claim nothing special, so
     above its level cap a sequence refuses.
     """
@@ -49,6 +50,7 @@ class MultiplicativeSequence:
         self.level_cap = level_cap
         self._basis_cache = {}
         self._index_cache = {}
+        self._conjugation_cache = {}    # (n, i) -> index permutation or None
         # filled by homology: composition parts -> centralizer, and the
         # weights whose reduced differential was checked on cosets
         self.centralizer_cache = {}
@@ -58,9 +60,18 @@ class MultiplicativeSequence:
     def matrix_cap(self):
         return self.level_cap
 
-    def orbit_centralizer(self, comp):
-        """C(comp) without solving the commutant equations, or None."""
+    def conjugate_label(self, label, i):
+        """The label of t_i b t_i for the basis element b labelled ``label``,
+        or None when conjugation by t_i does not send labels to labels."""
         return None
+
+    def label_conjugation(self, n, i):
+        """Conjugation by t_i as a permutation of A_n's basis indices, or None."""
+        if (n, i) not in self._conjugation_cache:
+            images = [self.conjugate_label(l, i) for l in self.basis(n)]
+            self._conjugation_cache[(n, i)] = None if None in images else tuple(
+                self.index_of(n)[l] for l in images)
+        return self._conjugation_cache[(n, i)]
 
     def reduced_dim_above_cap(self, w):
         """dim T_w for w above ``matrix_cap``; no general formula, so refuse."""
@@ -209,32 +220,8 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return [AlgebraElement(n, {Permutation.transposition(n, i): 1})
                 for i in young_positions(comp)]
 
-    def orbit_centralizer(self, comp):
-        """Sums over the orbits of the Young subgroup acting by conjugation."""
-        n = comp.weight
-        index = {p.images: i for i, p in enumerate(self.basis(n))}
-        positions = young_positions(comp)
-        if not positions:
-            return Subspace.full(self.dim(n))
-        seen = set()
-        vectors = []
-        for start in index:
-            if start in seen:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for t in frontier:
-                    for i in positions:
-                        q = conjugate_tuple_by_t(t, i)
-                        if q not in orbit:
-                            orbit.add(q)
-                            nxt.append(q)
-                frontier = nxt
-            seen |= orbit
-            vectors.append({index[t]: 1 for t in orbit})
-        return Subspace.from_vectors(vectors, self.dim(n))
+    def conjugate_label(self, label, i):
+        return conjugate_by_t(label, i)
 
     def reduced_dim_above_cap(self, w):
         """dim T_w for Q[S_w] is the number of sign-twisted class functions."""
@@ -391,6 +378,12 @@ class SkewGroupSequence(MultiplicativeSequence):
                 else:
                     gens.append(self._slot_insertion(n, slot, k))
         return gens
+
+    def conjugate_label(self, label, i):
+        """(a, p) -> (t_i a, t_i p t_i), whatever the unit of A."""
+        a, p = label
+        t = Permutation.transposition(p.n, i)
+        return (self._permute_tuple(t, a), conjugate_by_t(p, i))
 
     def _group_element(self, n, perm):
         one = self.one(n)

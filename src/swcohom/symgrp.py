@@ -157,12 +157,6 @@ def young_positions(comp):
     return out
 
 
-def young_generators(comp):
-    """Adjacent transpositions generating S_{l1} x ... x S_{lr} inside S_n."""
-    n = comp.weight
-    return [Permutation.transposition(n, i) for i in young_positions(comp)]
-
-
 # ---------------------------------------------------------------------------
 # sign-twisted class functions
 

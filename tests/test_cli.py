@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,21 @@ def test_algebra_loaded_from_json(tmp_path):
                          "--algebra", str(path), "--weight-max", "2")
     assert code == 0
     assert doc["report"]["H"]["1"] == 2
+
+
+def test_gl_refuses_a_wide_exterior_power_before_any_kernel(tmp_path, monkeypatch, capsys):
+    import swcohom.lierep as lierep
+
+    def boom(*args):
+        raise AssertionError("kernel solved before the guard")
+
+    monkeypatch.setattr(lierep, "kernel_basis", boom)
+    path = tmp_path / "abelian25.json"
+    path.write_text(json.dumps(lierep.LieAlgebraSpec.abelian(25).to_json()))
+    code, out = run_cli("gl", "--lie", str(path))
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == \
+        "resource guard: exterior power of dim %d exceeds the guard\n" % comb(25, 12)
 
 
 def test_lie_algebra_loaded_from_json(tmp_path):

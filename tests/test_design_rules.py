@@ -8,8 +8,10 @@
 * no module asks which sequence it holds (``isinstance`` against a sequence
   class), and ``homology`` imports nothing from ``sequences``: what a
   sequence supports beyond the generic routes it declares itself
-  (``matrix_cap``, ``orbit_centralizer``, ``reduced_dim_above_cap``,
-  ``delta_vanishes_dually``).
+  (``matrix_cap``, ``conjugate_label``, ``reduced_dim_above_cap``,
+  ``delta_vanishes_dually``);
+* ``homology.centralizer`` is the one place that knows how a centralizer is
+  computed: no sequence class defines a method named after centralizers.
 * a coefficient is an ``int`` until something divides: every true division
   (``/``) has a ``Fraction(...)`` operand, because int / int gives a float,
   and no code asks whether a value is a ``Fraction``.
@@ -43,23 +45,30 @@ def test_no_dict_access(path):
     assert not hits, hits
 
 
-def _sequence_class_names():
-    out, todo = set(), [MultiplicativeSequence]
+def _sequence_classes():
+    out, todo = [], [MultiplicativeSequence]
     while todo:
         cls = todo.pop()
-        out.add(cls.__name__)
+        out.append(cls)
         todo.extend(cls.__subclasses__())
     return out
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_isinstance_on_sequences(path):
-    names = _sequence_class_names()
+    names = {cls.__name__ for cls in _sequence_classes()}
     tree = ast.parse(path.read_text(encoding="utf-8"))
     hits = ["line %d" % node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
             and len(node.args) == 2
             and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & names]
+    assert not hits, hits
+
+
+def test_no_sequence_computes_its_own_centralizer():
+    hits = ["%s.%s" % (cls.__name__, name) for cls in _sequence_classes()
+            for name, member in vars(cls).items()
+            if callable(member) and "centralizer" in name]
     assert not hits, hits
 
 

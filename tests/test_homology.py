@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from swcohom.combinat import Composition, compositions, union
-from swcohom.linalg import SparseMatrix, subspace_intersect
+from swcohom.linalg import SparseMatrix, Subspace, subspace_intersect
 from swcohom.homology import (
     SnModule,
     centralizer,
-    commutant_centralizer,
+    commutant,
     cubic_cohomology,
     cubic_invariants_diagram,
     deformation_cohomology_truncated,
@@ -54,12 +54,48 @@ def test_symmetric_centralizer_dims(sym):
     assert centralizer(sym, Composition((2, 1))).dim == 4
 
 
-def test_centralizer_two_routes_agree(sym):
-    for n in range(1, 6):
+@pytest.mark.parametrize("name, max_n", [("sym", 5), ("skew", 4), ("hecke", 3)])
+def test_centralizer_two_routes_agree(request, name, max_n):
+    # the Young-fixed part of C(1^n) against the commutant on all of A_n
+    seq = request.getfixturevalue(name)
+    for n in range(1, max_n + 1):
+        full = Subspace.full(seq.dim(n))
         for comp in compositions(n):
-            a = sym.orbit_centralizer(comp)
-            b = commutant_centralizer(sym, comp)
-            assert a == b, comp
+            reference = commutant(seq, n, seq.subalgebra_generators(comp), full)
+            assert centralizer(seq, comp) == reference, comp
+
+
+def test_full_algebra_commutant_solved_once_per_level(monkeypatch):
+    # every coarser composition starts from C(1^n), so the commutant on all
+    # of A_n is solved once per level, not once per composition (15 here)
+    import swcohom.homology as homology
+
+    solved = []
+    inner = homology.commutant
+
+    def counting(seq, n, gens, space):
+        if space.dim == seq.dim(n):
+            solved.append(n)
+        return inner(seq, n, gens, space)
+
+    monkeypatch.setattr(homology, "commutant", counting)
+    seq = SkewGroupSequence(CommutativeAlgebraSpec.quadratic(2))
+    reduced_complex(seq, 4)
+    deformation_complex_truncated(seq, 4)
+    assert solved == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["sym", "skew", "hecke"])
+def test_label_conjugation_is_an_involutive_permutation(request, name):
+    seq = request.getfixturevalue(name)
+    for n in range(2, 4):
+        for i in range(1, n):
+            perm = seq.label_conjugation(n, i)
+            if name == "hecke":
+                assert perm is None
+                continue
+            assert sorted(perm) == list(range(seq.dim(n)))
+            assert all(perm[perm[k]] == k for k in range(len(perm)))
 
 
 def brute_force_commutant(seq, n, gens):

@@ -19,7 +19,7 @@ from swcohom.symgrp import (
     signed_class_basis,
     signed_class_dim,
     signed_orbit,
-    young_generators,
+    young_positions,
 )
 
 
@@ -57,12 +57,11 @@ def test_enumeration():
         all_permutations(9)
 
 
-def test_young_generators():
-    assert young_generators(Composition((1, 1, 1, 1))) == []
-    full = young_generators(Composition((4,)))
-    assert [p.images for p in full] == [t(4, i).images for i in (1, 2, 3)]
-    two_two = young_generators(Composition((2, 2)))
-    assert [p.images for p in two_two] == [t(4, 1).images, t(4, 3).images]
+def test_young_positions():
+    assert young_positions(Composition((1, 1, 1, 1))) == []
+    assert young_positions(Composition((4,))) == [1, 2, 3]
+    assert young_positions(Composition((2, 2))) == [1, 3]
+    assert young_positions(Composition((1, 3, 2))) == [2, 3, 5]
 
 
 def test_signed_class_dims_match_series():
