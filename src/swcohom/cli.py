@@ -6,7 +6,8 @@ embed the seed, the backend and the library version, and identical
 configuration produces byte-identical output.
 
 Exit codes: 0 success; 2 usage error (from argparse, including out-of-range
-integer options and unloadable structure-constant files); 3 resource-guard
+integer options, unloadable structure-constant files and options that
+contradict each other); 3 resource-guard
 refusal; 4 cross-check failure, either raised inside a computation (nothing
 is printed) or a report whose own check is false (the report is printed).
 """
@@ -31,13 +32,21 @@ from .homology import (
     relative_cube_dims,
     top_quotient,
 )
+from .lierep import (
+    LieAlgebraSpec,
+    check_tensor_size,
+    exterior_invariants_dims,
+    perm_action,
+    verify_wheel_action,
+    wheel_vanishing_table,
+)
 from .sequences import CommutativeAlgebraSpec, bundled_sequence
 from .symgrp import e_element
 
 
 def _sequence_from_args(args):
     return bundled_sequence(args.sequence, algebra=args.algebra,
-                            trunc_degree=getattr(args, "trunc_degree", 3))
+                            trunc_degree=args.trunc_degree)
 
 
 def _envelope(args, command, payload):
@@ -188,15 +197,11 @@ def cmd_cubic(args):
 
 
 def cmd_gl(args):
-    # lierep imports numpy, which no other subcommand needs
-    from .lierep import (LieAlgebraSpec, check_tensor_size, exterior_invariants_dims,
-                         perm_action, verify_wheel_action, wheel_vanishing_table)
-
     if args.lie:
         g = args.lie
         d = None
     else:
-        d = args.dim
+        d = args.dim if args.dim is not None else 2
         wheel_ms = [m for m in (1, 3, 5) if m <= 3 or d ** (2 * m) <= 10 ** 6]
         max_m = min(2 * d + 1, 6)
         # refuse before any work: guard every wheel tensor built below, in build order
@@ -228,7 +233,7 @@ def cmd_gl(args):
         ok = ok and van_ok
         if d == 2:
             e5 = perm_action(e_element(5), 2)
-            payload["e5_acts_as_zero"] = not e5.any()
+            payload["e5_acts_as_zero"] = e5.is_zero()
             ok = ok and payload["e5_acts_as_zero"]
     return payload, ok
 
@@ -269,8 +274,6 @@ def cmd_hecke_check(args):
 
 
 def cmd_selftest(args):
-    from .lierep import LieAlgebraSpec, exterior_invariants_dims, verify_wheel_action
-
     rng = random.Random(args.seed)
     checks = {}
     series = distinct_odd_partition_series(12)
@@ -319,13 +322,6 @@ def _spec_file(spec_cls):
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError("cannot load %s: %s" % (path, exc)) from None
     return load
-
-
-def _lie_spec_file(path):
-    """argparse type for ``--lie``; imports lierep (and numpy) only when used."""
-    from .lierep import LieAlgebraSpec
-
-    return _spec_file(LieAlgebraSpec)(path)
 
 
 def build_parser():
@@ -382,9 +378,13 @@ def build_parser():
 
     p = sub.add_parser("gl", help="gl(V) exterior invariants and wheel identities",
                        parents=[common])
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--lie", type=_lie_spec_file,
-                   help="JSON file with Lie algebra structure constants")
+    # no default on --dim: argparse takes a value identical to the default as
+    # not given, so an explicit --dim 2 would not clash with --lie
+    algebra = p.add_mutually_exclusive_group()
+    algebra.add_argument("--dim", type=_positive_int, default=None,
+                         help="gl(dim) with its wheel identities (default 2)")
+    algebra.add_argument("--lie", type=_spec_file(LieAlgebraSpec),
+                         help="JSON file with Lie algebra structure constants")
     p.add_argument("--degree-max", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_gl)
 
@@ -403,6 +403,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cohomology" and args.mode == "full" and args.representatives:
+        parser.error("cohomology --representatives needs --mode reduced or both: "
+                     "representatives come from the reduced complex")
     try:
         payload, ok = args.func(args)
     except ResourceLimitError as exc:

@@ -585,11 +585,6 @@ def _reduced_differential_matrix(seq, data, w):
     return SparseMatrix(tgt.dim, src.dim, ent)
 
 
-def reduced_cohomology(seq, max_weight, backend="modular", rng=None):
-    """Per-weight dims of the reduced complex's cohomology."""
-    return reduced_complex(seq, max_weight, backend=backend, rng=rng).h_dims
-
-
 def first_cohomology_direct(seq):
     """H^1 = {a central in A_1 with mu(a,1) + mu(1,a) central in A_2}."""
     z1 = centralizer(seq, Composition((1,)))

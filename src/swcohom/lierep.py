@@ -13,20 +13,20 @@ exactly against the distinguished group-algebra element e_m divided by
 legal in characteristic zero), applying one permutation simultaneously to
 the V and V* axes with a single sign.
 
-Internally the tensors are integer numpy arrays scaled by a known
-denominator, so every check is exact integer arithmetic.
+Tensors are sparse {index tuple: int} dicts and operators on V^(x)m are
+``SparseMatrix``es, the package's one representation; x_m is kept as an
+integer tensor over the known denominator m!, so every check is exact
+integer arithmetic.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
-import numpy as np
-
 from . import CrossCheckError, ResourceLimitError
 from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, kernel_basis
 from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_quotient
-from .symgrp import all_permutations
+from .symgrp import all_permutations, e_element
 
 MAX_TENSOR_ENTRIES = 10 ** 7
 MAX_WEDGE_DIM = 5000     # largest exterior power whose ad-invariants are solved
@@ -122,119 +122,88 @@ def check_tensor_size(m, d):
 
 
 def wheel(m, d):
-    """Cyclic trace tensor in gl(V)^(x)m (integer numpy array).
+    """Cyclic trace tensor in gl(V)^(x)m.
 
-    Axes alternate (v_1, w_1, ..., v_m, w_m); the entry pattern is
+    Keys alternate (v_1, w_1, ..., v_m, w_m); the entry pattern is
     w_k = v_{k+1} cyclically, i.e. sum_a E_{a1 a2} (x) ... (x) E_{am a1}.
+    Each chain a gives its own key, so every entry is 1.
     """
     check_tensor_size(m, d)
-    T = np.zeros((d,) * (2 * m), dtype=np.int64)
-    for a in product(range(d), repeat=m):
-        idx = []
-        for k in range(m):
-            idx.append(a[k])
-            idx.append(a[(k + 1) % m])
-        T[tuple(idx)] += 1
-    return T
-
-
-def _pair_transform(T, perm):
-    """Apply a permutation simultaneously to the V and V* axis pairs."""
-    m = len(perm.images)
-    order = []
-    for k in range(m):
-        src = perm.images[k] - 1
-        order.append(2 * src)
-        order.append(2 * src + 1)
-    return np.transpose(T, axes=order)
+    return {tuple(x for k in range(m) for x in (a[k], a[(k + 1) % m])): 1
+            for a in product(range(d), repeat=m)}
 
 
 def alt2_wheel_raw(m, d):
     """(N, m!) with x_m = N / m!; N is an exact integer tensor."""
-    check_tensor_size(m, d)
-    W = wheel(m, d)
-    N = np.zeros_like(W)
-    for p in all_permutations(m):
-        term = _pair_transform(W, p)
-        if p.sign() > 0:
-            N += term
-        else:
-            N -= term
+    # The alternation applies each permutation to the m (V, V*) pairs at once.
+    # A chain with a repeated pair alternates to zero: swapping the two equal
+    # pairs fixes it and flips the sign.  A chain with distinct pairs is a
+    # reordering q of its sorted pairs K and alternates to sign(q) alt(K).  So
+    # sum the signed chains per sorted key, then expand only the keys whose
+    # count survives.
+    counts = {}
+    for key in wheel(m, d):
+        pairs = [key[2 * k:2 * k + 2] for k in range(m)]
+        if len(set(pairs)) == m:
+            add_scaled(counts, {tuple(sorted(pairs)): _sort_sign(pairs)})
+    N = {}
+    for K, c in counts.items():
+        add_scaled(N, {tuple(x for i in p.images for x in K[i - 1]): p.sign()
+                       for p in all_permutations(m)}, c)
     return N, factorial(m)
 
 
-def alt2_wheel(m, d):
-    """x_m as an exact tensor (numpy object array of Fractions)."""
-    N, den = alt2_wheel_raw(m, d)
-    out = np.empty(N.shape, dtype=object)
-    flat_in = N.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = Fraction(int(flat_in[i]), den)
+def _flat_index(idx, base):
+    out = 0
+    for x in idx:
+        out = out * base + x
     return out
 
 
-def act_on_power(t, d):
-    """The operator on V^(x)m applying each gl factor to its own slot.
+def act_on_power(t, m, d):
+    """The operator on V^(x)m applying each gl factor of ``t`` to its own slot.
 
-    Accepts the (v_1, w_1, ...)-indexed tensor and returns the d^m x d^m
-    matrix with rows indexed by the v multi-index.
+    Accepts the (v_1, w_1, ...)-keyed tensor and returns the d^m x d^m
+    matrix with rows indexed by the v multi-index, columns by the w one.
     """
-    m = t.ndim // 2
-    if t.shape != (d,) * (2 * m):
+    if any(len(key) != 2 * m or max(key) >= d for key in t):
         raise ValueError("shape mismatch")
-    order = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    return np.transpose(t, axes=order).reshape(d ** m, d ** m)
+    return SparseMatrix(d ** m, d ** m, {
+        (_flat_index(key[0::2], d), _flat_index(key[1::2], d)): c for key, c in t.items()})
 
 
 def perm_matrix(perm, d):
     """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
     m = perm.n
     check_tensor_size(m, d)
-    size = d ** m
-    P = np.zeros((size, size), dtype=np.int64)
+    ent = {}
     for j in product(range(d), repeat=m):
         i = [0] * m
         for k in range(m):
             i[perm.images[k] - 1] = j[k]
-        row = 0
-        for x in i:
-            row = row * d + x
-        col = 0
-        for x in j:
-            col = col * d + x
-        P[row, col] = 1
-    return P
+        ent[(_flat_index(i, d), _flat_index(j, d))] = 1
+    return SparseMatrix(d ** m, d ** m, ent)
 
 
 def perm_action(u, d):
     """Linear extension of slot permutation to a group algebra element."""
-    m = u.level
-    size = d ** m
-    dens = [c.denominator for c in u.coeffs.values()]
-    if all(x == 1 for x in dens):
-        M = np.zeros((size, size), dtype=np.int64)
-        for p, c in u.coeffs.items():
-            M += int(c) * perm_matrix(p, d)
-        return M
-    M = np.zeros((size, size), dtype=object)
+    ent = {}
     for p, c in u.coeffs.items():
-        M = M + c * perm_matrix(p, d).astype(object)
-    return M
+        add_scaled(ent, perm_matrix(p, d).entries, c)
+    return SparseMatrix(d ** u.level, d ** u.level, ent)
 
 
 def ad_transform(X, T):
-    """Diagonal ad-action of the d x d matrix X on a gl(V)^(x)m tensor."""
-    m = T.ndim // 2
-    out = np.zeros_like(T)
-    for k in range(m):
-        v_axis, w_axis = 2 * k, 2 * k + 1
-        # X acting on the V leg
-        term = np.tensordot(X, T, axes=([1], [v_axis]))
-        out += np.moveaxis(term, 0, v_axis)
-        # -X^T acting on the V* leg
-        term = np.tensordot(T, X, axes=([w_axis], [0]))
-        out -= np.moveaxis(term, -1, w_axis)
+    """Diagonal ad-action of the d x d ``SparseMatrix`` X on a gl(V)^(x)m tensor."""
+    cols, rows = X.col_dicts(), X.row_dicts()
+    out = {}
+    for key, c in T.items():
+        for v in range(0, len(key), 2):
+            # X acting on the V leg, -X^T on the V* leg
+            for r, x in cols[key[v]].items():
+                add_scaled(out, {key[:v] + (r,) + key[v + 1:]: x}, c)
+            for r, x in rows[key[v + 1]].items():
+                add_scaled(out, {key[:v + 1] + (r,) + key[v + 2:]: x}, -c)
     return out
 
 
@@ -245,35 +214,25 @@ def verify_wheel_action(m, d):
     two operators (None when both vanish); a mismatch reports the measured
     ratio instead of silently renormalising.
     """
-    from .symgrp import e_element
-
-    N, den = alt2_wheel_raw(m, d)        # x_m = N / m!
-    left = act_on_power(N, d)            # act(x_m) * m!
-    e_act = perm_action(e_element(m), d)
-    expected_ratio = Fraction(1, factorial(m - 1))
+    N, den = alt2_wheel_raw(m, d)                    # x_m = N / m!
+    left = act_on_power(N, m, d).entries             # act(x_m) * m!
+    e_act = perm_action(e_element(m), d).entries
     # act(x_m) = left/m!; target e_act/(m-1)!; equality iff left == m * e_act
-    if np.array_equal(left, m * e_act):
-        if not left.any() and not e_act.any():
-            return True, None
-        return True, expected_ratio
-    # measure the actual proportionality constant, if any
-    nz = np.argwhere(e_act != 0)
-    if nz.size:
-        i, j = nz[0]
-        measured = Fraction(int(left[i, j]), den) / Fraction(int(e_act[i, j]))
-        if np.array_equal(left * e_act[i, j], e_act * left[i, j]):
-            return False, measured
+    if left == add_scaled({}, e_act, m):
+        return True, (Fraction(1, factorial(m - 1)) if left else None)
+    # measure the actual proportionality constant at the row-major first nonzero
+    if e_act:
+        ij = min(e_act)
+        lij, eij = left.get(ij, 0), e_act[ij]
+        if add_scaled({}, left, eij) == add_scaled({}, e_act, lij):
+            return False, Fraction(lij, den) / eij
     return False, None
 
 
 def wheel_vanishing_table(max_m, max_d):
     """(m, d) -> bool: whether x_m = 0, over the requested grid."""
-    out = {}
-    for d in range(1, max_d + 1):
-        for m in range(1, max_m + 1):
-            N, _ = alt2_wheel_raw(m, d)
-            out[(m, d)] = not N.any()
-    return out
+    return {(m, d): not alt2_wheel_raw(m, d)[0]
+            for d in range(1, max_d + 1) for m in range(1, max_m + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +351,6 @@ def _sort_sign(seq):
 
 # ---------------------------------------------------------------------------
 # the cubic route to the invariants of tensor powers
-
-
-def _flat_index(idx, base):
-    out = 0
-    for x in idx:
-        out = out * base + x
-    return out
 
 
 def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):

@@ -71,10 +71,6 @@ class SparseMatrix:
         return cls(len(row_dicts), cols, ent)
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 

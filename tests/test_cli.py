@@ -146,13 +146,14 @@ def test_resource_guard_exit_code():
 
 
 def test_gl_refuses_an_oversized_tensor_before_any_work(monkeypatch, capsys):
-    import swcohom.lierep as lierep
+    import swcohom.cli as cli
 
     def boom(*args):
         raise AssertionError("gl(4) built before the guard")
 
-    monkeypatch.setattr(lierep, "exterior_invariants_dims", boom)
-    monkeypatch.setattr(lierep.LieAlgebraSpec, "gl", boom)
+    # cli imports these names from lierep, so patch the ones it looks up
+    monkeypatch.setattr(cli, "exterior_invariants_dims", boom)
+    monkeypatch.setattr(cli.LieAlgebraSpec, "gl", boom)
     code, out = run_cli("gl", "--dim", "4")
     assert code == 3 and out == ""
     assert capsys.readouterr().err == \
@@ -247,6 +248,24 @@ def test_bad_structure_constant_file_is_a_usage_error(command, flag, doc, tmp_pa
     assert "Traceback" not in captured.err
     if doc is not None:
         assert "not associative" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gl", "--dim", "2", "--lie", "LIE"), "not allowed with argument"),
+    (("gl", "--lie", "LIE", "--dim", "3"), "not allowed with argument"),
+    (("cohomology", "--mode", "full", "--representatives"), "--representatives needs"),
+], ids=["gl-dim-then-lie", "gl-lie-then-dim", "full-representatives"])
+def test_contradictory_options_are_a_usage_error(argv, message, tmp_path, capsys):
+    from swcohom.lierep import LieAlgebraSpec
+
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(LieAlgebraSpec.sl2().to_json()))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(str(path) if a == "LIE" else a for a in argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and message in captured.err
 
 
 def test_seed_and_backend_embedded():

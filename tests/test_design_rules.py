@@ -15,6 +15,8 @@
 * a coefficient is an ``int`` until something divides: every true division
   (``/``) has a ``Fraction(...)`` operand, because int / int gives a float,
   and no code asks whether a value is a ``Fraction``.
+* one array representation: no module imports numpy; tensors and matrices
+  are the sparse exact dicts of ``linalg``.
 """
 
 import ast
@@ -106,4 +108,15 @@ def test_no_isinstance_on_fraction(path):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
             and len(node.args) == 2
             and "Fraction" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "numpy")
+            or (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "numpy" for a in node.names))]
     assert not hits, hits

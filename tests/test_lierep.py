@@ -1,14 +1,15 @@
 import json
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
-import numpy as np
 import pytest
 
+from swcohom.linalg import SparseMatrix, add_scaled
 from swcohom.lierep import (
     LieAlgebraSpec,
     act_on_power,
     ad_transform,
-    alt2_wheel,
     alt2_wheel_raw,
     cohomology_of_rep_category_graded,
     current_invariants_dims,
@@ -54,11 +55,23 @@ def test_centres():
 
 def test_wheel_m1_is_identity():
     for d in (1, 2, 3):
-        W = wheel(1, d)
-        assert np.array_equal(W, np.eye(d, dtype=np.int64))
-        x1 = alt2_wheel(1, d)
-        assert np.array_equal(act_on_power(x1, d),
-                              np.eye(d, dtype=object) * Fraction(1))
+        identity = SparseMatrix.identity(d).entries
+        assert wheel(1, d) == identity
+        N, den = alt2_wheel_raw(1, d)
+        assert den == 1 and act_on_power(N, 1, d).entries == identity
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m in range(1, 6) for d in range(1, 4)] + [(6, 2)])
+def test_alt2_wheel_raw_is_the_signed_sum_of_permuted_chains(m, d):
+    # the reference for the sorted-key shortcut: all m! permutations of the
+    # (V, V*) pairs of every chain a, each with its sign, summed term by term
+    direct = {}
+    for p in all_permutations(m):
+        for a in product(range(d), repeat=m):
+            pairs = [(a[k], a[(k + 1) % m]) for k in range(m)]
+            key = tuple(x for i in p.images for x in pairs[i - 1])
+            add_scaled(direct, {key: p.sign()})
+    assert alt2_wheel_raw(m, d) == (direct, factorial(m))
 
 
 def test_wheel_vanishing():
@@ -76,16 +89,14 @@ def test_perm_action_is_algebra_map():
     d = 2
     for p in all_permutations(3):
         for q in all_permutations(3):
-            assert np.array_equal(perm_matrix(p, d) @ perm_matrix(q, d),
-                                  perm_matrix(compose(p, q), d))
+            assert (perm_matrix(p, d).matmul(perm_matrix(q, d)).entries
+                    == perm_matrix(compose(p, q), d).entries)
     # t_1 on V(x)V is the swap matrix
     t1 = perm_matrix(Permutation.transposition(2, 1), 2)
-    expected = np.zeros((4, 4), dtype=np.int64)
-    expected[0, 0] = expected[3, 3] = 1
-    expected[1, 2] = expected[2, 1] = 1
-    assert np.array_equal(t1, expected)
+    assert (t1.rows, t1.cols) == (4, 4)
+    assert t1.entries == {(0, 0): 1, (3, 3): 1, (1, 2): 1, (2, 1): 1}
     pid = perm_action(e_element(1), 2)
-    assert np.array_equal(pid, np.eye(2, dtype=np.int64))
+    assert pid.entries == SparseMatrix.identity(2).entries
 
 
 def test_wheel_action_identity():
@@ -102,8 +113,9 @@ def test_x3_matches_half_commutator_action():
     N, den = alt2_wheel_raw(3, d)
     t1 = Permutation.transposition(3, 1)
     t2 = Permutation.transposition(3, 2)
-    comm = perm_matrix(compose(t1, t2), d) - perm_matrix(compose(t2, t1), d)
-    assert np.array_equal(act_on_power(N, d), den * comm // 2)
+    comm = add_scaled(dict(perm_matrix(compose(t1, t2), d).entries),
+                      perm_matrix(compose(t2, t1), d).entries, -1)
+    assert act_on_power(N, 3, d).entries == add_scaled({}, comm, den // 2)
 
 
 def test_x_ad_invariance():
@@ -111,9 +123,10 @@ def test_x_ad_invariance():
         N, _ = alt2_wheel_raw(m, d)
         for i in range(d):
             for j in range(d):
-                X = np.zeros((d, d), dtype=np.int64)
-                X[i, j] = 1
-                assert not ad_transform(X, N).any(), (m, d, i, j)
+                X = SparseMatrix(d, d, {(i, j): 1})
+                assert not ad_transform(X, N), (m, d, i, j)
+    # and the transform itself is not zero: ad(E_10) E_01 = [E_10, E_01] = E_11 - E_00
+    assert ad_transform(SparseMatrix(2, 2, {(1, 0): 1}), {(0, 1): 1}) == {(1, 1): 1, (0, 0): -1}
 
 
 def test_exterior_invariants():

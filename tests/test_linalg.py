@@ -63,7 +63,7 @@ def to_dense(M):
 
 
 def test_rank_trivial_cases():
-    assert rank(SparseMatrix.zero(3, 3)) == 0
+    assert rank(SparseMatrix(3, 3)) == 0
     assert rank(SparseMatrix.identity(4)) == 4
     assert rank_exact(SparseMatrix.identity(4)) == 4
 
@@ -115,7 +115,7 @@ def test_pivot_normalisation_divides_exactly():
 def test_kernel_image_extremes():
     assert kernel_basis(SparseMatrix.identity(5)).dim == 0
     assert image_basis(SparseMatrix.identity(5)).dim == 5
-    Z = SparseMatrix.zero(4, 6)
+    Z = SparseMatrix(4, 6)
     assert kernel_basis(Z).dim == 6
     assert image_basis(Z).dim == 0
 
@@ -294,8 +294,8 @@ def test_cochain_complex_basics():
     eye = SparseMatrix.identity(1)
     cx = CochainComplex(0, [1, 1], [eye])
     assert cx.cohomology_dims() == {0: 0, 1: 0}
-    zero2 = SparseMatrix.zero(3, 2)
-    zero3 = SparseMatrix.zero(1, 3)
+    zero2 = SparseMatrix(3, 2)
+    zero3 = SparseMatrix(1, 3)
     cx = CochainComplex(0, [2, 3, 1], [zero2, zero3])
     assert cx.cohomology_dims() == {0: 2, 1: 3, 2: 1}
 
