@@ -8,10 +8,12 @@ Vectors are dicts {index: coefficient} with no stored zeros, and
 another.  Matrices store a sparse {(row, col): coefficient} map.
 Coordinates in a subspace basis are sparse too: ``coords_of`` returns
 {position: coefficient} holding only the nonzero coefficients.  Ranks
-default to the modular protocol: compute the rank modulo two independent
-random ~62-bit primes and accept on agreement, escalating to fraction-free
-(Bareiss) elimination over Z on disagreement.  Echelon bases (kernels,
-images, subspace arithmetic) are always exact; division-normalised
+default to the modular protocol: draw two independent random ~62-bit primes
+and eliminate once modulo their product, which yields the rank modulo both
+when every pivot is a unit.  A non-unit pivot splits the run into one
+elimination per prime; these are accepted on agreement, escalating to
+fraction-free (Bareiss) elimination over Z on disagreement.  Echelon bases
+(kernels, images, subspace arithmetic) are always exact; division-normalised
 reduction happens only at basis extraction.
 
 The same sparse dicts carry algebra elements (``AlgebraElement``: basis
@@ -22,6 +24,7 @@ a multiplication table (``StructureConstantSpec``).
 import json
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from . import CrossCheckError
@@ -63,6 +66,13 @@ class SparseMatrix:
         self.entries = ent
 
     @classmethod
+    def _adopt(cls, rows, cols, entries):
+        """Wrap ``entries`` as they are: already in bounds, zero-free and unshared."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M.entries = rows, cols, entries
+        return M
+
+    @classmethod
     def from_row_dicts(cls, row_dicts, cols):
         ent = {}
         for i, row in enumerate(row_dicts):
@@ -87,8 +97,8 @@ class SparseMatrix:
         return out
 
     def transpose(self):
-        return SparseMatrix(self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMatrix._adopt(self.cols, self.rows,
+                                   {(j, i): v for (i, j), v in self.entries.items()})
 
     def apply(self, vec):
         """Matrix times column vector (vector given as {col: value})."""
@@ -105,7 +115,8 @@ class SparseMatrix:
         out = [dict() for _ in range(self.rows)]
         for (i, k), v in self.entries.items():
             add_scaled(out[i], rows_of_other[k], v)
-        return SparseMatrix.from_row_dicts(out, other.cols)
+        return SparseMatrix._adopt(self.rows, other.cols, {
+            (i, j): v for i, row in enumerate(out) for j, v in row.items()})
 
     def is_zero(self):
         return not self.entries
@@ -116,7 +127,7 @@ class SparseMatrix:
         ent = dict(self.entries)
         for (i, j), v in other.entries.items():
             ent[(i, j + self.cols)] = v
-        return SparseMatrix(self.rows, self.cols + other.cols, ent)
+        return SparseMatrix._adopt(self.rows, self.cols + other.cols, ent)
 
     @classmethod
     def vstack(cls, mats):
@@ -130,7 +141,7 @@ class SparseMatrix:
             for (i, j), v in m.entries.items():
                 ent[(i + off, j)] = v
             off += m.rows
-        return cls(off, cols, ent)
+        return cls._adopt(off, cols, ent)
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
@@ -326,46 +337,82 @@ class BadPrimeError(ArithmeticError):
     pass
 
 
-def _rows_mod(M, p):
-    rows = []
-    for row in M.row_dicts():
-        r = {}
-        for j, v in row.items():
-            den = v.denominator % p
-            if den == 0:
-                raise BadPrimeError(p)
-            x = v.numerator * pow(den, -1, p) % p
-            if x:
-                r[j] = x
-        rows.append(r)
+def _rows_mod(M, n):
+    """Rows of M as {col: residue mod n} dicts, read straight from its entries.
+
+    Raises BadPrimeError when a denominator is not a unit mod n.
+    """
+    rows = [{} for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        den = v.denominator
+        if den == 1:
+            x = v.numerator % n
+        else:
+            try:
+                x = v.numerator * pow(den, -1, n) % n
+            except ValueError:
+                raise BadPrimeError(n) from None
+        if x:
+            rows[i][j] = x
     return rows
 
 
-def rank_mod(M, p):
-    """Rank of M over Z/p (plain sparse Gaussian elimination)."""
-    rows = _rows_mod(M, p)
-    pivots = {}  # col -> row dict with pivot value 1
+def rank_mod(M, n):
+    """Rank of M over Z/n by right-looking sparse elimination, or None.
+
+    Each step pivots on the shortest live row (a heap of (length, row) with
+    lazy deletion) and, inside it, on the column held by the fewest rows (a
+    column -> rows index; the counts include rows that have since dropped the
+    column, which only makes the choice a heuristic).  The pivot column is
+    then eliminated from exactly the rows that index lists.  Choosing sparse
+    pivots keeps the fill of these 0/+-1 boundary matrices small.
+
+    ``n`` need not be prime.  If every pivot is a unit mod n = p1*p2, reducing
+    the run mod p1 (or p2) is a valid elimination over that field with the
+    same pivots: each pivot stays nonzero, each pivot row is zero in the
+    earlier pivot columns, and every other row ends at zero.  So the count is
+    the rank mod p1 and the rank mod p2 at once.  When a pivot is not a unit
+    mod n the run stops and returns None; over a prime this never happens.
+    """
+    rows = _rows_mod(M, n)
+    cols = {}  # col -> rows that held it when last touched
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, []).append(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapify(heap)
     rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                coef = row.pop(c)
-                prow = pivots[c]
-                for cc, x in prow.items():
-                    if cc == c:
-                        continue
-                    s = (row.get(cc, 0) - coef * x) % p
-                    if s:
-                        row[cc] = s
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {cc: (x * inv) % p for cc, x in row.items()}
-                rank += 1
-                break
+    while heap:
+        length, i = heappop(heap)
+        prow = rows[i]
+        if prow is None or len(prow) != length:
+            continue  # a pivot row already, or a stale length
+        rows[i] = None
+        j = min(prow, key=lambda c: len(cols[c]))
+        try:
+            inv = pow(prow.pop(j), -1, n)
+        except ValueError:
+            return None
+        rank += 1
+        # no live row holds j afterwards, and fill only copies live columns
+        for k in cols.pop(j):
+            row = rows[k]
+            if row is None:
+                continue
+            x = row.pop(j, None)
+            if x is None:
+                continue
+            coef = x * inv % n
+            for c, y in prow.items():
+                s = (row.get(c, 0) - coef * y) % n
+                if s:
+                    if c not in row:
+                        cols[c].append(k)
+                    row[c] = s
+                elif c in row:
+                    del row[c]
+            if row:
+                heappush(heap, (len(row), k))
     return rank
 
 
@@ -427,33 +474,40 @@ def rank_exact(M):
 def rank(M, backend="modular", rng=None, audit=0.0):
     """Rank over Q.
 
-    ``modular``: two distinct random ~62-bit primes; agreement is accepted,
-    disagreement escalates to exact elimination.  ``audit`` > 0 additionally
-    forces the exact path on that fraction of calls (seeded via ``rng``) and
-    cross-checks the two answers.
+    ``modular``: two distinct random ~62-bit primes p1 and p2, and one
+    elimination mod p1*p2, whose count is the rank mod both primes (see
+    ``rank_mod``).  If a pivot there is not a unit, the rank is taken mod p1
+    and mod p2 apart: agreement is accepted, disagreement escalates to exact
+    elimination.  ``audit`` > 0 additionally forces the exact path on that
+    fraction of calls (seeded via ``rng``) and cross-checks the two answers.
     """
     if backend == "exact":
         return rank_exact(M)
     if backend != "modular":
         raise ValueError("unknown backend %r" % backend)
     rng = rng if rng is not None else _DEFAULT_RNG
-    r1 = r2 = None
+    result = exact = None
     for _ in range(8):
         p1 = random_prime(rng)
         p2 = random_prime(rng)
         if p1 == p2:
             continue
         try:
-            r1 = rank_mod(M, p1)
-            r2 = rank_mod(M, p2)
+            result = rank_mod(M, p1 * p2)
         except BadPrimeError:
             continue
+        if result is None:
+            # a pivot shared a prime factor with p1*p2: rank mod each prime apart
+            r1 = rank_mod(M, p1)
+            result = r1 if r1 == rank_mod(M, p2) else None
         break
-    if r1 is None:
+    else:
         return rank_exact(M)
-    result = r1 if r1 == r2 else rank_exact(M)
+    if result is None:
+        result = exact = rank_exact(M)
     if audit and rng.random() < audit:
-        exact = rank_exact(M)
+        if exact is None:
+            exact = rank_exact(M)
         if result > exact:
             raise CrossCheckError("modular rank %d exceeds exact rank %d" % (result, exact))
         if result != exact:

@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from swcohom.homology import centralizer
+from swcohom import linalg
+from swcohom.homology import (
+    SnModule,
+    centralizer,
+    cubic_complex,
+    cubic_invariants_diagram,
+    deformation_complex_truncated,
+)
 from swcohom.linalg import (
+    BadPrimeError,
     CochainComplex,
     Echelon,
     QuotientSpace,
@@ -159,11 +167,104 @@ def test_modular_protocol_audit():
     assert rank(M, rng=rng, audit=1.0) == 3
 
 
-def test_rank_mod_bad_prime_handled():
-    p = random_prime(random.Random(3))
-    M = SparseMatrix(1, 1, {(0, 0): Fraction(1, p)})
-    # the public entry point picks fresh primes / escalates
-    assert rank(M, rng=random.Random(4)) == 1
+def _random_sparse(rng, rows, cols, density=0.3):
+    return SparseMatrix(rows, cols, {
+        (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for i in range(rows) for j in range(cols) if rng.random() < density})
+
+
+def test_derived_matrices_match_dense_and_the_constructor_still_validates():
+    rng = random.Random(3)
+    for _ in range(10):
+        A, B = _random_sparse(rng, 4, 3, 0.5), _random_sparse(rng, 4, 2, 0.5)
+        dA, dB = to_dense(A), to_dense(B)
+        tA, tB = [list(c) for c in zip(*dA)], [list(c) for c in zip(*dB)]
+        assert to_dense(A.transpose()) == tA
+        assert to_dense(A.hstack(B)) == [a + b for a, b in zip(dA, dB)]
+        assert to_dense(SparseMatrix.vstack([A.transpose(), B.transpose()])) == tA + tB
+        prod = A.transpose().matmul(B)
+        assert to_dense(prod) == [[sum(x * y for x, y in zip(a, b)) for b in tB] for a in tA]
+        assert all(prod.entries.values())
+    with pytest.raises(ValueError):
+        SparseMatrix(2, 2, {(2, 0): 1})
+    assert SparseMatrix(2, 2, {(0, 0): 0}).is_zero()
+
+
+def test_rank_mod_matches_dense_oracle_over_a_prime_and_a_product_of_two():
+    rng = random.Random(17)
+    for shape in ((12, 5), (5, 12), (9, 9)):
+        for _ in range(15):
+            M = _random_sparse(rng, *shape, density=rng.choice((0.15, 0.3, 0.6)))
+            expected = dense_rank(to_dense(M))
+            p1, p2 = random_prime(rng), random_prime(rng)
+            assert rank_mod(M, p1) == expected
+            assert rank_mod(M, p1 * p2) == expected
+
+
+def _spy(monkeypatch, name):
+    """Replace ``linalg.<name>`` by a wrapper that logs (extra args, outcome) per call."""
+    real = getattr(linalg, name)
+    log = []
+
+    def spy(M, *args):
+        try:
+            out = real(M, *args)
+        except BadPrimeError:
+            log.append((args, BadPrimeError))
+            raise
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(linalg, name, spy)
+    return log
+
+
+def test_rank_runs_one_modular_pass_on_a_healthy_matrix(monkeypatch):
+    mod_log = _spy(monkeypatch, "rank_mod")
+    exact_log = _spy(monkeypatch, "rank_exact")
+    draws = random.Random(8)
+    p1, p2 = random_prime(draws), random_prime(draws)
+    assert rank(one_plus_t1_matrix(), rng=random.Random(8)) == 3
+    assert mod_log == [((p1 * p2,), 3)]
+    assert exact_log == []
+
+
+def test_non_unit_pivot_splits_the_primes_then_escalates_once(monkeypatch):
+    draws = random.Random(21)
+    p1, p2 = random_prime(draws), random_prime(draws)
+    M = SparseMatrix(1, 1, {(0, 0): p1})  # rank 0 mod p1, rank 1 mod p2
+    mod_log = _spy(monkeypatch, "rank_mod")
+    exact_log = _spy(monkeypatch, "rank_exact")
+    assert rank(M, rng=random.Random(21)) == 1
+    assert mod_log == [((p1 * p2,), None), ((p1,), 0), ((p2,), 1)]
+    assert exact_log == [((), 1)]
+    # an audit after the escalation reuses that exact rank
+    exact_log.clear()
+    assert rank(M, rng=random.Random(21), audit=1.0) == 1
+    assert exact_log == [((), 1)]
+
+
+def test_rank_mod_bad_prime_handled(monkeypatch):
+    # a denominator equal to the second drawn prime fails the joint pass;
+    # the public entry point then draws fresh primes
+    draws = random.Random(22)
+    p1, p2, p3, p4 = (random_prime(draws) for _ in range(4))
+    M = SparseMatrix(1, 1, {(0, 0): Fraction(1, p2)})
+    mod_log = _spy(monkeypatch, "rank_mod")
+    exact_log = _spy(monkeypatch, "rank_exact")
+    assert rank(M, rng=random.Random(22)) == 1
+    assert mod_log == [((p1 * p2,), BadPrimeError), ((p3 * p4,), 1)]
+    assert exact_log == []
+
+
+def test_modular_rank_is_exact_on_real_differentials():
+    complexes = (cubic_complex(cubic_invariants_diagram(SnModule.regular(5))),
+                 deformation_complex_truncated(SymmetricGroupSequence(), 5))
+    rng = random.Random(5)
+    diffs = [d for cx in complexes for d in cx.differentials]
+    assert len(diffs) == 9
+    for d in diffs:
+        assert rank(d, rng=rng) == rank_exact(d)
 
 
 def test_subspace_membership_and_coords():
