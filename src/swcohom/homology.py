@@ -18,7 +18,7 @@ explicitly and compared by the test suite.
 from math import lcm
 
 from . import CrossCheckError, ResourceLimitError
-from .combinat import Composition, compositions, subdivisions, to_binary
+from .combinat import Composition, compositions, subdivisions
 from .linalg import (
     AlgebraElement,
     CochainComplex,
@@ -217,29 +217,61 @@ def commutant(seq, n, gens, space):
     return Subspace.from_vectors(combos.row_dicts(), space.ambient_dim)
 
 
+def _orbits(dim, perms):
+    """Orbits on range(dim) of the group the index permutations ``perms`` generate.
+
+    Each orbit is a list headed by its least index, and the orbits come in
+    order of that index: an orbit is discovered from the least index not yet
+    visited, so it holds no smaller one.
+    """
+    seen = set()
+    out = []
+    for start in range(dim):
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for k in orbit:
+                for q in (perm[k] for perm in perms):
+                    if q not in seen:
+                        seen.add(q)
+                        orbit.append(q)
+            out.append(orbit)
+    return out
+
+
 def _average(space, perms):
     """Image of ``space`` under averaging over the group the index permutations
     ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints."""
-    orbit_of = {}
-    for start in range(space.ambient_dim):
-        if start not in orbit_of:
-            orbit = orbit_of[start] = [start]
-            for k in orbit:
-                for q in (perm[k] for perm in perms):
-                    if q not in orbit_of:
-                        orbit_of[q] = orbit
-                        orbit.append(q)
+    orbit_of = {k: orbit for orbit in _orbits(space.ambient_dim, perms) for k in orbit}
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
     for vec in space.basis():
         sums = {}   # orbit representative -> coefficient sum over the orbit
         for k, c in vec.items():
-            add_scaled(sums, {orbit_of[k][0]: c})
+            r = orbit_of[k][0]
+            s = sums.get(r, 0) + c
+            if s:
+                sums[r] = s
+            else:
+                sums.pop(r, None)
         key = frozenset(sums.items())
         if key not in vectors:
             scale = lcm(*(len(orbit_of[r]) for r in sums))
             vectors[key] = {k: c * (scale // len(orbit_of[r]))
                             for r, c in sums.items() for k in orbit_of[r]}
     return Subspace.from_vectors(vectors.values(), space.ambient_dim)
+
+
+def _as_permutation(T):
+    """``T`` as a column -> row index list when it is a square 0/1 matrix with
+    exactly one 1 in each row and each column; otherwise None."""
+    if T.rows != T.cols or len(T.entries) != T.cols:
+        return None
+    perm = [None] * T.cols
+    for (i, j), v in T.entries.items():
+        if v != 1 or perm[j] is not None:
+            return None
+        perm[j] = i
+    return perm if len(set(perm)) == T.cols else None
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +290,12 @@ class CubicDiagram:
         self.ambient_dim = ambient_dim
         self.spaces = dict(spaces)
         for comp in compositions(weight):
-            if to_binary(comp).bits not in self.spaces:
+            if comp.parts not in self.spaces:
                 raise ValueError("missing vertex %r" % (comp,))
         self._check_containments()
 
     def space(self, comp):
-        return self.spaces[to_binary(comp).bits]
+        return self.spaces[comp.parts]
 
     def _check_containments(self):
         comps = compositions(self.weight)
@@ -273,31 +305,45 @@ class CubicDiagram:
             for k, (sign, mu) in enumerate(subdivisions(lam)):
                 if not exhaustive and k % 3:
                     continue
-                if not self.spaces[to_binary(mu).bits].contains_subspace(sub):
+                if not self.space(mu).contains_subspace(sub):
                     raise CrossCheckError(
                         "containment fails: C%r not inside C%r" % (lam.parts, mu.parts))
 
 
 def cubic_invariants_diagram(module):
-    """Vertices are the joint fixed spaces of the Young generators."""
-    n = module.n
-    diagonal = SparseMatrix.identity(module.dim).entries
+    """Vertices are the joint fixed spaces of the Young generators.
+
+    This mirrors ``centralizer``: average when every t_i permutes labels,
+    else solve.  When every Young generator of a vertex is a permutation
+    matrix, its fixed space is spanned by the indicator vectors of the orbits
+    of the group they generate (the image of the averaging operator), taken
+    straight from ``_orbits``; otherwise it is ``kernel_basis`` of the stacked
+    t_i - 1.  Both give the same basis row for row: RREF is unique, and an
+    orbit headed by its least index is already an RREF row with pivot value 1.
+    A vertex without Young generators has only singleton orbits, so it is
+    the full space.
+    """
+    n, dim = module.n, module.dim
+    perms = [_as_permutation(T) for T in module.gens]
+    diagonal = SparseMatrix.identity(dim).entries
     vertex = {}
     for comp in compositions(n):
         positions = young_positions(comp)
-        if not positions:
-            vertex[to_binary(comp).bits] = Subspace.full(module.dim)
-            continue
-        mats = [SparseMatrix(module.dim, module.dim,
-                             add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
-                for i in positions]
-        vertex[to_binary(comp).bits] = kernel_basis(SparseMatrix.vstack(mats))
-    return CubicDiagram(n, module.dim, vertex)
+        if all(perms[i - 1] is not None for i in positions):
+            orbits = _orbits(dim, [perms[i - 1] for i in positions])
+            vertex[comp.parts] = Subspace.from_vectors(
+                ({k: 1 for k in orbit} for orbit in orbits), dim)
+        else:
+            mats = [SparseMatrix(dim, dim,
+                                 add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
+                    for i in positions]
+            vertex[comp.parts] = kernel_basis(SparseMatrix.vstack(mats))
+    return CubicDiagram(n, dim, vertex)
 
 
 def centralizer_diagram(seq, w):
     """The cubic diagram of centralizers at weight w."""
-    spaces = {to_binary(c).bits: centralizer(seq, c) for c in compositions(w)}
+    spaces = {c.parts: centralizer(seq, c) for c in compositions(w)}
     return CubicDiagram(w, seq.dim(w), spaces)
 
 
@@ -319,12 +365,12 @@ def cubic_complex(diagram):
     for k in range(w - 1):
         ent = {}
         for comp in layout[k]:
-            src = diagram.space(comp)
             col0 = offsets[comp.parts]
-            for local, vec in enumerate(src.basis()):
-                for sign, refined in subdivisions(comp):
-                    _add_block(ent, diagram.space(refined), offsets[refined.parts],
-                               col0 + local, vec, sign)
+            faces = [(sign, diagram.space(refined), offsets[refined.parts])
+                     for sign, refined in subdivisions(comp)]
+            for local, vec in enumerate(diagram.space(comp).basis()):
+                for sign, space, row0 in faces:
+                    _add_block(ent, space, row0, col0 + local, vec, sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 
@@ -388,29 +434,31 @@ def deformation_complex_truncated(seq, max_weight):
         dims.append(off)
 
     diffs = [SparseMatrix(dims[1], dims[0])]  # scalars: d(1) = mu(1(x)1) - mu(1(x)1) = 0
+    ones = {m: seq.one(m) for m in range(1, W)}
     for k in range(1, W):
         ent = {}
+        right_sign = (-1) ** (k + 1)
         for comp in layout[k]:
             w = comp.weight
-            src = spaces[comp.parts]
-            col0 = offsets[comp.parts]
-            for local, vec in enumerate(src.basis()):
+            parts = comp.parts
+            col0 = offsets[parts]
+            # middle faces: signed identity embeddings into refinements
+            faces = [(sign, spaces[refined.parts], offsets[refined.parts])
+                     for sign, refined in subdivisions(comp)]
+            # outer faces raise the weight by m on the left or right
+            raised = [(m, ones[m], spaces[(m,) + parts], offsets[(m,) + parts],
+                       spaces[parts + (m,)], offsets[parts + (m,)])
+                      for m in range(1, W - w + 1)]
+            for local, vec in enumerate(spaces[parts].basis()):
                 col = col0 + local
                 el = seq.vec_to_element(w, vec)
-                # middle faces: signed identity embeddings into refinements
-                for sign, refined in subdivisions(comp):
-                    _add_block(ent, spaces[refined.parts], offsets[refined.parts],
-                               col, vec, sign)
-                # outer faces raise the weight by m on the left or right
-                for m in range(1, W - w + 1):
-                    left = seq.element_to_vec(seq.mu(m, w, seq.one(m), el))
-                    lcomp = Composition((m,) + comp.parts)
-                    _add_block(ent, spaces[lcomp.parts], offsets[lcomp.parts],
-                               col, left, 1)
-                    right = seq.element_to_vec(seq.mu(w, m, el, seq.one(m)))
-                    rcomp = Composition(comp.parts + (m,))
-                    _add_block(ent, spaces[rcomp.parts], offsets[rcomp.parts],
-                               col, right, (-1) ** (k + 1))
+                for sign, space, row0 in faces:
+                    _add_block(ent, space, row0, col, vec, sign)
+                for m, one, lspace, lrow0, rspace, rrow0 in raised:
+                    left = seq.element_to_vec(seq.mu(m, w, one, el))
+                    _add_block(ent, lspace, lrow0, col, left, 1)
+                    right = seq.element_to_vec(seq.mu(w, m, el, one))
+                    _add_block(ent, rspace, rrow0, col, right, right_sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 

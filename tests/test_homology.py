@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from swcohom.combinat import Composition, compositions, union
-from swcohom.linalg import SparseMatrix, Subspace, subspace_intersect
+from swcohom.linalg import SparseMatrix, Subspace, add_scaled, kernel_basis, subspace_intersect
 from swcohom.homology import (
     SnModule,
     centralizer,
@@ -26,7 +27,7 @@ from swcohom.sequences import (
     SkewGroupSequence,
     SymmetricGroupSequence,
 )
-from swcohom.symgrp import Permutation, e_element
+from swcohom.symgrp import Permutation, e_element, young_positions
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,6 @@ def brute_force_commutant(seq, n, gens):
                     cond[j] = row[out_coord]
             if cond:
                 system.append(cond)
-    from swcohom.linalg import kernel_basis
     return kernel_basis(SparseMatrix.from_row_dicts(system, dim))
 
 
@@ -227,6 +227,85 @@ def test_cubic_acyclicity_random_modules():
         for d in range(n - 1):
             assert dims[d] == 0, (M.name, dims)
         assert dims[n - 1] == top_quotient(M, rng=rng)
+
+
+def _kernel_vertex(module, comp):
+    # the solve route: the kernel of the stacked t_i - 1 over comp's Young generators
+    diagonal = SparseMatrix.identity(module.dim).entries
+    mats = [SparseMatrix(module.dim, module.dim,
+                         add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
+            for i in young_positions(comp)]
+    return kernel_basis(SparseMatrix.vstack(mats) if mats
+                        else SparseMatrix(0, module.dim))
+
+
+@pytest.mark.parametrize("module", [
+    *(SnModule.natural(n) for n in range(1, 6)),
+    SnModule.regular(3),
+    SnModule.regular(4),
+    SnModule.natural(3).tensor(SnModule.natural(3)),
+    SnModule.natural(4).direct_sum(SnModule.trivial(4)),
+], ids=lambda m: "%s-%d" % (m.name, m.n))
+def test_orbit_vertices_match_the_kernel_route(module):
+    diagram = cubic_invariants_diagram(module)
+    for comp in compositions(module.n):
+        reference = _kernel_vertex(module, comp)
+        assert diagram.space(comp) == reference, comp
+        assert diagram.space(comp).basis() == reference.basis(), comp
+
+
+def test_as_permutation_accepts_only_permutation_matrices():
+    import swcohom.homology as homology
+
+    assert [homology._as_permutation(T) for T in SnModule.natural(3).gens] == [
+        [1, 0, 2], [0, 2, 1]]
+    assert homology._as_permutation(SnModule.sign(2).gens[0]) is None
+    rejected = [
+        SparseMatrix(2, 2, {(0, 1): 2, (1, 0): 1}),           # holds a 2
+        SparseMatrix(2, 2, {(0, 1): 1, (1, 0): -1}),          # signed permutation
+        SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 1}),           # not square
+        SparseMatrix(3, 2, {(0, 0): 1, (1, 1): 1}),           # not square
+        SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1}),           # two columns to one row
+    ]
+    for T in rejected:
+        assert homology._as_permutation(T) is None, T.entries
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_permutation_modules_solve_no_kernel(monkeypatch):
+    import swcohom.homology as homology
+
+    calls = _count_calls(monkeypatch, homology, "kernel_basis")
+    cubic_invariants_diagram(SnModule.regular(5))
+    assert calls == []
+    # a sign generator is no permutation: one kernel per vertex with Young generators
+    cubic_invariants_diagram(SnModule.sign(4))
+    assert len(calls) == sum(1 for c in compositions(4) if young_positions(c))
+
+
+def test_faces_resolved_once_per_composition(monkeypatch):
+    import swcohom.homology as homology
+
+    diagram = cubic_invariants_diagram(SnModule.regular(4))
+    calls = _count_calls(monkeypatch, homology, "subdivisions")
+    homology.cubic_complex(diagram)
+    per_comp = Counter(comp.parts for (comp,) in calls)
+    assert per_comp and max(per_comp.values()) == 1
+    calls.clear()
+    deformation_complex_truncated(SymmetricGroupSequence(), 4)
+    per_comp = Counter(comp.parts for (comp,) in calls)
+    assert per_comp and max(per_comp.values()) == 1
 
 
 # -- horizontal complexes ----------------------------------------------------------
