@@ -6,10 +6,11 @@ embed the seed, the backend and the library version, and identical
 configuration produces byte-identical output.
 
 Exit codes: 0 success; 2 usage error (from argparse, including out-of-range
-integer options, unloadable structure-constant files and options that
-contradict each other); 3 resource-guard
-refusal; 4 cross-check failure, either raised inside a computation (nothing
-is printed) or a report whose own check is false (the report is printed).
+integer options, unloadable structure-constant files, options that
+contradict each other and cross-checks that would compare nothing); 3
+resource-guard refusal; 4 cross-check failure, either raised inside a
+computation (nothing is printed) or a report whose own check is false (the
+report is printed).
 """
 
 import argparse
@@ -406,6 +407,13 @@ def main(argv=None):
     if args.command == "cohomology" and args.mode == "full" and args.representatives:
         parser.error("cohomology --representatives needs --mode reduced or both: "
                      "representatives come from the reduced complex")
+    # a cross-check over no common degree would report agreement vacuously
+    if args.command == "cohomology" and args.mode == "both" and args.weight_max < 2:
+        parser.error("cohomology --mode both needs --weight-max 2 or more: the "
+                     "truncated full complex is final only below its top weight")
+    if args.command == "series" and args.check_reduced and args.max_degree < 1:
+        parser.error("series --check-reduced needs max_degree 1 or more: the "
+                     "reduced complex starts at weight 1")
     try:
         payload, ok = args.func(args)
     except ResourceLimitError as exc:

@@ -6,22 +6,38 @@ is 1 exactly when j and j+1 lie in different parts.  All orderings are
 fixed so that downstream matrix layouts are reproducible run to run.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 
-@dataclass(frozen=True)
 class Composition:
-    """Ordered tuple of positive integers; doubles as a cube vertex."""
+    """Ordered tuple of positive integers; doubles as a cube vertex.
 
-    parts: tuple
+    Immutable and compared and hashed by ``parts``.
+    """
 
-    def __post_init__(self):
-        if len(self.parts) == 0:
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        if len(parts) == 0:
             raise ValueError("composition must have at least one part")
-        if any((not isinstance(p, int)) or p < 1 for p in self.parts):
-            raise ValueError("parts must be positive integers: %r" % (self.parts,))
+        if any((not isinstance(p, int)) or p < 1 for p in parts):
+            raise ValueError("parts must be positive integers: %r" % (parts,))
+        _set_parts(self, parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def weight(self):
@@ -38,19 +54,44 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
-@dataclass(frozen=True)
 class CubeVertex:
-    """Binary cut vector of length w-1 for ambient weight w."""
+    """Binary cut vector of length w-1 for ambient weight w.
 
-    bits: tuple
+    Immutable and compared and hashed by ``bits``.
+    """
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0/1: %r" % (self.bits,))
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("bits must be 0/1: %r" % (bits,))
+        _set_bits(self, bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __repr__(self):
+        return "CubeVertex(bits=%r)" % (self.bits,)
 
     @property
     def weight(self):
         return len(self.bits) + 1
+
+
+# slot setters that bypass the immutable ``__setattr__``
+_set_parts = Composition.parts.__set__
+_set_bits = CubeVertex.bits.__set__
 
 
 def to_binary(comp):

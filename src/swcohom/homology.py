@@ -241,8 +241,16 @@ def _orbits(dim, perms):
 
 def _average(space, perms):
     """Image of ``space`` under averaging over the group the index permutations
-    ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints."""
-    orbit_of = {k: orbit for orbit in _orbits(space.ambient_dim, perms) for k in orbit}
+    ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints.
+
+    On the full space the image is spanned by the orbit indicators (the
+    averages of the unit vectors), which are built directly, as in
+    ``cubic_invariants_diagram``."""
+    orbits = _orbits(space.ambient_dim, perms)
+    if space.dim == space.ambient_dim:
+        return Subspace.from_vectors(({k: 1 for k in orbit} for orbit in orbits),
+                                     space.ambient_dim)
+    orbit_of = {k: orbit for orbit in orbits for k in orbit}
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
     for vec in space.basis():
         sums = {}   # orbit representative -> coefficient sum over the orbit
@@ -412,7 +420,9 @@ def deformation_complex_truncated(seq, max_weight):
     Degree k >= 1 sums C(lambda) over compositions of w <= W into k parts;
     degree 0 is the scalar layer (its differential cancels).  Weight-raising
     faces beyond W are dropped, which is legitimate because weights > W form
-    a subcomplex.
+    a subcomplex.  The middle faces embed C(lambda) into its refinements; the
+    outer faces a -> mu(1_m (x) a) and a -> mu(a (x) 1_m) apply the index
+    maps of ``seq.unit_pairing``, built once per (m, w, side) in this call.
     """
     W = max_weight
     layout = {0: [None]}
@@ -434,7 +444,9 @@ def deformation_complex_truncated(seq, max_weight):
         dims.append(off)
 
     diffs = [SparseMatrix(dims[1], dims[0])]  # scalars: d(1) = mu(1(x)1) - mu(1(x)1) = 0
-    ones = {m: seq.one(m) for m in range(1, W)}
+    pairings = {(m, w, side): seq.unit_pairing(m, w, side)
+                for w in range(1, W) for m in range(1, W - w + 1)
+                for side in ("left", "right")}
     for k in range(1, W):
         ent = {}
         right_sign = (-1) ** (k + 1)
@@ -446,21 +458,27 @@ def deformation_complex_truncated(seq, max_weight):
             faces = [(sign, spaces[refined.parts], offsets[refined.parts])
                      for sign, refined in subdivisions(comp)]
             # outer faces raise the weight by m on the left or right
-            raised = [(m, ones[m], spaces[(m,) + parts], offsets[(m,) + parts],
-                       spaces[parts + (m,)], offsets[parts + (m,)])
+            raised = [(pairings[(m, w, "left")], spaces[(m,) + parts], offsets[(m,) + parts],
+                       pairings[(m, w, "right")], spaces[parts + (m,)], offsets[parts + (m,)])
                       for m in range(1, W - w + 1)]
             for local, vec in enumerate(spaces[parts].basis()):
                 col = col0 + local
-                el = seq.vec_to_element(w, vec)
                 for sign, space, row0 in faces:
                     _add_block(ent, space, row0, col, vec, sign)
-                for m, one, lspace, lrow0, rspace, rrow0 in raised:
-                    left = seq.element_to_vec(seq.mu(m, w, one, el))
-                    _add_block(ent, lspace, lrow0, col, left, 1)
-                    right = seq.element_to_vec(seq.mu(w, m, el, one))
-                    _add_block(ent, rspace, rrow0, col, right, right_sign)
+                for lmap, lspace, lrow0, rmap, rspace, rrow0 in raised:
+                    _add_block(ent, lspace, lrow0, col, _apply(lmap, vec), 1)
+                    _add_block(ent, rspace, rrow0, col, _apply(rmap, vec), right_sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
+
+
+def _apply(index_map, vec):
+    """The image of the sparse vector ``vec`` under a map given per basis
+    index (a list of sparse vectors, as from ``seq.unit_pairing``)."""
+    out = {}
+    for j, c in vec.items():
+        add_scaled(out, index_map[j], c)
+    return out
 
 
 def _add_block(ent, target_space, row0, col, vec, sign):
@@ -576,10 +594,7 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
             if w == 1:
                 sub = Subspace.zero(seq.dim(1))
             else:
-                parts = [centralizer(seq, c) for c in _two_part_compositions(w)]
-                sub = parts[0]
-                for p in parts[1:]:
-                    sub = subspace_sum(sub, p)
+                sub = subspace_sum(*(centralizer(seq, c) for c in _two_part_compositions(w)))
             quot = QuotientSpace(top, sub)
             data.quotients[w] = quot
             data.t_dims[w] = quot.dim
@@ -608,27 +623,29 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
     return data
 
 
-def _reduced_delta(seq, w, vec):
-    el = seq.vec_to_element(w, vec)
-    out = seq.element_to_vec(seq.mu(1, w, seq.one(1), el))
-    return add_scaled(out, seq.element_to_vec(seq.mu(w, 1, el, seq.one(1))), (-1) ** (w + 1))
+def _reduced_delta(left, right, w, vec):
+    """delta(a) = mu(1 (x) a) + (-1)^(w+1) mu(a (x) 1) for ``vec`` in A_w, from
+    the weight-w index maps ``left`` and ``right`` of ``seq.unit_pairing(1, w, side)``."""
+    return add_scaled(_apply(left, vec), _apply(right, vec), (-1) ** (w + 1))
 
 
 def _reduced_differential_matrix(seq, data, w):
     src = data.quotients[w]
     tgt = data.quotients[w + 1]
+    left = seq.unit_pairing(1, w, "left")
+    right = seq.unit_pairing(1, w, "right")
     # the induced map is only defined on cosets if the subspace maps into the
     # subspace one weight up; assert that, once per sequence and weight
     checked = seq.coset_checked_weights
     if w not in checked:
         for uvec in src.U.basis():
-            if tgt.U.reduce(_reduced_delta(seq, w, uvec)):
+            if tgt.U.reduce(_reduced_delta(left, right, w, uvec)):
                 raise CrossCheckError(
                     "reduced differential not well-defined on cosets at weight %d" % w)
         checked.add(w)
     ent = {}
     for j, repvec in enumerate(src.representatives()):
-        for i, c in tgt.coords_of(_reduced_delta(seq, w, repvec)).items():
+        for i, c in tgt.coords_of(_reduced_delta(left, right, w, repvec)).items():
             ent[(i, j)] = c
     return SparseMatrix(tgt.dim, src.dim, ent)
 

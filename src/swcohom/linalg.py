@@ -540,15 +540,23 @@ def image_basis(M):
     return Subspace.from_vectors(M.col_dicts(), M.rows)
 
 
-def subspace_sum(U, W):
-    if U.ambient_dim != W.ambient_dim:
+def subspace_sum(*spaces):
+    """The sum of one or more subspaces of one ambient space.
+
+    Each basis row is inserted once into one ``Echelon``.  RREF is unique, so
+    the result equals the pairwise fold ``subspace_sum(subspace_sum(U, V), W)``
+    without re-inserting the growing partial sum.
+    """
+    if not spaces:
+        raise ValueError("subspace_sum needs at least one subspace")
+    ambient = spaces[0].ambient_dim
+    if any(S.ambient_dim != ambient for S in spaces):
         raise ValueError("ambient mismatch")
     ech = Echelon()
-    for row in U.basis():
-        ech.insert(row)
-    for row in W.basis():
-        ech.insert(row)
-    return Subspace(U.ambient_dim, ech)
+    for S in spaces:
+        for row in S.basis():
+            ech.insert(row)
+    return Subspace(ambient, ech)
 
 
 def subspace_intersect(U, W):

@@ -25,6 +25,7 @@ from .symgrp import (
     SWEEP_CAP,
     Permutation,
     all_permutations,
+    block_sum,
     compose,
     conjugate_by_t,
     signed_class_basis,
@@ -153,6 +154,29 @@ class MultiplicativeSequence:
                 add_scaled(acc, {self._mu_basis_label(m, n, la, lb): ca}, cb)
         return AlgebraElement(m + n, acc)
 
+    def unit_pairing(self, m, w, side):
+        """The maps a -> mu(1_m (x) a) (``side`` "left") or a -> mu(a (x) 1_m)
+        ("right") from A_w to A_{m+w}, on basis indices.
+
+        Returns one sparse vector {index in A_{m+w}: coefficient} per basis
+        index of A_w, summed over every term of ``one(m)``.  Applying it to a
+        vector is the same as ``element_to_vec(mu(...))``, without building
+        elements.
+        """
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right', not %r" % (side,))
+        idx = self.index_of(m + w)
+        unit = self.one(m).coeffs.items()
+        out = []
+        for lb in self.basis(w):
+            col = {}
+            for lu, c in unit:
+                label = (self._mu_basis_label(m, w, lu, lb) if side == "left"
+                         else self._mu_basis_label(w, m, lb, lu))
+                add_scaled(col, {idx[label]: c})
+            out.append(col)
+        return out
+
     def subalgebra_generators(self, comp):
         raise NotImplementedError
 
@@ -211,8 +235,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return {compose(la, lb): 1}
 
     def _mu_basis_label(self, m, n, la, lb):
-        img = la.images + tuple(v + m for v in lb.images)
-        return Permutation(img)
+        return block_sum(la, lb)
 
     def subalgebra_generators(self, comp):
         n = comp.weight
@@ -357,8 +380,7 @@ class SkewGroupSequence(MultiplicativeSequence):
 
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
-        img = p.images + tuple(v + m for v in q.images)
-        return (a + b, Permutation(img))
+        return (a + b, block_sum(p, q))
 
     def subalgebra_generators(self, comp):
         n = comp.weight
@@ -380,10 +402,10 @@ class SkewGroupSequence(MultiplicativeSequence):
         return gens
 
     def conjugate_label(self, label, i):
-        """(a, p) -> (t_i a, t_i p t_i), whatever the unit of A."""
+        """(a, p) -> (t_i a, t_i p t_i), whatever the unit of A; t_i a swaps
+        the slots i and i+1 of the multi-index a."""
         a, p = label
-        t = Permutation.transposition(p.n, i)
-        return (self._permute_tuple(t, a), conjugate_by_t(p, i))
+        return (a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:], conjugate_by_t(p, i))
 
     def _group_element(self, n, perm):
         one = self.one(n)
@@ -520,8 +542,7 @@ class HeckeSequence(MultiplicativeSequence):
 
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
-        img = p.images + tuple(v + m for v in q.images)
-        return (a + b, Permutation(img))
+        return (a + b, block_sum(p, q))
 
     def subalgebra_generators(self, comp):
         n = comp.weight

@@ -16,7 +16,6 @@ flip values.  Elements of Q[S_n] (such as ``e_element``) are
 ``sequences.SymmetricGroupSequence`` at level n.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _it_permutations
 
@@ -28,16 +27,47 @@ SWEEP_CAP = 9            # largest n whose conjugacy classes are swept sign by s
 COUNTING_CAP = 14        # class-based dimension counts avoid enumeration up to here
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation of {1..n} in one-line notation."""
+    """Permutation of {1..n} in one-line notation; immutable, hashed by value.
 
-    images: tuple
+    The public constructor validates its images.  Code here that derives a
+    permutation from valid ones (``compose``, ``inverse``, ``conjugate_by_t``,
+    ``block_sum``) uses ``_trusted``, which skips that check.
+    """
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (n, self.images))
+    __slots__ = ("images", "_hash")
+
+    def __init__(self, images):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError("not a permutation of 1..%d: %r" % (n, images))
+        _set_images(self, images)
+        _set_hash(self, hash((images,)))
+
+    @classmethod
+    def _trusted(cls, images):
+        """A permutation whose ``images`` are known to be a permutation of 1..n."""
+        p = _new(cls)
+        _set_images(p, images)
+        _set_hash(p, hash((images,)))
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "Permutation(images=%r)" % (self.images,)
 
     @property
     def n(self):
@@ -66,7 +96,7 @@ class Permutation:
         img = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             img[v - 1] = i
-        return Permutation(tuple(img))
+        return Permutation._trusted(tuple(img))
 
     def sign(self):
         seen = [False] * self.n
@@ -106,11 +136,18 @@ class Permutation:
                    if img[i] > img[j])
 
 
+_new = object.__new__
+# slot setters that bypass the immutable ``__setattr__``
+_set_images = Permutation.images.__set__
+_set_hash = Permutation._hash.__set__
+
+
 def compose(p, q):
     """(p.q)(i) = p(q(i))."""
     if p.n != q.n:
         raise ValueError("size mismatch")
-    return Permutation(tuple(p.images[q.images[i] - 1] for i in range(p.n)))
+    pim = p.images
+    return Permutation._trusted(tuple([pim[j - 1] for j in q.images]))
 
 
 def conjugate(p, s):
@@ -127,16 +164,21 @@ def conjugate_tuple_by_t(img, i):
     """t_i p t_i on a one-line tuple: swap positions i, i+1, then values i, i+1."""
     lst = list(img)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    for k, v in enumerate(lst):
-        if v == i:
-            lst[k] = i + 1
-        elif v == i + 1:
-            lst[k] = i
+    a = lst.index(i)
+    b = lst.index(i + 1)
+    lst[a], lst[b] = i + 1, i
     return tuple(lst)
 
 
 def conjugate_by_t(p, i):
-    return Permutation(conjugate_tuple_by_t(p.images, i))
+    return Permutation._trusted(conjugate_tuple_by_t(p.images, i))
+
+
+def block_sum(p, q):
+    """p on the points 1..m and q moved onto m+1..m+n: the image of p (x) q
+    under block placement S_m x S_n -> S_{m+n}."""
+    m = len(p.images)
+    return Permutation._trusted(p.images + tuple([v + m for v in q.images]))
 
 
 @lru_cache(maxsize=None)

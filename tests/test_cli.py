@@ -161,11 +161,13 @@ def test_gl_refuses_an_oversized_tensor_before_any_work(monkeypatch, capsys):
 
 
 def test_importing_the_cli_does_not_import_numpy():
+    # nor dataclasses, which pulls in inspect: both cost every process
     import swcohom
 
     src = str(Path(swcohom.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import swcohom.cli; "
-            "assert 'numpy' not in sys.modules" % src)
+            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]; "
+            "assert not loaded, loaded" % src)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -262,6 +264,20 @@ def test_contradictory_options_are_a_usage_error(argv, message, tmp_path, capsys
     path.write_text(json.dumps(LieAlgebraSpec.sl2().to_json()))
     with pytest.raises(SystemExit) as exc:
         run_cli(*(str(path) if a == "LIE" else a for a in argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cohomology", "--mode", "both", "--weight-max", "1"), "--mode both needs --weight-max 2"),
+    (("series", "0", "--check-reduced", "3"), "--check-reduced needs max_degree 1"),
+], ids=["both-at-weight-1", "series-0-check-reduced"])
+def test_vacuous_cross_check_is_a_usage_error(argv, message, capsys):
+    # comparing no degree would print "consistent"/"agree": true and exit 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,6 +17,10 @@
   and no code asks whether a value is a ``Fraction``.
 * one array representation: no module imports numpy; tensors and matrices
   are the sparse exact dicts of ``linalg``.
+* the value classes ``Permutation``, ``Composition`` and ``CubeVertex`` are
+  hand-written ``__slots__`` classes: immutable, compared and hashed by
+  value.  Only code that derives a permutation from valid ones skips the
+  public constructor's validation.
 """
 
 import ast
@@ -25,7 +29,15 @@ from pathlib import Path
 
 import pytest
 
+from swcohom.combinat import Composition, CubeVertex
 from swcohom.sequences import MultiplicativeSequence
+from swcohom.symgrp import (
+    Permutation,
+    all_permutations,
+    block_sum,
+    compose,
+    conjugate_by_t,
+)
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "swcohom").glob("*.py"))
 
@@ -120,3 +132,53 @@ def test_no_numpy_import(path):
             or (isinstance(node, ast.Import)
                 and any(a.name.split(".")[0] == "numpy" for a in node.names))]
     assert not hits, hits
+
+
+# -- value classes: slotted, immutable, compared and hashed by value -----------
+
+
+VALUES = [
+    (lambda: Permutation((2, 3, 1)), "images", "Permutation(images=(2, 3, 1))"),
+    (lambda: Composition((2, 1)), "parts", "Composition(2, 1)"),
+    (lambda: CubeVertex((0, 1)), "bits", "CubeVertex(bits=(0, 1))"),
+]
+
+
+@pytest.mark.parametrize("make, field, text", VALUES,
+                         ids=["Permutation", "Composition", "CubeVertex"])
+def test_value_classes_are_immutable_slotted_values(make, field, text):
+    value, same = make(), make()
+    assert not hasattr(value, "__dict__")
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, (1,))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    # equal and hashed by value: the hash of the one-field tuple
+    key = getattr(value, field)
+    assert value == same and value is not same
+    assert hash(value) == hash(same) == hash((key,))
+    assert value != key and len({value, same}) == 1
+    assert repr(value) == text
+
+
+def _is_valid(p):
+    return sorted(p.images) == list(range(1, p.n + 1))
+
+
+def test_unchecked_permutations_are_permutations():
+    for n in range(1, 6):
+        group = all_permutations(n)
+        for p in group:
+            assert _is_valid(p.inverse()) and compose(p, p.inverse()) == Permutation.identity(n)
+            for i in range(1, n):
+                assert _is_valid(conjugate_by_t(p, i))
+            for q in group:
+                assert _is_valid(compose(p, q))
+                assert _is_valid(block_sum(p, q))
+
+
+def test_public_permutation_constructor_validates():
+    for images in [(1, 1), (0, 1), (2, 3), (1, 3)]:
+        with pytest.raises(ValueError):
+            Permutation(images)

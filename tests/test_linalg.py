@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -348,6 +349,23 @@ def test_sum_intersect_trivial_and_complementary():
     assert subspace_intersect(U, W).dim == 0
     with pytest.raises(ValueError):
         subspace_sum(U, Subspace.full(3))
+
+
+def test_subspace_sum_of_many_equals_the_pairwise_fold():
+    # RREF is unique, so one pass over every basis row gives the same rows as
+    # folding two at a time; a zero start gives the fold of no spaces too
+    rng = random.Random(29)
+    with pytest.raises(ValueError):
+        subspace_sum()
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        for k in range(4):
+            spaces = [_random_subspace(rng, n) for _ in range(k)]
+            zero = Subspace.zero(n)
+            assert subspace_sum(zero, *spaces).basis() == \
+                reduce(subspace_sum, spaces, zero).basis()
+            if spaces:
+                assert subspace_sum(*spaces).basis() == reduce(subspace_sum, spaces).basis()
 
 
 def test_grassmann_identity_randomized():

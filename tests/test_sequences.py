@@ -7,6 +7,7 @@ import pytest
 
 from swcohom import ResourceLimitError, TruncationOverflowError
 from swcohom.combinat import Composition
+from swcohom.linalg import add_scaled
 from swcohom.sequences import (
     AlgebraElement,
     CommutativeAlgebraSpec,
@@ -412,3 +413,43 @@ def test_hecke_multiplication_against_polynomial_oracle():
             assert via_product == via_compose, (la, lb, m)
         checked += 1
     assert checked >= 60
+
+
+# -- unit-pairing index maps ----------------------------------------------------
+
+
+def _skew_over_shifted_basis():
+    # Q[x]/(x^2-2) over the basis e0 = 1 + x, e1 = x: the unit is e0 - e1, so
+    # one(m) has 2^m terms and every pairing sums over all of them
+    doc = {"dim": 2, "unit": ["1", "-1"],
+           "table": [[["3", "-1"], ["2", "-1"]], [["2", "-1"], ["2", "-2"]]]}
+    return SkewGroupSequence(CommutativeAlgebraSpec.from_json(doc))
+
+
+@pytest.mark.parametrize("seq, top", [
+    (SymmetricGroupSequence(), 6),
+    (SkewGroupSequence(), 4),
+    (_skew_over_shifted_basis(), 4),
+    (HeckeSequence(trunc_degree=2), 3),
+    (HeckeSequence(trunc_degree=3), 3),
+], ids=["symmetric", "skew", "skew-unit-of-two-terms", "hecke-d2", "hecke-d3"])
+def test_unit_pairing_maps_equal_mu(seq, top):
+    rng = random.Random(31)
+    for w in range(1, top):
+        for m in range(1, top - w + 1):
+            one = seq.one(m)
+            maps = {side: seq.unit_pairing(m, w, side) for side in ("left", "right")}
+            vectors = [{j: 1} for j in range(seq.dim(w))]
+            for _ in range(5):
+                vectors.append({j: rng.choice((-2, -1, 1, 3, Fraction(1, 2)))
+                                for j in rng.sample(range(seq.dim(w)), min(4, seq.dim(w)))})
+            for vec in vectors:
+                el = seq.vec_to_element(w, vec)
+                expected = {"left": seq.element_to_vec(seq.mu(m, w, one, el)),
+                            "right": seq.element_to_vec(seq.mu(w, m, el, one))}
+                for side, index_map in maps.items():
+                    image = {}
+                    for j, c in vec.items():
+                        add_scaled(image, index_map[j], c)
+                    assert image == expected[side], (w, m, side, vec)
+    assert len(_skew_over_shifted_basis().one(2).coeffs) == 4
