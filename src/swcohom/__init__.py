@@ -4,10 +4,9 @@ The package computes, over the rational numbers, the deformation complexes
 of tensor categories generated by one object (given concretely as a
 multiplicative sequence of algebras), their cohomology in low weights, and
 the matching exterior invariants of general linear Lie algebras.  All
-arithmetic is exact.  The one randomised shortcut is the default rank: it is
-computed modulo two random ~62-bit primes and accepted when the two agree;
-only a disagreement escalates to exact fraction-free elimination (the tests
-audit the protocol against the exact path).  ``--backend exact`` skips it.
+arithmetic is exact and nothing is randomised: every rank comes from one
+sparse elimination over Q, so every number a report marks ``final`` is
+proven, not only probable.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 The JSON document is the machine interface (schema ``swcohom/1``); the
 pretty and csv printers are views over the same report object.  Reports
 embed the seed, the backend and the library version, and identical
-configuration produces byte-identical output.
+configuration produces byte-identical output.  ``--seed`` and ``--backend``
+are accepted and echoed in the report envelope only: nothing is randomised,
+every rank is exact, and both backends give the same report body.
 
 Exit codes: 0 success; 2 usage error (from argparse, including out-of-range
 integer options, unloadable structure-constant files, options that
@@ -15,7 +17,6 @@ report is printed).
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -125,8 +126,7 @@ def cmd_series(args):
     ok = True
     if args.check_reduced:
         seq = bundled_sequence("symmetric")
-        data = reduced_complex(seq, args.check_reduced, backend=args.backend,
-                               rng=random.Random(args.seed))
+        data = reduced_complex(seq, args.check_reduced)
         payload["reduced"] = {str(w): data.h_dims[w] for w in range(1, args.check_reduced + 1)}
         overlaps = {w: series[w] == data.h_dims[w]
                     for w in range(1, min(args.check_reduced, args.max_degree) + 1)}
@@ -137,11 +137,10 @@ def cmd_series(args):
 
 def cmd_cohomology(args):
     seq = _sequence_from_args(args)
-    rng = random.Random(args.seed)
     payload = {"sequence": args.sequence}
     ok = True
     if args.mode in ("reduced", "both"):
-        data = reduced_complex(seq, args.weight_max, backend=args.backend, rng=rng)
+        data = reduced_complex(seq, args.weight_max)
         payload["reduced"] = data.as_report()
         payload["H"] = {str(w): data.h_dims[w] for w in range(1, args.weight_max + 1)}
         if args.representatives:
@@ -152,8 +151,7 @@ def cmd_cohomology(args):
                     reps[str(w)] = [_vector_report(seq, w, v) for v in rw]
             payload["representatives"] = reps
     if args.mode in ("full", "both"):
-        tr = deformation_cohomology_truncated(seq, args.weight_max,
-                                              backend=args.backend, rng=rng)
+        tr = deformation_cohomology_truncated(seq, args.weight_max)
         payload["full"] = tr.as_report()
     if args.mode == "both":
         agree = all(payload["full"]["H"][str(d)] == payload["H"][str(d)]
@@ -165,8 +163,7 @@ def cmd_cohomology(args):
 
 def cmd_horizontal(args):
     seq = _sequence_from_args(args)
-    dims = horizontal_cohomology(seq, args.weight, backend=args.backend,
-                                 rng=random.Random(args.seed))
+    dims = horizontal_cohomology(seq, args.weight)
     top_only = all(v == 0 for d, v in dims.items() if d != args.weight)
     return {"sequence": args.sequence, "weight": args.weight,
             "H": {str(d): v for d, v in dims.items()},
@@ -174,7 +171,6 @@ def cmd_horizontal(args):
 
 
 def cmd_cubic(args):
-    rng = random.Random(args.seed)
     counts, expected, agree = relative_cube_dims(args.n)
     payload = {
         "n": args.n,
@@ -183,9 +179,8 @@ def cmd_cubic(args):
         "agree": agree,
     }
     module = SnModule.regular(args.n)
-    dims = cubic_cohomology(cubic_invariants_diagram(module),
-                            backend=args.backend, rng=rng)
-    tq = top_quotient(module, backend=args.backend, rng=rng)
+    dims = cubic_cohomology(cubic_invariants_diagram(module))
+    tq = top_quotient(module)
     payload["regular_rep"] = {
         "H": {str(d): v for d, v in dims.items()},
         "top_quotient": tq,
@@ -243,7 +238,6 @@ def cmd_hecke_check(args):
     from itertools import product as iproduct
     seq = bundled_sequence("hecke", trunc_degree=args.trunc_degree)
     D = args.trunc_degree
-    rng = random.Random(args.seed)
     payload = {"trunc_degree": D, "level_max": args.level_max}
     ok = True
     cents = {}
@@ -258,7 +252,7 @@ def cmd_hecke_check(args):
                                       "match": dim == expected}
             ok = ok and dim == expected
     payload["centralizers"] = cents
-    data = reduced_complex(seq, args.level_max, backend=args.backend, rng=rng)
+    data = reduced_complex(seq, args.level_max)
     binom = {w: comb(D + 1, w) for w in range(1, args.level_max + 1)}
     payload["reduced"] = {
         "T": {str(w): data.t_dims[w] for w in range(1, args.level_max + 1)},
@@ -275,12 +269,11 @@ def cmd_hecke_check(args):
 
 
 def cmd_selftest(args):
-    rng = random.Random(args.seed)
     checks = {}
     series = distinct_odd_partition_series(12)
     checks["series_head"] = series == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     seq = bundled_sequence("symmetric")
-    data = reduced_complex(seq, 4, backend=args.backend, rng=rng)
+    data = reduced_complex(seq, 4)
     checks["symmetric_reduced_w4"] = [data.h_dims[w] for w in range(1, 5)] == [1, 0, 1, 1]
     counts, expected, agree = relative_cube_dims(3)
     checks["relative_cube_n3"] = agree
@@ -331,9 +324,9 @@ def build_parser():
         description="Exact deformation cohomology of Schur-Weyl categories.")
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (embedded in the report)")
+                        help="echoed in the report; nothing is randomised")
     parser.add_argument("--backend", choices=("modular", "exact"), default="modular",
-                        help="rank computation backend")
+                        help="echoed in the report; every rank is exact either way")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subcommand parse from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)

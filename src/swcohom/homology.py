@@ -383,11 +383,11 @@ def cubic_complex(diagram):
     return CochainComplex(0, dims, diffs)
 
 
-def cubic_cohomology(diagram, backend="modular", rng=None):
-    return cubic_complex(diagram).cohomology_dims(backend=backend, rng=rng)
+def cubic_cohomology(diagram):
+    return cubic_complex(diagram).cohomology_dims()
 
 
-def top_quotient(module, backend="modular", rng=None):
+def top_quotient(module):
     """dim M / sum_i (1 + t_i) M, computed directly from the stacked images."""
     if module.n == 1:
         return module.dim
@@ -397,16 +397,16 @@ def top_quotient(module, backend="modular", rng=None):
     stacked = blocks[0]
     for b in blocks[1:]:
         stacked = stacked.hstack(b)
-    return module.dim - rank(stacked, backend=backend, rng=rng)
+    return module.dim - rank(stacked)
 
 
 # ---------------------------------------------------------------------------
 # horizontal complexes
 
 
-def horizontal_cohomology(seq, w, backend="modular", rng=None):
+def horizontal_cohomology(seq, w):
     """Cohomology of the weight-w horizontal complex, degrees 1..w."""
-    dims = cubic_cohomology(centralizer_diagram(seq, w), backend=backend, rng=rng)
+    dims = cubic_cohomology(centralizer_diagram(seq, w))
     return {k + 1: v for k, v in dims.items()}
 
 
@@ -508,9 +508,9 @@ class TruncatedCohomology:
         }
 
 
-def deformation_cohomology_truncated(seq, max_weight, backend="modular", rng=None):
+def deformation_cohomology_truncated(seq, max_weight):
     cx = deformation_complex_truncated(seq, max_weight)
-    return TruncatedCohomology(max_weight, cx.cohomology_dims(backend=backend, rng=rng))
+    return TruncatedCohomology(max_weight, cx.cohomology_dims())
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +578,7 @@ def _two_part_compositions(w):
             for j in range(1, w)]
 
 
-def reduced_complex(seq, max_weight, backend="modular", rng=None):
+def reduced_complex(seq, max_weight):
     """Build T_1..T_P with the induced differential; see ReducedComplexData."""
     data = ReducedComplexData(seq, max_weight)
     # one extra weight, when affordable, makes the top differential computable
@@ -615,7 +615,7 @@ def reduced_complex(seq, max_weight, backend="modular", rng=None):
             data.diff_status[w] = "not-computed"
 
     # each differential's rank is both the out-rank of w and the in-rank of w + 1
-    ranks = {w: rank(data.diffs[w], backend=backend, rng=rng)
+    ranks = {w: rank(data.diffs[w])
              for w in range(1, max_weight + 1) if data.diff_status[w] == "matrix"}
     for w in range(1, max_weight + 1):
         data.h_dims[w] = data.t_dims[w] - ranks.get(w, 0) - ranks.get(w - 1, 0)

@@ -353,7 +353,7 @@ def _sort_sign(seq):
 # the cubic route to the invariants of tensor powers
 
 
-def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):
+def cohomology_of_rep_category_graded(g, n):
     """Top cubic cohomology of the S_n-module of adjoint invariants in g^(x)n.
 
     Computed entirely through the cubic machinery, independently of
@@ -394,8 +394,8 @@ def cohomology_of_rep_category_graded(g, n, backend="modular", rng=None):
                 mat_ent[(r, col)] = c
         gens.append(SparseMatrix(invariants.dim, invariants.dim, mat_ent))
     module = SnModule(n, invariants.dim, gens, name="(g^%d)^g" % n)
-    top = cubic_cohomology(cubic_invariants_diagram(module), backend=backend, rng=rng)[n - 1]
-    independent = top_quotient(module, backend=backend, rng=rng)
+    top = cubic_cohomology(cubic_invariants_diagram(module))[n - 1]
+    independent = top_quotient(module)
     if top != independent:
         raise CrossCheckError("cubic top %d != direct quotient %d" % (top, independent))
     return top

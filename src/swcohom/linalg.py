@@ -1,20 +1,16 @@
-"""Exact sparse linear algebra over Q with a two-prime modular fast path.
+"""Exact sparse linear algebra over Q.
 
 A coefficient is an ``int``, or a ``Fraction`` only where something divides
-(``Echelon.insert`` normalising a pivot other than +-1) or parses
+(``Echelon.insert`` or ``rank`` at a pivot other than +-1) or parses
 (``StructureConstantSpec.from_json``), so integral data stay ``int``.
 Vectors are dicts {index: coefficient} with no stored zeros, and
 ``add_scaled`` is the one place that adds a scaled sparse vector into
 another.  Matrices store a sparse {(row, col): coefficient} map.
 Coordinates in a subspace basis are sparse too: ``coords_of`` returns
-{position: coefficient} holding only the nonzero coefficients.  Ranks
-default to the modular protocol: draw two independent random ~62-bit primes
-and eliminate once modulo their product, which yields the rank modulo both
-when every pivot is a unit.  A non-unit pivot splits the run into one
-elimination per prime; these are accepted on agreement, escalating to
-fraction-free (Bareiss) elimination over Z on disagreement.  Echelon bases
-(kernels, images, subspace arithmetic) are always exact; division-normalised
-reduction happens only at basis extraction.
+{position: coefficient} holding only the nonzero coefficients.  Nothing is
+randomised: ``rank`` is one sparse elimination over Q with Markowitz-style
+pivots and no back-substitution, and echelon bases (kernels, images,
+subspace arithmetic) are kept in full RREF by ``Echelon``.
 
 The same sparse dicts carry algebra elements (``AlgebraElement``: basis
 label -> coefficient) and the structure constants of small algebras given by
@@ -22,16 +18,10 @@ a multiplication table (``StructureConstantSpec``).
 """
 
 import json
-import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
 
 from . import CrossCheckError
-
-PRIME_BITS = 62
-
-_DEFAULT_RNG = random.Random(0x53C0)
 
 
 def add_scaled(acc, vec, coef=1):
@@ -298,90 +288,28 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# ranks: modular fast path with exact escalation
+# ranks
 
 
-def _is_probable_prime(n):
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng):
-    while True:
-        n = rng.getrandbits(PRIME_BITS) | (1 << (PRIME_BITS - 1)) | 1
-        if _is_probable_prime(n):
-            return n
-
-
-class BadPrimeError(ArithmeticError):
-    pass
-
-
-def _rows_mod(M, n):
-    """Rows of M as {col: residue mod n} dicts, read straight from its entries.
-
-    Raises BadPrimeError when a denominator is not a unit mod n.
-    """
-    rows = [{} for _ in range(M.rows)]
-    for (i, j), v in M.entries.items():
-        den = v.denominator
-        if den == 1:
-            x = v.numerator % n
-        else:
-            try:
-                x = v.numerator * pow(den, -1, n) % n
-            except ValueError:
-                raise BadPrimeError(n) from None
-        if x:
-            rows[i][j] = x
-    return rows
-
-
-def rank_mod(M, n):
-    """Rank of M over Z/n by right-looking sparse elimination, or None.
+def rank(M):
+    """Rank over Q by right-looking sparse elimination.
 
     Each step pivots on the shortest live row (a heap of (length, row) with
     lazy deletion) and, inside it, on the column held by the fewest rows (a
     column -> rows index; the counts include rows that have since dropped the
     column, which only makes the choice a heuristic).  The pivot column is
     then eliminated from exactly the rows that index lists.  Choosing sparse
-    pivots keeps the fill of these 0/+-1 boundary matrices small.
-
-    ``n`` need not be prime.  If every pivot is a unit mod n = p1*p2, reducing
-    the run mod p1 (or p2) is a valid elimination over that field with the
-    same pivots: each pivot stays nonzero, each pivot row is zero in the
-    earlier pivot columns, and every other row ends at zero.  So the count is
-    the rank mod p1 and the rank mod p2 at once.  When a pivot is not a unit
-    mod n the run stops and returns None; over a prime this never happens.
+    pivots keeps the fill of these 0/+-1 boundary matrices small, and a
+    coefficient stays an ``int`` until a pivot other than +-1 divides.
     """
-    rows = _rows_mod(M, n)
+    rows = M.row_dicts()
     cols = {}  # col -> rows that held it when last touched
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, []).append(i)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(heap)
-    rank = 0
+    count = 0
     while heap:
         length, i = heappop(heap)
         prow = rows[i]
@@ -389,22 +317,20 @@ def rank_mod(M, n):
             continue  # a pivot row already, or a stale length
         rows[i] = None
         j = min(prow, key=lambda c: len(cols[c]))
-        try:
-            inv = pow(prow.pop(j), -1, n)
-        except ValueError:
-            return None
-        rank += 1
+        x = prow.pop(j)
+        inv = x if x in (1, -1) else 1 / Fraction(x)
+        count += 1
         # no live row holds j afterwards, and fill only copies live columns
         for k in cols.pop(j):
             row = rows[k]
             if row is None:
                 continue
-            x = row.pop(j, None)
-            if x is None:
+            y = row.pop(j, None)
+            if y is None:
                 continue
-            coef = x * inv % n
-            for c, y in prow.items():
-                s = (row.get(c, 0) - coef * y) % n
+            coef = y * inv
+            for c, z in prow.items():
+                s = row.get(c, 0) - coef * z
                 if s:
                     if c not in row:
                         cols[c].append(k)
@@ -413,106 +339,7 @@ def rank_mod(M, n):
                     del row[c]
             if row:
                 heappush(heap, (len(row), k))
-    return rank
-
-
-def rank_exact(M):
-    """Rank over Q by fraction-free (Bareiss) elimination on integer rows."""
-    # scale each row to integers; row scaling does not change the rank
-    rows = []
-    for row in M.row_dicts():
-        if not row:
-            continue
-        den = lcm(*(v.denominator for v in row.values()))
-        rows.append({j: int(v * den) for j, v in row.items()})
-    if not rows:
-        return 0
-    rank = 0
-    prev = 1
-    cols_left = sorted({j for r in rows for j in r})
-    for col in cols_left:
-        piv_idx = None
-        for idx, r in enumerate(rows):
-            if r.get(col):
-                if piv_idx is None or len(r) < len(rows[piv_idx]):
-                    piv_idx = idx
-        if piv_idx is None:
-            continue
-        piv_row = rows.pop(piv_idx)
-        piv_val = piv_row[col]
-        new_rows = []
-        for r in rows:
-            c = r.get(col)
-            if c:
-                merged = {}
-                for j in set(piv_row) | set(r):
-                    val = piv_val * r.get(j, 0) - c * piv_row.get(j, 0)
-                    if val:
-                        # Bareiss: division by the previous pivot is exact
-                        q, rem = divmod(val, prev)
-                        if rem:
-                            raise ArithmeticError("fraction-free invariant broken")
-                        merged[j] = q
-                if merged:
-                    new_rows.append(merged)
-            elif r:
-                scaled = {}
-                for j, v in r.items():
-                    q, rem = divmod(v * piv_val, prev)
-                    if rem:
-                        raise ArithmeticError("fraction-free invariant broken")
-                    scaled[j] = q
-                new_rows.append(scaled)
-        rows = new_rows
-        prev = piv_val
-        rank += 1
-        if not rows:
-            break
-    return rank
-
-
-def rank(M, backend="modular", rng=None, audit=0.0):
-    """Rank over Q.
-
-    ``modular``: two distinct random ~62-bit primes p1 and p2, and one
-    elimination mod p1*p2, whose count is the rank mod both primes (see
-    ``rank_mod``).  If a pivot there is not a unit, the rank is taken mod p1
-    and mod p2 apart: agreement is accepted, disagreement escalates to exact
-    elimination.  ``audit`` > 0 additionally forces the exact path on that
-    fraction of calls (seeded via ``rng``) and cross-checks the two answers.
-    """
-    if backend == "exact":
-        return rank_exact(M)
-    if backend != "modular":
-        raise ValueError("unknown backend %r" % backend)
-    rng = rng if rng is not None else _DEFAULT_RNG
-    result = exact = None
-    for _ in range(8):
-        p1 = random_prime(rng)
-        p2 = random_prime(rng)
-        if p1 == p2:
-            continue
-        try:
-            result = rank_mod(M, p1 * p2)
-        except BadPrimeError:
-            continue
-        if result is None:
-            # a pivot shared a prime factor with p1*p2: rank mod each prime apart
-            r1 = rank_mod(M, p1)
-            result = r1 if r1 == rank_mod(M, p2) else None
-        break
-    else:
-        return rank_exact(M)
-    if result is None:
-        result = exact = rank_exact(M)
-    if audit and rng.random() < audit:
-        if exact is None:
-            exact = rank_exact(M)
-        if result > exact:
-            raise CrossCheckError("modular rank %d exceeds exact rank %d" % (result, exact))
-        if result != exact:
-            raise CrossCheckError("modular rank %d != exact rank %d" % (result, exact))
-    return result
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +464,9 @@ class CochainComplex:
                 raise ValueError("d.d != 0 between degrees %d and %d"
                                  % (degree_start + k, degree_start + k + 2))
 
-    def cohomology_dims(self, backend="modular", rng=None):
-        """H^k dims; only ranks are needed, so the modular path applies."""
-        ranks = [rank(d, backend=backend, rng=rng) for d in self.differentials]
+    def cohomology_dims(self):
+        """H^k dims; only the ranks of the differentials are needed."""
+        ranks = [rank(d) for d in self.differentials]
         out = {}
         for k, dim in enumerate(self.dims):
             r_out = ranks[k] if k < len(ranks) else 0
@@ -648,9 +475,8 @@ class CochainComplex:
         self._check_euler(out)
         return out
 
-    def cohomology(self, representatives=False, backend="modular", rng=None):
-        if not representatives:
-            return self.cohomology_dims(backend=backend, rng=rng)
+    def cohomology(self):
+        """(H^k dims, H^k representatives): kernels modulo images, degree by degree."""
         out = {}
         reps = {}
         for k, dim in enumerate(self.dims):

@@ -315,15 +315,6 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
             return ones[0]
         return None
 
-    def probably_domain(self, rng, trials=64):
-        """Heuristic zero-divisor scan; a pass is evidence, not proof."""
-        for _ in range(trials):
-            u = tuple(rng.randint(-3, 3) for _ in range(self.dim))
-            v = tuple(rng.randint(-3, 3) for _ in range(self.dim))
-            if any(u) and any(v) and not any(self.mul_coords(u, v)):
-                return False
-        return True
-
     @classmethod
     def quadratic(cls, c=2):
         """Q[x]/(x^2 - c); the default c = 2 gives a quadratic field."""

@@ -288,6 +288,11 @@ def test_seed_and_backend_embedded():
     code, doc = run_json("--seed", "42", "--backend", "exact", "selftest")
     assert code == 0
     assert doc["seed"] == 42 and doc["backend"] == "exact"
+    # both flags are only echoed: every rank is exact whatever they say
+    code, other = run_json("--seed", "7", "selftest", "--backend", "modular")
+    assert code == 0
+    assert other["seed"] == 7 and other["backend"] == "modular"
+    assert other["report"] == doc["report"]
 
 
 def test_algebra_loaded_from_json(tmp_path):

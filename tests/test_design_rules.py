@@ -17,6 +17,9 @@
   and no code asks whether a value is a ``Fraction``.
 * one array representation: no module imports numpy; tensors and matrices
   are the sparse exact dicts of ``linalg``.
+* nothing is randomised: no module imports ``random`` and no function has
+  a ``backend`` parameter, so every rank is the one exact elimination.
+  ``homology.random_module`` only draws from a generator its caller passes.
 * the value classes ``Permutation``, ``Composition`` and ``CubeVertex`` are
   hand-written ``__slots__`` classes: immutable, compared and hashed by
   value.  Only code that derives a permutation from valid ones skips the
@@ -123,14 +126,31 @@ def test_no_isinstance_on_fraction(path):
     assert not hits, hits
 
 
+def _absolute_imports(tree):
+    """(line, top-level package) of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_numpy_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    hits = ["line %d" % node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.ImportFrom) and node.level == 0
-                and node.module.split(".")[0] == "numpy")
-            or (isinstance(node, ast.Import)
-                and any(a.name.split(".")[0] == "numpy" for a in node.names))]
+    hits = ["line %d" % line for line, top in _absolute_imports(tree) if top == "numpy"]
+    assert not hits, hits
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_random_import_and_no_backend_parameter(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % line for line, top in _absolute_imports(tree) if top == "random"]
+    hits += ["line %d: backend" % node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and any(a.arg == "backend" for a in node.args.posonlyargs
+                     + node.args.args + node.args.kwonlyargs)]
     assert not hits, hits
 
 

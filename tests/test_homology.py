@@ -223,10 +223,10 @@ def test_cubic_acyclicity_random_modules():
     for _ in range(8):
         n = rng.randint(2, 4)
         M = random_module(n, rng)
-        dims = cubic_cohomology(cubic_invariants_diagram(M), rng=rng)
+        dims = cubic_cohomology(cubic_invariants_diagram(M))
         for d in range(n - 1):
             assert dims[d] == 0, (M.name, dims)
-        assert dims[n - 1] == top_quotient(M, rng=rng)
+        assert dims[n - 1] == top_quotient(M)
 
 
 def _kernel_vertex(module, comp):
@@ -414,7 +414,7 @@ def test_reduced_hecke_cross_route(D):
 def test_horizontal_complex_representatives(sym):
     from swcohom.homology import centralizer_diagram, cubic_complex
     cx = cubic_complex(centralizer_diagram(sym, 3))
-    dims, reps = cx.cohomology(representatives=True)
+    dims, reps = cx.cohomology()
     assert dims == {0: 0, 1: 0, 2: 1}
     assert len(reps[2]) == 1
 

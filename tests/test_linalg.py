@@ -4,7 +4,6 @@ from functools import reduce
 
 import pytest
 
-from swcohom import linalg
 from swcohom.homology import (
     SnModule,
     centralizer,
@@ -13,7 +12,6 @@ from swcohom.homology import (
     deformation_complex_truncated,
 )
 from swcohom.linalg import (
-    BadPrimeError,
     CochainComplex,
     Echelon,
     QuotientSpace,
@@ -23,9 +21,6 @@ from swcohom.linalg import (
     image_basis,
     kernel_basis,
     rank,
-    rank_exact,
-    rank_mod,
-    random_prime,
     subspace_intersect,
     subspace_sum,
 )
@@ -74,14 +69,12 @@ def to_dense(M):
 def test_rank_trivial_cases():
     assert rank(SparseMatrix(3, 3)) == 0
     assert rank(SparseMatrix.identity(4)) == 4
-    assert rank_exact(SparseMatrix.identity(4)) == 4
 
 
 def test_rank_one_plus_t1():
     M = one_plus_t1_matrix()
     assert dense_rank(to_dense(M)) == 3  # oracle
     assert rank(M) == 3
-    assert rank(M, backend="exact") == 3
 
 
 def test_kernel_image_one_plus_t1():
@@ -138,11 +131,12 @@ def test_rank_nullity_randomized():
                for i in range(r) for j in range(c) if rng.random() < 0.4}
         M = SparseMatrix(r, c, ent)
         assert kernel_basis(M).dim + image_basis(M).dim == c
-        assert rank(M, rng=rng) == dense_rank(to_dense(M))
-        assert rank(M.transpose(), rng=rng) == rank(M, rng=rng)
+        assert rank(M) == dense_rank(to_dense(M))
+        assert rank(M.transpose()) == rank(M)
 
 
-def test_bareiss_matches_dense_oracle():
+def test_rank_with_fraction_entries_matches_dense_oracle():
+    # entries p/q with |p| <= 9 make most pivots non-units, so rows go Fraction
     rng = random.Random(5)
     for _ in range(40):
         r = rng.randint(1, 7)
@@ -150,22 +144,7 @@ def test_bareiss_matches_dense_oracle():
         ent = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                for i in range(r) for j in range(c) if rng.random() < 0.5}
         M = SparseMatrix(r, c, ent)
-        assert rank_exact(M) == dense_rank(to_dense(M))
-
-
-def test_modular_protocol_audit():
-    # force the exact cross-check on a seeded sample; any overshoot raises
-    rng = random.Random(99)
-    for _ in range(120):
-        r = rng.randint(1, 6)
-        c = rng.randint(1, 6)
-        ent = {(i, j): Fraction(rng.randint(-3, 3))
-               for i in range(r) for j in range(c) if rng.random() < 0.5}
-        M = SparseMatrix(r, c, ent)
-        rank(M, rng=rng, audit=0.05)
-    # and a denser audit for good measure
-    M = one_plus_t1_matrix()
-    assert rank(M, rng=rng, audit=1.0) == 3
+        assert rank(M) == dense_rank(to_dense(M))
 
 
 def _random_sparse(rng, rows, cols, density=0.3):
@@ -191,81 +170,21 @@ def test_derived_matrices_match_dense_and_the_constructor_still_validates():
     assert SparseMatrix(2, 2, {(0, 0): 0}).is_zero()
 
 
-def test_rank_mod_matches_dense_oracle_over_a_prime_and_a_product_of_two():
+def test_rank_matches_dense_oracle_over_shapes_and_densities():
     rng = random.Random(17)
     for shape in ((12, 5), (5, 12), (9, 9)):
         for _ in range(15):
             M = _random_sparse(rng, *shape, density=rng.choice((0.15, 0.3, 0.6)))
-            expected = dense_rank(to_dense(M))
-            p1, p2 = random_prime(rng), random_prime(rng)
-            assert rank_mod(M, p1) == expected
-            assert rank_mod(M, p1 * p2) == expected
+            assert rank(M) == dense_rank(to_dense(M))
 
 
-def _spy(monkeypatch, name):
-    """Replace ``linalg.<name>`` by a wrapper that logs (extra args, outcome) per call."""
-    real = getattr(linalg, name)
-    log = []
-
-    def spy(M, *args):
-        try:
-            out = real(M, *args)
-        except BadPrimeError:
-            log.append((args, BadPrimeError))
-            raise
-        log.append((args, out))
-        return out
-
-    monkeypatch.setattr(linalg, name, spy)
-    return log
-
-
-def test_rank_runs_one_modular_pass_on_a_healthy_matrix(monkeypatch):
-    mod_log = _spy(monkeypatch, "rank_mod")
-    exact_log = _spy(monkeypatch, "rank_exact")
-    draws = random.Random(8)
-    p1, p2 = random_prime(draws), random_prime(draws)
-    assert rank(one_plus_t1_matrix(), rng=random.Random(8)) == 3
-    assert mod_log == [((p1 * p2,), 3)]
-    assert exact_log == []
-
-
-def test_non_unit_pivot_splits_the_primes_then_escalates_once(monkeypatch):
-    draws = random.Random(21)
-    p1, p2 = random_prime(draws), random_prime(draws)
-    M = SparseMatrix(1, 1, {(0, 0): p1})  # rank 0 mod p1, rank 1 mod p2
-    mod_log = _spy(monkeypatch, "rank_mod")
-    exact_log = _spy(monkeypatch, "rank_exact")
-    assert rank(M, rng=random.Random(21)) == 1
-    assert mod_log == [((p1 * p2,), None), ((p1,), 0), ((p2,), 1)]
-    assert exact_log == [((), 1)]
-    # an audit after the escalation reuses that exact rank
-    exact_log.clear()
-    assert rank(M, rng=random.Random(21), audit=1.0) == 1
-    assert exact_log == [((), 1)]
-
-
-def test_rank_mod_bad_prime_handled(monkeypatch):
-    # a denominator equal to the second drawn prime fails the joint pass;
-    # the public entry point then draws fresh primes
-    draws = random.Random(22)
-    p1, p2, p3, p4 = (random_prime(draws) for _ in range(4))
-    M = SparseMatrix(1, 1, {(0, 0): Fraction(1, p2)})
-    mod_log = _spy(monkeypatch, "rank_mod")
-    exact_log = _spy(monkeypatch, "rank_exact")
-    assert rank(M, rng=random.Random(22)) == 1
-    assert mod_log == [((p1 * p2,), BadPrimeError), ((p3 * p4,), 1)]
-    assert exact_log == []
-
-
-def test_modular_rank_is_exact_on_real_differentials():
+def test_rank_equals_cols_minus_kernel_dim_on_real_differentials():
     complexes = (cubic_complex(cubic_invariants_diagram(SnModule.regular(5))),
                  deformation_complex_truncated(SymmetricGroupSequence(), 5))
-    rng = random.Random(5)
     diffs = [d for cx in complexes for d in cx.differentials]
     assert len(diffs) == 9
     for d in diffs:
-        assert rank(d, rng=rng) == rank_exact(d)
+        assert rank(d) == d.cols - kernel_basis(d).dim
 
 
 def test_subspace_membership_and_coords():
@@ -429,6 +348,6 @@ def test_cohomology_representatives():
     # 0 -> Q^2 --(x,y)->x--> Q -> 0 : H^0 = ker = 1-dim, H^1 = coker = 0
     d = SparseMatrix(1, 2, {(0, 0): Fraction(1)})
     cx = CochainComplex(0, [2, 1], [d])
-    dims, reps = cx.cohomology(representatives=True)
+    dims, reps = cx.cohomology()
     assert dims == {0: 1, 1: 0}
     assert reps[0][0] == {1: Fraction(1)}

@@ -90,13 +90,6 @@ def test_algebra_spec_json_roundtrip(tmp_path):
     assert b.table == a.table and b.unit == a.unit and b.dim == a.dim
 
 
-def test_domain_heuristic():
-    rng = random.Random(0)
-    assert CommutativeAlgebraSpec.quadratic(2).probably_domain(rng)
-    dual = CommutativeAlgebraSpec(2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
-    assert not dual.probably_domain(random.Random(0), trials=512)
-
-
 # -- skew --------------------------------------------------------------------
 
 
