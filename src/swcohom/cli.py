@@ -104,16 +104,15 @@ def _pretty(doc, indent):
 
 
 def _label_str(label):
-    if hasattr(label, "images"):
-        return "s" + repr(tuple(label.images))
-    if isinstance(label, tuple) and len(label) == 2 and hasattr(label[1], "images"):
-        return "%r|s%r" % (label[0], tuple(label[1].images))
-    return repr(label)
+    """A permutation (a tuple of ints) prints as s(...), a (multi-index,
+    permutation) pair as a|s(...)."""
+    if all(isinstance(x, int) for x in label):
+        return "s%r" % (label,)
+    return "%r|s%r" % label
 
 
 def _vector_report(seq, w, vec):
-    el = seq.vec_to_element(w, vec)
-    return {_label_str(l): str(c) for l, c in el.coeffs.items()}
+    return {_label_str(l): str(c) for l, c in seq.vec_to_element(w, vec).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def cmd_gl(args):
         payload["vanishing_pattern_ok"] = van_ok
         ok = ok and van_ok
         if d == 2:
-            e5 = perm_action(e_element(5), 2)
+            e5 = perm_action(5, e_element(5), 2)
             payload["e5_acts_as_zero"] = e5.is_zero()
             ok = ok and payload["e5_acts_as_zero"]
     return payload, ok

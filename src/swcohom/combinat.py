@@ -2,8 +2,13 @@
 
 A composition of weight w (an ordered tuple of positive parts summing to w)
 is identified with a vertex of the (w-1)-cube through its cut vector: bit j
-is 1 exactly when j and j+1 lie in different parts.  All orderings are
-fixed so that downstream matrix layouts are reproducible run to run.
+is 1 exactly when j and j+1 lie in different parts.  A cube vertex is that
+cut vector itself, a plain tuple of 0/1 bits.  All orderings are fixed so
+that downstream matrix layouts are reproducible run to run.
+
+``Composition`` stays a small value class rather than a bare tuple: code
+outside the package reads ``comp.parts`` (``perfbench/traced.py`` keys its
+centralizer counts by it), and ``homology`` reads ``weight`` and ``length``.
 """
 
 from functools import lru_cache
@@ -54,44 +59,8 @@ class Composition:
         return "Composition%r" % (self.parts,)
 
 
-class CubeVertex:
-    """Binary cut vector of length w-1 for ambient weight w.
-
-    Immutable and compared and hashed by ``bits``.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0/1: %r" % (bits,))
-        _set_bits(self, bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.bits,))
-
-    def __repr__(self):
-        return "CubeVertex(bits=%r)" % (self.bits,)
-
-    @property
-    def weight(self):
-        return len(self.bits) + 1
-
-
-# slot setters that bypass the immutable ``__setattr__``
+# slot setter that bypasses the immutable ``__setattr__``
 _set_parts = Composition.parts.__set__
-_set_bits = CubeVertex.bits.__set__
 
 
 def to_binary(comp):
@@ -103,17 +72,19 @@ def to_binary(comp):
         pos += p
         if pos < comp.weight:
             bits.append(1)
-    return CubeVertex(tuple(bits))
+    return tuple(bits)
 
 
-def from_binary(vertex, weight=None):
-    """Inverse of :func:`to_binary`."""
-    if weight is not None and weight != vertex.weight:
+def from_binary(bits, weight=None):
+    """Inverse of :func:`to_binary`; ``bits`` has weight ``len(bits) + 1``."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0/1: %r" % (bits,))
+    if weight is not None and weight != len(bits) + 1:
         raise ValueError("weight %d does not match bit vector of weight %d"
-                         % (weight, vertex.weight))
+                         % (weight, len(bits) + 1))
     parts = []
     run = 1
-    for b in vertex.bits:
+    for b in bits:
         if b:
             parts.append(run)
             run = 1
@@ -133,7 +104,7 @@ def compositions(w):
         raise ValueError("weight must be >= 1 (the empty weight is the unit layer)")
     out = []
     for bits in product((0, 1), repeat=w - 1):
-        out.append(from_binary(CubeVertex(bits)))
+        out.append(from_binary(bits))
     return out
 
 
@@ -141,9 +112,7 @@ def union(lam, mu):
     """Coarsest composition refined by both arguments (bitwise AND of cuts)."""
     if lam.weight != mu.weight:
         raise ValueError("weights differ: %d vs %d" % (lam.weight, mu.weight))
-    xa = to_binary(lam).bits
-    xb = to_binary(mu).bits
-    return from_binary(CubeVertex(tuple(a & b for a, b in zip(xa, xb))))
+    return from_binary(tuple(a & b for a, b in zip(to_binary(lam), to_binary(mu))))
 
 
 def subdivision_sign(lam, j, split):

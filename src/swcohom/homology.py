@@ -20,7 +20,6 @@ from math import lcm
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions
 from .linalg import (
-    AlgebraElement,
     CochainComplex,
     QuotientSpace,
     SparseMatrix,
@@ -30,7 +29,7 @@ from .linalg import (
     rank,
     subspace_sum,
 )
-from .symgrp import Permutation, all_permutations, young_positions
+from .symgrp import all_permutations, young_positions
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,7 @@ class SnModule:
         for i in range(1, n):
             ent = {}
             for k, p in enumerate(basis):
-                q = Permutation(tuple(_lmul_t(p.images, i)))
-                ent[(index[q], k)] = 1
+                ent[(index[_lmul_t(p, i)], k)] = 1
             gens.append(SparseMatrix(len(basis), len(basis), ent))
         return cls(n, len(basis), gens, "regular")
 
@@ -126,7 +124,7 @@ def _lmul_t(img, i):
             lst[k] = i + 1
         elif v == i + 1:
             lst[k] = i
-    return lst
+    return tuple(lst)
 
 
 def _kron(a, b):
@@ -205,7 +203,7 @@ def commutant(seq, n, gens, space):
         for j, vec in enumerate(basis):
             acc = {}
             for k, c in vec.items():
-                for gl, gc in g.coeffs.items():
+                for gl, gc in g.items():
                     add_scaled(acc, seq._mul_basis_raw(n, gl, labels[k]), gc * c)
                     add_scaled(acc, seq._mul_basis_raw(n, labels[k], gl), -gc * c)
             for l, x in acc.items():
@@ -554,12 +552,12 @@ class ReducedComplexData:
         return dense
 
     def cup(self, m, n, u, v):
-        """Class of mu(u (x) v) in T_{m+n}; u, v are AlgebraElements."""
+        """Class of mu(u (x) v) in T_{m+n}; u, v are elements of A_m and A_n."""
         w = m + n
         if w > self.max_weight:
             raise ResourceLimitError("cup lands beyond weight %d" % self.max_weight)
         prod = self.seq.mu(m, n, u, v)
-        return self.class_of(w, self.seq.element_to_vec(prod))
+        return self.class_of(w, self.seq.element_to_vec(w, prod))
 
     def as_report(self):
         ws = range(1, self.max_weight + 1)
@@ -659,17 +657,17 @@ def first_cohomology_direct(seq):
     for j, vec in enumerate(z1.basis()):
         el = seq.vec_to_element(1, vec)
         basis_els.append(el)
-        s = seq.mu(1, 1, el, seq.one(1)) + seq.mu(1, 1, seq.one(1), el)
-        residue = z2.reduce(seq.element_to_vec(s))
+        s = add_scaled(seq.mu(1, 1, el, seq.one(1)), seq.mu(1, 1, seq.one(1), el))
+        residue = z2.reduce(seq.element_to_vec(2, s))
         for i, c in residue.items():
             cols[(i, j)] = c
     M = SparseMatrix(seq.dim(2), z1.dim, cols)
     ker = kernel_basis(M)
     out = []
     for coeffs in ker.basis():
-        el = AlgebraElement(1, {})
+        el = {}
         for j, c in coeffs.items():
-            el = el + basis_els[j].scale(c)
+            add_scaled(el, basis_els[j], c)
         out.append(el)
     return ker.dim, out
 

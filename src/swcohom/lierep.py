@@ -26,7 +26,7 @@ from math import comb, factorial
 from . import CrossCheckError, ResourceLimitError
 from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, kernel_basis
 from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_quotient
-from .symgrp import all_permutations, e_element
+from .symgrp import all_permutations, e_element, sign
 
 MAX_TENSOR_ENTRIES = 10 ** 7
 MAX_WEDGE_DIM = 5000     # largest exterior power whose ad-invariants are solved
@@ -146,10 +146,10 @@ def alt2_wheel_raw(m, d):
         pairs = [key[2 * k:2 * k + 2] for k in range(m)]
         if len(set(pairs)) == m:
             add_scaled(counts, {tuple(sorted(pairs)): _sort_sign(pairs)})
+    signed = [(p, sign(p)) for p in all_permutations(m)]
     N = {}
     for K, c in counts.items():
-        add_scaled(N, {tuple(x for i in p.images for x in K[i - 1]): p.sign()
-                       for p in all_permutations(m)}, c)
+        add_scaled(N, {tuple(x for i in p for x in K[i - 1]): s for p, s in signed}, c)
     return N, factorial(m)
 
 
@@ -174,23 +174,23 @@ def act_on_power(t, m, d):
 
 def perm_matrix(perm, d):
     """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
-    m = perm.n
+    m = len(perm)
     check_tensor_size(m, d)
     ent = {}
     for j in product(range(d), repeat=m):
         i = [0] * m
         for k in range(m):
-            i[perm.images[k] - 1] = j[k]
+            i[perm[k] - 1] = j[k]
         ent[(_flat_index(i, d), _flat_index(j, d))] = 1
     return SparseMatrix(d ** m, d ** m, ent)
 
 
-def perm_action(u, d):
-    """Linear extension of slot permutation to a group algebra element."""
+def perm_action(m, u, d):
+    """Linear extension of slot permutation to an element ``u`` of Q[S_m]."""
     ent = {}
-    for p, c in u.coeffs.items():
+    for p, c in u.items():
         add_scaled(ent, perm_matrix(p, d).entries, c)
-    return SparseMatrix(d ** u.level, d ** u.level, ent)
+    return SparseMatrix(d ** m, d ** m, ent)
 
 
 def ad_transform(X, T):
@@ -216,7 +216,7 @@ def verify_wheel_action(m, d):
     """
     N, den = alt2_wheel_raw(m, d)                    # x_m = N / m!
     left = act_on_power(N, m, d).entries             # act(x_m) * m!
-    e_act = perm_action(e_element(m), d).entries
+    e_act = perm_action(m, e_element(m), d).entries
     # act(x_m) = left/m!; target e_act/(m-1)!; equality iff left == m * e_act
     if left == add_scaled({}, e_act, m):
         return True, (Fraction(1, factorial(m - 1)) if left else None)

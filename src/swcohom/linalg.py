@@ -12,9 +12,10 @@ randomised: ``rank`` is one sparse elimination over Q with Markowitz-style
 pivots and no back-substitution, and echelon bases (kernels, images,
 subspace arithmetic) are kept in full RREF by ``Echelon``.
 
-The same sparse dicts carry algebra elements (``AlgebraElement``: basis
-label -> coefficient) and the structure constants of small algebras given by
-a multiplication table (``StructureConstantSpec``).
+The same sparse dicts carry algebra elements: an element of A_n is a plain
+{basis label: coefficient} dict with no stored zeros, its level n passed
+alongside it.  ``StructureConstantSpec`` holds the structure constants of
+small algebras given by a multiplication table.
 """
 
 import json
@@ -503,45 +504,7 @@ class CochainComplex:
 
 
 # ---------------------------------------------------------------------------
-# algebra elements and structure constants
-
-
-class AlgebraElement:
-    """Sparse element of one level of an algebra: {basis label: int or Fraction}, no zeros."""
-
-    __slots__ = ("level", "coeffs")
-
-    def __init__(self, level, coeffs=None):
-        self.level = level
-        self.coeffs = {}
-        if coeffs:
-            for l, c in coeffs.items():
-                if c:
-                    self.coeffs[l] = c
-
-    def items(self):
-        return self.coeffs.items()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scale(self, c):
-        return AlgebraElement(self.level, {l: c * v for l, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        if self.level != other.level:
-            raise ValueError("level mismatch")
-        return AlgebraElement(self.level, add_scaled(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.level == other.level and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return "AlgebraElement(level=%d, %d terms)" % (self.level, len(self.coeffs))
+# structure constants
 
 
 class StructureConstantSpec:

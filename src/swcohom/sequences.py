@@ -9,27 +9,32 @@ that are unital algebra maps and associative across levels.  Bundled here:
 * ``HeckeSequence``           - degree-truncated degenerate affine Hecke
   algebras with generators t_i, y_j and the relation y_i t_i - t_i y_{i+1} = 1.
 
-Elements of every level are ``linalg.AlgebraElement`` objects (re-exported
-here); the coefficient algebra of the skew sequence is a
-``linalg.StructureConstantSpec``.  Basis orders are fixed (permutations
-lexicographic; skew by (multi-index, permutation); Hecke
-graded-lexicographic), so every matrix downstream is reproducible bit for
-bit.
+An element of level n is a sparse dict {basis label: coefficient} with no
+stored zeros; its level is the explicit argument of every operation on it
+(``multiply(n, ...)``, ``mu(m, n, ...)``).  Labels are plain tuples: a
+permutation is its one-line tuple (``symgrp``), a skew label is (multi-index,
+permutation) and a Hecke label (exponents of y, permutation).  The
+coefficient algebra of the skew sequence is a ``linalg.StructureConstantSpec``.
+Basis orders are fixed (permutations lexicographic; skew by (multi-index,
+permutation); Hecke graded-lexicographic), so every matrix downstream is
+reproducible bit for bit.
 """
 
 from itertools import product
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
-from .linalg import AlgebraElement, SparseMatrix, StructureConstantSpec, add_scaled
+from .linalg import SparseMatrix, StructureConstantSpec, add_scaled
 from .symgrp import (
     SWEEP_CAP,
-    Permutation,
     all_permutations,
     block_sum,
     compose,
     conjugate_by_t,
+    identity,
+    inverse,
     signed_class_basis,
     signed_class_dim,
+    transposition,
     young_positions,
 )
 
@@ -130,29 +135,25 @@ class MultiplicativeSequence:
 
     def multiply(self, n, u, v):
         """Bilinear product in A_n; raises if a surviving term is unrepresentable."""
-        if u.level != n or v.level != n:
-            raise ValueError("operands not at level %d" % n)
         acc = {}
-        for la, ca in u.coeffs.items():
-            for lb, cb in v.coeffs.items():
+        for la, ca in u.items():
+            for lb, cb in v.items():
                 add_scaled(acc, self._mul_basis_raw(n, la, lb), ca * cb)
         for l in acc:
             if not self._label_ok(n, l):
                 raise TruncationOverflowError(
                     "%s: product leaves the representable window at %r"
                     % (self.seq_id, l))
-        return AlgebraElement(n, acc)
+        return acc
 
     def mu(self, m, n, u, v):
         """The pairing A_m (x) A_n -> A_{m+n} applied to a pure tensor."""
-        if u.level != m or v.level != n:
-            raise ValueError("operands not at levels (%d, %d)" % (m, n))
         self.check_level(m + n)
         acc = {}
-        for la, ca in u.coeffs.items():
-            for lb, cb in v.coeffs.items():
+        for la, ca in u.items():
+            for lb, cb in v.items():
                 add_scaled(acc, {self._mu_basis_label(m, n, la, lb): ca}, cb)
-        return AlgebraElement(m + n, acc)
+        return acc
 
     def unit_pairing(self, m, w, side):
         """The maps a -> mu(1_m (x) a) (``side`` "left") or a -> mu(a (x) 1_m)
@@ -166,7 +167,7 @@ class MultiplicativeSequence:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right', not %r" % (side,))
         idx = self.index_of(m + w)
-        unit = self.one(m).coeffs.items()
+        unit = self.one(m).items()
         out = []
         for lb in self.basis(w):
             col = {}
@@ -181,23 +182,23 @@ class MultiplicativeSequence:
         raise NotImplementedError
 
     # -- coordinates -------------------------------------------------------
-    def element_to_vec(self, u):
-        idx = self.index_of(u.level)
-        return {idx[l]: c for l, c in u.coeffs.items()}
+    def element_to_vec(self, n, u):
+        idx = self.index_of(n)
+        return {idx[l]: c for l, c in u.items()}
 
     def vec_to_element(self, n, vec):
         basis = self.basis(n)
-        return AlgebraElement(n, {basis[i]: c for i, c in vec.items() if c})
+        return {basis[i]: c for i, c in vec.items() if c}
 
     def basis_element(self, n, i):
-        return AlgebraElement(n, {self.basis(n)[i]: 1})
+        return {self.basis(n)[i]: 1}
 
     def left_mult_matrix(self, n, u):
         idx = self.index_of(n)
         ent = {}
         for j, label in enumerate(self.basis(n)):
             prod_el = self.multiply(n, u, self.basis_element(n, j))
-            for l, c in prod_el.coeffs.items():
+            for l, c in prod_el.items():
                 ent[(idx[l], j)] = c
         return SparseMatrix(self.dim(n), self.dim(n), ent)
 
@@ -206,7 +207,7 @@ class MultiplicativeSequence:
         ent = {}
         for j, label in enumerate(self.basis(n)):
             prod_el = self.multiply(n, self.basis_element(n, j), u)
-            for l, c in prod_el.coeffs.items():
+            for l, c in prod_el.items():
                 ent[(idx[l], j)] = c
         return SparseMatrix(self.dim(n), self.dim(n), ent)
 
@@ -229,7 +230,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return all_permutations(n, cap=self.level_cap)
 
     def one(self, n):
-        return AlgebraElement(n, {Permutation.identity(n): 1})
+        return {identity(n): 1}
 
     def _mul_basis_raw(self, n, la, lb):
         return {compose(la, lb): 1}
@@ -240,8 +241,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
     def subalgebra_generators(self, comp):
         n = comp.weight
         self.check_level(n)
-        return [AlgebraElement(n, {Permutation.transposition(n, i): 1})
-                for i in young_positions(comp)]
+        return [{transposition(n, i): 1} for i in young_positions(comp)]
 
     def conjugate_label(self, label, i):
         return conjugate_by_t(label, i)
@@ -264,8 +264,8 @@ class SymmetricGroupSequence(MultiplicativeSequence):
             return False
         for f in signed_class_basis(w + 1):
             for p in all_permutations(w):
-                shifted = (1,) + tuple(v + 1 for v in p.images)
-                extended = p.images + (w + 1,)
+                shifted = (1,) + tuple(v + 1 for v in p)
+                extended = p + (w + 1,)
                 if f.get(shifted, 0) + (-1) ** (w + 1) * f.get(extended, 0):
                     raise CrossCheckError(
                         "reduced differential does not vanish dually at weight %d" % w)
@@ -341,7 +341,7 @@ class SkewGroupSequence(MultiplicativeSequence):
 
     def one(self, n):
         acc = {}
-        pid = Permutation.identity(n)
+        pid = identity(n)
         for a in product(range(self.algebra.dim), repeat=n):
             c = 1
             for i in a:
@@ -350,11 +350,11 @@ class SkewGroupSequence(MultiplicativeSequence):
                     break
             if c:
                 acc[(a, pid)] = c
-        return AlgebraElement(n, acc)
+        return acc
 
     def _permute_tuple(self, p, a):
-        inv = p.inverse()
-        return tuple(a[inv.images[l] - 1] for l in range(len(a)))
+        inv = inverse(p)
+        return tuple(a[inv[l] - 1] for l in range(len(a)))
 
     def _mul_basis_raw(self, n, la, lb):
         (a, p), (b, q) = la, lb
@@ -377,17 +377,17 @@ class SkewGroupSequence(MultiplicativeSequence):
         n = comp.weight
         self.check_level(n)
         gens = []
-        pid = Permutation.identity(n)
+        pid = identity(n)
         unit_ix = self.algebra.unit_basis_index()
         for i in young_positions(comp):
-            gens.append(self._group_element(n, Permutation.transposition(n, i)))
+            gens.append(self._group_element(n, transposition(n, i)))
         for slot in range(n):
             for k in range(self.algebra.dim):
                 if unit_ix is not None and k == unit_ix:
                     continue
                 if unit_ix is not None:
                     a = tuple(k if l == slot else unit_ix for l in range(n))
-                    gens.append(AlgebraElement(n, {(a, pid): 1}))
+                    gens.append({(a, pid): 1})
                 else:
                     gens.append(self._slot_insertion(n, slot, k))
         return gens
@@ -399,13 +399,11 @@ class SkewGroupSequence(MultiplicativeSequence):
         return (a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:], conjugate_by_t(p, i))
 
     def _group_element(self, n, perm):
-        one = self.one(n)
-        return AlgebraElement(
-            n, {(a, compose(p, perm)): c for (a, p), c in one.coeffs.items()})
+        return {(a, compose(p, perm)): c for (a, p), c in self.one(n).items()}
 
     def _slot_insertion(self, n, slot, k):
         acc = {}
-        pid = Permutation.identity(n)
+        pid = identity(n)
         for a in product(range(self.algebra.dim), repeat=n):
             c = 1
             for l, i in enumerate(a):
@@ -417,7 +415,7 @@ class SkewGroupSequence(MultiplicativeSequence):
                     break
             if c:
                 acc[(a, pid)] = c
-        return AlgebraElement(n, acc)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +450,7 @@ class HeckeSequence(MultiplicativeSequence):
         return all(x <= self.trunc_degree for x in a)
 
     def one(self, n):
-        zero = tuple(0 for _ in range(n))
-        return AlgebraElement(n, {(zero, Permutation.identity(n)): 1})
+        return {((0,) * n, identity(n)): 1}
 
     # -- the d_i calculus --------------------------------------------------
     def partial(self, n, i, perm):
@@ -464,22 +461,22 @@ class HeckeSequence(MultiplicativeSequence):
         """
         if not (1 <= i <= n):
             raise ValueError("index %d out of range" % i)
-        key = (n, i, perm.images)
+        key = (n, i, perm)
         hit = self._partial_cache.get(key)
         if hit is not None:
             return hit
-        if perm.is_identity():
+        if perm == identity(n):
             out = {}
         else:
             j = self._left_descent(perm)
-            rest = compose(Permutation.transposition(n, j), perm)
+            tj = transposition(n, j)
+            rest = compose(tj, perm)
             # d_i(t_j rest) = d_i(t_j) rest + t_j d_{t_j(i)}(rest)
             out = {}
             base = self._partial_of_t(i, j)
             if base:
                 out[rest] = base
             ti = i + 1 if i == j else (i - 1 if i == j + 1 else i)
-            tj = Permutation.transposition(n, j)
             add_scaled(out, {compose(tj, q): c for q, c in self.partial(n, ti, rest).items()})
         self._partial_cache[key] = out
         return out
@@ -494,9 +491,9 @@ class HeckeSequence(MultiplicativeSequence):
 
     @staticmethod
     def _left_descent(perm):
-        inv = perm.inverse()
-        for j in range(1, perm.n):
-            if inv.images[j - 1] > inv.images[j]:
+        inv = inverse(perm)
+        for j in range(1, len(perm)):
+            if inv[j - 1] > inv[j]:
                 return j
         raise AssertionError("non-identity permutation has a left descent")
 
@@ -507,7 +504,7 @@ class HeckeSequence(MultiplicativeSequence):
         rewriting coefficient is +-1, so nothing divides.  Exponents in the
         output may exceed the truncation window.
         """
-        key = (n, perm.images, b)
+        key = (n, perm, b)
         hit = self._push_cache.get(key)
         if hit is not None:
             return hit
@@ -516,7 +513,7 @@ class HeckeSequence(MultiplicativeSequence):
         else:
             j = next(k for k, x in enumerate(b) if x) + 1
             b2 = tuple(x - 1 if k == j - 1 else x for k, x in enumerate(b))
-            sj = perm.images[j - 1]
+            sj = perm[j - 1]
             # raising the exponent of y_sj is injective on labels
             out = {(tuple(x + 1 if k == sj - 1 else x for k, x in enumerate(c)), rho): v
                    for (c, rho), v in self._push(n, perm, b2).items()}
@@ -538,28 +535,23 @@ class HeckeSequence(MultiplicativeSequence):
     def subalgebra_generators(self, comp):
         n = comp.weight
         self.check_level(n)
-        gens = []
-        zero = tuple(0 for _ in range(n))
-        for i in young_positions(comp):
-            gens.append(AlgebraElement(
-                n, {(zero, Permutation.transposition(n, i)): 1}))
+        zero = (0,) * n
+        gens = [{(zero, transposition(n, i)): 1} for i in young_positions(comp)]
         for i in range(n):
             e = tuple(1 if k == i else 0 for k in range(n))
-            gens.append(AlgebraElement(n, {(e, Permutation.identity(n)): 1}))
+            gens.append({(e, identity(n)): 1})
         return gens
 
     # -- word interface ----------------------------------------------------
     def generator(self, n, kind, i):
         """The generator t_i or y_i of level n as an element."""
-        zero = tuple(0 for _ in range(n))
         if kind == "t":
-            return AlgebraElement(
-                n, {(zero, Permutation.transposition(n, i)): 1})
+            return {((0,) * n, transposition(n, i)): 1}
         if kind == "y":
             if not (1 <= i <= n):
                 raise ValueError("y_%d undefined at level %d" % (i, n))
             e = tuple(1 if k == i - 1 else 0 for k in range(n))
-            return AlgebraElement(n, {(e, Permutation.identity(n)): 1})
+            return {(e, identity(n)): 1}
         raise ValueError("unknown generator kind %r" % kind)
 
     def normal_form(self, word, n):

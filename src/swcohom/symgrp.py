@@ -11,158 +11,81 @@ Sign-twisted class functions (f(s p s^-1) = sign(s) f(p)) live on
 conjugacy classes whose centraliser contains no odd permutation; the basis
 is produced by a breadth-first sweep of each class that tracks signs and
 aborts on inconsistency, so a wrong conjugation convention cannot silently
-flip values.  Elements of Q[S_n] (such as ``e_element``) are
-``linalg.AlgebraElement`` objects keyed by ``Permutation``, i.e. elements of
-``sequences.SymmetricGroupSequence`` at level n.
+flip values.
+
+A permutation is its one-line tuple of images, and every function here
+takes and returns such tuples.  An element of Q[S_n] (such as
+``e_element``) is a sparse dict {one-line tuple: coefficient} with no stored
+zeros, i.e. an element of ``sequences.SymmetricGroupSequence`` at level n.
 """
 
 from functools import lru_cache
 from itertools import permutations as _it_permutations
 
 from . import CrossCheckError, ResourceLimitError
-from .linalg import AlgebraElement
 
 ENUMERATION_CAP = 8      # largest n for which S_n is materialised element by element
 SWEEP_CAP = 9            # largest n whose conjugacy classes are swept sign by sign
 COUNTING_CAP = 14        # class-based dimension counts avoid enumeration up to here
 
 
-class Permutation:
-    """Permutation of {1..n} in one-line notation; immutable, hashed by value.
-
-    The public constructor validates its images.  Code here that derives a
-    permutation from valid ones (``compose``, ``inverse``, ``conjugate_by_t``,
-    ``block_sum``) uses ``_trusted``, which skips that check.
-    """
-
-    __slots__ = ("images", "_hash")
-
-    def __init__(self, images):
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (n, images))
-        _set_images(self, images)
-        _set_hash(self, hash((images,)))
-
-    @classmethod
-    def _trusted(cls, images):
-        """A permutation whose ``images`` are known to be a permutation of 1..n."""
-        p = _new(cls)
-        _set_images(p, images)
-        _set_hash(p, hash((images,)))
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "Permutation(images=%r)" % (self.images,)
-
-    @property
-    def n(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n, i):
-        """The adjacent transposition t_i = (i, i+1) inside S_n."""
-        if not (1 <= i <= n - 1):
-            raise ValueError("t_%d undefined in S_%d" % (i, n))
-        img = list(range(1, n + 1))
-        img[i - 1], img[i] = img[i], img[i - 1]
-        return cls(tuple(img))
-
-    def is_identity(self):
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def inverse(self):
-        img = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            img[v - 1] = i
-        return Permutation._trusted(tuple(img))
-
-    def sign(self):
-        seen = [False] * self.n
-        sgn = 1
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
-
-    def cycle_type(self):
-        """Cycle lengths in decreasing order (a partition of n)."""
-        seen = [False] * self.n
-        lengths = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-    def inversions(self):
-        img = self.images
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n)
-                   if img[i] > img[j])
+def identity(n):
+    return tuple(range(1, n + 1))
 
 
-_new = object.__new__
-# slot setters that bypass the immutable ``__setattr__``
-_set_images = Permutation.images.__set__
-_set_hash = Permutation._hash.__set__
+def transposition(n, i):
+    """The adjacent transposition t_i = (i, i+1) inside S_n."""
+    if not (1 <= i <= n - 1):
+        raise ValueError("t_%d undefined in S_%d" % (i, n))
+    img = list(range(1, n + 1))
+    img[i - 1], img[i] = img[i], img[i - 1]
+    return tuple(img)
 
 
 def compose(p, q):
     """(p.q)(i) = p(q(i))."""
-    if p.n != q.n:
+    if len(p) != len(q):
         raise ValueError("size mismatch")
-    pim = p.images
-    return Permutation._trusted(tuple([pim[j - 1] for j in q.images]))
+    return tuple([p[j - 1] for j in q])
+
+
+def inverse(p):
+    img = [0] * len(p)
+    for i, v in enumerate(p, start=1):
+        img[v - 1] = i
+    return tuple(img)
+
+
+def sign(p):
+    seen = [False] * len(p)
+    sgn = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j] - 1
+            length += 1
+        if length % 2 == 0:
+            sgn = -sgn
+    return sgn
 
 
 def conjugate(p, s):
     """s p s^-1."""
-    if p.n != s.n:
+    if len(p) != len(s):
         raise ValueError("size mismatch")
-    img = [0] * p.n
-    for i in range(1, p.n + 1):
-        img[s.images[i - 1] - 1] = s.images[p.images[i - 1] - 1]
-    return Permutation(tuple(img))
+    img = [0] * len(p)
+    for i in range(len(p)):
+        img[s[i] - 1] = s[p[i] - 1]
+    return tuple(img)
 
 
-def conjugate_tuple_by_t(img, i):
-    """t_i p t_i on a one-line tuple: swap positions i, i+1, then values i, i+1."""
-    lst = list(img)
+def conjugate_by_t(p, i):
+    """t_i p t_i: swap positions i, i+1, then values i, i+1."""
+    lst = list(p)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     a = lst.index(i)
     b = lst.index(i + 1)
@@ -170,15 +93,11 @@ def conjugate_tuple_by_t(img, i):
     return tuple(lst)
 
 
-def conjugate_by_t(p, i):
-    return Permutation._trusted(conjugate_tuple_by_t(p.images, i))
-
-
 def block_sum(p, q):
     """p on the points 1..m and q moved onto m+1..m+n: the image of p (x) q
     under block placement S_m x S_n -> S_{m+n}."""
-    m = len(p.images)
-    return Permutation._trusted(p.images + tuple([v + m for v in q.images]))
+    m = len(p)
+    return p + tuple([v + m for v in q])
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +105,7 @@ def all_permutations(n, cap=ENUMERATION_CAP):
     """All of S_n in lexicographic one-line order."""
     if n > cap:
         raise ResourceLimitError("refusing to enumerate S_%d (cap %d)" % (n, cap))
-    return tuple(Permutation(p) for p in _it_permutations(range(1, n + 1)))
+    return tuple(_it_permutations(range(1, n + 1)))
 
 
 def young_positions(comp):
@@ -224,16 +143,17 @@ def class_representative(n, ctype):
         for k in range(length):
             img[pos - 1 + k] = pos + (k + 1) % length
         pos += length
-    return Permutation(tuple(img))
+    return tuple(img)
 
 
-def signed_orbit_tuples(n, rep):
+def signed_orbit_tuples(rep):
     """BFS over the conjugacy class of ``rep`` by the t_i, tracking signs.
 
     Returns {one-line tuple: +-1} with value sign(s) on s rep s^-1, or None
     when no consistent assignment exists (the class centraliser contains an
     odd permutation).
     """
+    n = len(rep)
     values = {rep: 1}
     frontier = [rep]
     while frontier:
@@ -241,7 +161,7 @@ def signed_orbit_tuples(n, rep):
         for p in frontier:
             v = values[p]
             for i in range(1, n):
-                q = conjugate_tuple_by_t(p, i)
+                q = conjugate_by_t(p, i)
                 w = values.get(q)
                 if w is None:
                     values[q] = -v
@@ -250,14 +170,6 @@ def signed_orbit_tuples(n, rep):
                     return None
         frontier = nxt
     return values
-
-
-def signed_orbit(rep):
-    """Permutation-keyed variant of :func:`signed_orbit_tuples`."""
-    values = signed_orbit_tuples(rep.n, rep.images)
-    if values is None:
-        return None
-    return {Permutation(t): v for t, v in values.items()}
 
 
 def has_distinct_odd_type(ctype):
@@ -275,7 +187,7 @@ def signed_class_dim(n):
         return 1
     if n <= SWEEP_CAP:
         return sum(1 for ct in partitions(n)
-                   if signed_orbit_tuples(n, class_representative(n, ct).images) is not None)
+                   if signed_orbit_tuples(class_representative(n, ct)) is not None)
     if n <= COUNTING_CAP:
         return sum(1 for ct in partitions(n) if has_distinct_odd_type(ct))
     raise ResourceLimitError("signed_class_dim capped at n=%d" % COUNTING_CAP)
@@ -291,7 +203,7 @@ def signed_class_basis(n):
     for ct in partitions(n):
         if not has_distinct_odd_type(ct):
             continue
-        orbit = signed_orbit_tuples(n, class_representative(n, ct).images)
+        orbit = signed_orbit_tuples(class_representative(n, ct))
         if orbit is None:
             raise CrossCheckError("distinct-odd class %r failed the sign sweep" % (ct,))
         out.append(orbit)
@@ -300,9 +212,9 @@ def signed_class_basis(n):
 
 def long_cycle(m):
     """t_1 t_2 ... t_{m-1} = (1, 2, ..., m)."""
-    p = Permutation.identity(m)
+    p = identity(m)
     for i in range(1, m):
-        p = compose(p, Permutation.transposition(m, i))
+        p = compose(p, transposition(m, i))
     return p
 
 
@@ -315,4 +227,4 @@ def e_element(m):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return AlgebraElement(m, signed_orbit(long_cycle(m)))
+    return signed_orbit_tuples(long_cycle(m)) or {}

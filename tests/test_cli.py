@@ -74,7 +74,7 @@ def test_representatives_emitted():
     assert code == 0
     reps = doc["report"]["representatives"]
     assert reps["1"] == [{"s(1,)": "1"}]
-    assert len(reps["3"]) == 1
+    assert reps["3"] == [{"s(3, 1, 2)": "1"}]
 
 
 def test_representatives_other_label_kinds():
@@ -82,11 +82,13 @@ def test_representatives_other_label_kinds():
                          "--trunc-degree", "1", "--weight-max", "1",
                          "--representatives")
     assert code == 0
-    assert len(doc["report"]["representatives"]["1"]) == 2
+    assert doc["report"]["representatives"]["1"] == [{"(0,)|s(1,)": "1"},
+                                                      {"(1,)|s(1,)": "1"}]
     code, doc = run_json("cohomology", "--sequence", "skew",
-                         "--weight-max", "1", "--representatives")
+                         "--weight-max", "2", "--representatives")
     assert code == 0
     assert len(doc["report"]["representatives"]["1"]) == 2
+    assert doc["report"]["representatives"]["2"] == [{"(1, 0)|s(1, 2)": "1"}]
 
 
 def test_gl_report():

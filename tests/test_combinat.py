@@ -5,7 +5,6 @@ import pytest
 
 from swcohom.combinat import (
     Composition,
-    CubeVertex,
     compositions,
     distinct_odd_partition_series,
     from_binary,
@@ -34,16 +33,17 @@ def test_weight_zero_rejected():
 
 
 def test_binary_correspondence_examples():
-    assert to_binary(Composition((2, 1))).bits == (0, 1)
-    assert to_binary(Composition((1, 1, 1))).bits == (1, 1)
-    assert to_binary(Composition((3,))).bits == (0, 0)
+    assert to_binary(Composition((2, 1))) == (0, 1)
+    assert to_binary(Composition((1, 1, 1))) == (1, 1)
+    assert to_binary(Composition((3,))) == (0, 0)
+    with pytest.raises(ValueError):
+        from_binary((0, 2))
 
 
 def test_binary_roundtrip_exhaustive():
     for w in range(1, 11):
         for bits in product((0, 1), repeat=w - 1):
-            v = CubeVertex(bits)
-            assert to_binary(from_binary(v)).bits == bits
+            assert to_binary(from_binary(bits)) == bits
         for c in compositions(min(w, 8)):
             assert from_binary(to_binary(c)).parts == c.parts
 

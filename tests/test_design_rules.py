@@ -20,10 +20,12 @@
 * nothing is randomised: no module imports ``random`` and no function has
   a ``backend`` parameter, so every rank is the one exact elimination.
   ``homology.random_module`` only draws from a generator its caller passes.
-* the value classes ``Permutation``, ``Composition`` and ``CubeVertex`` are
-  hand-written ``__slots__`` classes: immutable, compared and hashed by
-  value.  Only code that derives a permutation from valid ones skips the
-  public constructor's validation.
+* labels and elements are plain data: a permutation is its one-line tuple,
+  a cube vertex its tuple of bits, every basis label of a bundled sequence
+  is built from ``tuple`` and ``int`` alone, and an algebra element is a
+  plain ``dict`` {label: coefficient}.  The one value class left,
+  ``Composition``, is a hand-written ``__slots__`` class: immutable,
+  compared and hashed by value.
 """
 
 import ast
@@ -32,14 +34,12 @@ from pathlib import Path
 
 import pytest
 
-from swcohom.combinat import Composition, CubeVertex
-from swcohom.sequences import MultiplicativeSequence
-from swcohom.symgrp import (
-    Permutation,
-    all_permutations,
-    block_sum,
-    compose,
-    conjugate_by_t,
+from swcohom.combinat import Composition, compositions
+from swcohom.sequences import (
+    HeckeSequence,
+    MultiplicativeSequence,
+    SkewGroupSequence,
+    SymmetricGroupSequence,
 )
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "swcohom").glob("*.py"))
@@ -154,18 +154,34 @@ def test_no_random_import_and_no_backend_parameter(path):
     assert not hits, hits
 
 
+# -- plain data: labels of tuples and ints, elements as dicts -------------------
+
+
+def _is_plain(label):
+    return type(label) is int or (type(label) is tuple and all(_is_plain(x) for x in label))
+
+
+@pytest.mark.parametrize("seq", [SymmetricGroupSequence(), SkewGroupSequence(),
+                                 HeckeSequence()], ids=lambda s: s.seq_id)
+def test_labels_are_tuples_of_ints_and_elements_are_dicts(seq):
+    for n in range(1, 4):
+        elements = [seq.one(n)] + [g for comp in compositions(n)
+                                   for g in seq.subalgebra_generators(comp)]
+        assert all(type(el) is dict for el in elements)
+        labels = list(seq.basis(n)) + [label for el in elements for label in el]
+        bad = [label for label in labels if not _is_plain(label)]
+        assert not bad, (n, bad[:3])
+
+
 # -- value classes: slotted, immutable, compared and hashed by value -----------
 
 
 VALUES = [
-    (lambda: Permutation((2, 3, 1)), "images", "Permutation(images=(2, 3, 1))"),
     (lambda: Composition((2, 1)), "parts", "Composition(2, 1)"),
-    (lambda: CubeVertex((0, 1)), "bits", "CubeVertex(bits=(0, 1))"),
 ]
 
 
-@pytest.mark.parametrize("make, field, text", VALUES,
-                         ids=["Permutation", "Composition", "CubeVertex"])
+@pytest.mark.parametrize("make, field, text", VALUES, ids=["Composition"])
 def test_value_classes_are_immutable_slotted_values(make, field, text):
     value, same = make(), make()
     assert not hasattr(value, "__dict__")
@@ -181,24 +197,3 @@ def test_value_classes_are_immutable_slotted_values(make, field, text):
     assert value != key and len({value, same}) == 1
     assert repr(value) == text
 
-
-def _is_valid(p):
-    return sorted(p.images) == list(range(1, p.n + 1))
-
-
-def test_unchecked_permutations_are_permutations():
-    for n in range(1, 6):
-        group = all_permutations(n)
-        for p in group:
-            assert _is_valid(p.inverse()) and compose(p, p.inverse()) == Permutation.identity(n)
-            for i in range(1, n):
-                assert _is_valid(conjugate_by_t(p, i))
-            for q in group:
-                assert _is_valid(compose(p, q))
-                assert _is_valid(block_sum(p, q))
-
-
-def test_public_permutation_constructor_validates():
-    for images in [(1, 1), (0, 1), (2, 3), (1, 3)]:
-        with pytest.raises(ValueError):
-            Permutation(images)

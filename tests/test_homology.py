@@ -27,7 +27,7 @@ from swcohom.sequences import (
     SkewGroupSequence,
     SymmetricGroupSequence,
 )
-from swcohom.symgrp import Permutation, e_element, young_positions
+from swcohom.symgrp import e_element, identity, young_positions
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ def test_skew_centralizer_against_dense_oracle(skew):
 def test_skew_centralizer_contains_symmetric_powers(skew):
     # S^2(A) inside the centre: 1(x)1, x(x)1 + 1(x)x, x(x)x all commute
     c2 = centralizer(skew, Composition((2,)))
-    pid = Permutation.identity(2)
+    pid = identity(2)
     idx = skew.index_of(2)
     sym_vectors = [
         {idx[((0, 0), pid)]: Fraction(1)},

@@ -55,7 +55,7 @@ def one_plus_t1_matrix():
     """Left multiplication by 1 + t_1 on Q[S_3], dense."""
     seq = SymmetricGroupSequence()
     t1 = seq.subalgebra_generators(Composition((2, 1)))[0]
-    u = seq.one(3) + t1
+    u = add_scaled(seq.one(3), t1)
     return seq.left_mult_matrix(3, u)
 
 

@@ -9,13 +9,12 @@ from swcohom import ResourceLimitError, TruncationOverflowError
 from swcohom.combinat import Composition
 from swcohom.linalg import add_scaled
 from swcohom.sequences import (
-    AlgebraElement,
     CommutativeAlgebraSpec,
     HeckeSequence,
     SkewGroupSequence,
     SymmetricGroupSequence,
 )
-from swcohom.symgrp import Permutation, all_permutations, compose
+from swcohom.symgrp import all_permutations, compose, identity, inverse, transposition
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,11 @@ def hecke():
 
 
 def basis_el(seq, n, label):
-    return AlgebraElement(n, {label: 1})
+    return {label: 1}
+
+
+def inversions(p):
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
 
 # -- symmetric ---------------------------------------------------------------
@@ -46,15 +49,15 @@ def test_symmetric_group_multiplication(sym):
 
 
 def test_symmetric_mu_shift(sym):
-    t1_at_2 = basis_el(sym, 2, Permutation.transposition(2, 1))
+    t1_at_2 = basis_el(sym, 2, transposition(2, 1))
     out = sym.mu(1, 2, sym.one(1), t1_at_2)
-    assert out == basis_el(sym, 3, Permutation.transposition(3, 2))
+    assert out == basis_el(sym, 3, transposition(3, 2))
     # unitality
     assert sym.mu(2, 2, sym.one(2), sym.one(2)) == sym.one(4)
 
 
 def test_symmetric_young_generators(sym):
-    assert [sorted(g.coeffs)[0].images for g in
+    assert [sorted(g)[0] for g in
             sym.subalgebra_generators(Composition((2, 1)))] == [(2, 1, 3)]
     assert sym.subalgebra_generators(Composition((1, 1, 1))) == []
 
@@ -94,20 +97,20 @@ def test_algebra_spec_json_roundtrip(tmp_path):
 
 
 def test_skew_level_one_square(skew):
-    x = basis_el(skew, 1, ((1,), Permutation.identity(1)))
+    x = basis_el(skew, 1, ((1,), identity(1)))
     sq = skew.multiply(1, x, x)
-    assert sq == skew.one(1).scale(2)
+    assert sq == add_scaled({}, skew.one(1), 2)
 
 
 def test_skew_mu_placement(skew):
-    x = basis_el(skew, 1, ((1,), Permutation.identity(1)))
+    x = basis_el(skew, 1, ((1,), identity(1)))
     out = skew.mu(1, 1, x, x)
-    assert out == basis_el(skew, 2, ((1, 1), Permutation.identity(2)))
+    assert out == basis_el(skew, 2, ((1, 1), identity(2)))
 
 
 def test_skew_subalgebra_restrictions(skew):
     # A-part is commutative
-    pid = Permutation.identity(2)
+    pid = identity(2)
     labels = [(a, pid) for a in product(range(2), repeat=2)]
     for la in labels:
         for lb in labels:
@@ -123,12 +126,11 @@ def test_skew_subalgebra_restrictions(skew):
 
 def test_skew_generators(skew):
     gens = skew.subalgebra_generators(Composition((1, 1)))
-    labels = sorted(next(iter(g.coeffs)) for g in gens)
-    assert labels == [((0, 1), Permutation.identity(2)),
-                      ((1, 0), Permutation.identity(2))]
+    labels = sorted(next(iter(g)) for g in gens)
+    assert labels == [((0, 1), identity(2)), ((1, 0), identity(2))]
     gens21 = skew.subalgebra_generators(Composition((2, 1)))
-    perms = {next(iter(g.coeffs))[1] for g in gens21}
-    assert Permutation.transposition(3, 1) in perms
+    perms = {next(iter(g))[1] for g in gens21}
+    assert transposition(3, 1) in perms
 
 
 # -- Hecke ---------------------------------------------------------------------
@@ -140,20 +142,20 @@ def test_hecke_defining_relation(hecke):
     y2 = hecke.generator(2, "y", 2)
     # y1 t1 is already in normal form y^(1,0) t
     lhs = hecke.multiply(2, y1, t1)
-    assert lhs == basis_el(hecke, 2, ((1, 0), Permutation.transposition(2, 1)))
+    assert lhs == basis_el(hecke, 2, ((1, 0), transposition(2, 1)))
     # t1 y2 = y1 t1 - 1
     rhs = hecke.multiply(2, t1, y2)
-    assert rhs == lhs - hecke.one(2)
+    assert rhs == add_scaled(dict(lhs), hecke.one(2), -1)
     # so y1 t1 - t1 y2 = 1
-    assert lhs - rhs == hecke.one(2)
+    assert add_scaled(dict(lhs), rhs, -1) == hecke.one(2)
 
 
 def test_hecke_partial_base_cases(hecke):
-    t1 = Permutation.transposition(3, 1)
-    t2 = Permutation.transposition(3, 2)
-    one = {Permutation.identity(3): Fraction(1)}
+    t1 = transposition(3, 1)
+    t2 = transposition(3, 2)
+    one = {identity(3): Fraction(1)}
     assert hecke.partial(3, 1, t1) == one
-    assert hecke.partial(3, 2, t1) == {Permutation.identity(3): Fraction(-1)}
+    assert hecke.partial(3, 2, t1) == {identity(3): Fraction(-1)}
     assert hecke.partial(3, 3, t1) == {}
     assert hecke.partial(3, 1, t2) == {}
 
@@ -161,7 +163,7 @@ def test_hecke_partial_base_cases(hecke):
 def test_hecke_twisted_leibniz_exhaustive(hecke):
     n = 3
     for s in all_permutations(n):
-        si = s.inverse()
+        si = inverse(s)
         for u in all_permutations(n):
             su = compose(s, u)
             for i in range(1, n + 1):
@@ -170,7 +172,7 @@ def test_hecke_twisted_leibniz_exhaustive(hecke):
                 for q, c in hecke.partial(n, i, s).items():
                     r = compose(q, u)
                     rhs[r] = rhs.get(r, 0) + c
-                for q, c in hecke.partial(n, si.images[i - 1], u).items():
+                for q, c in hecke.partial(n, si[i - 1], u).items():
                     r = compose(s, q)
                     rhs[r] = rhs.get(r, 0) + c
                 rhs = {k: v for k, v in rhs.items() if v}
@@ -180,18 +182,18 @@ def test_hecke_twisted_leibniz_exhaustive(hecke):
 def test_hecke_length_decrease_exhaustive():
     hk = HeckeSequence(trunc_degree=1, level_cap=4)
     for s in all_permutations(4):
-        if s.is_identity():
+        if s == identity(4):
             continue
         for i in range(1, 5):
             d = hk.partial(4, i, s)
             if d:
-                assert max(q.inversions() for q in d) < s.inversions()
+                assert max(inversions(q) for q in d) < inversions(s)
 
 
 def test_hecke_mu_shift(hecke):
-    t1_at_2 = basis_el(hecke, 2, ((0, 0), Permutation.transposition(2, 1)))
+    t1_at_2 = basis_el(hecke, 2, ((0, 0), transposition(2, 1)))
     out = hecke.mu(1, 2, hecke.one(1), t1_at_2)
-    assert out == basis_el(hecke, 3, ((0, 0, 0), Permutation.transposition(3, 2)))
+    assert out == basis_el(hecke, 3, ((0, 0, 0), transposition(3, 2)))
     y1_at_1 = hecke.generator(1, "y", 1)
     out = hecke.mu(1, 1, hecke.one(1), y1_at_1)
     assert out == hecke.generator(2, "y", 2)
@@ -206,9 +208,9 @@ def test_hecke_truncation_overflow(hecke):
 
 def test_hecke_normal_form_words(hecke):
     el = hecke.normal_form([("y", 1), ("t", 1)], 2)
-    assert el == basis_el(hecke, 2, ((1, 0), Permutation.transposition(2, 1)))
+    assert el == basis_el(hecke, 2, ((1, 0), transposition(2, 1)))
     el = hecke.normal_form([("t", 1), ("y", 2)], 2)
-    assert el == basis_el(hecke, 2, ((1, 0), Permutation.transposition(2, 1))) - hecke.one(2)
+    assert el == add_scaled(basis_el(hecke, 2, ((1, 0), transposition(2, 1))), hecke.one(2), -1)
     assert hecke.normal_form([], 2) == hecke.one(2)
 
 
@@ -320,11 +322,11 @@ def _poly_apply_label(label, f):
     # first the permutation part (t_i factors from a reduced word), then y^a
     word = []
     p = perm
-    while not p.is_identity():
-        inv = p.inverse()
-        j = next(j for j in range(1, p.n) if inv.images[j - 1] > inv.images[j])
+    while p != identity(len(p)):
+        inv = inverse(p)
+        j = next(j for j in range(1, len(p)) if inv[j - 1] > inv[j])
         word.append(j)
-        p = compose(Permutation.transposition(p.n, j), p)
+        p = compose(transposition(len(p), j), p)
     for j in reversed(word):
         f = _t_op(f, j)
     for i, e in enumerate(a, start=1):
@@ -346,7 +348,7 @@ def _t_op(f, i):
 
 def _apply_element(el, f):
     out = {}
-    for label, c in el.coeffs.items():
+    for label, c in el.items():
         for mono, v in _poly_apply_label(label, f).items():
             s = out.get(mono, 0) + c * v
             if s:
@@ -438,11 +440,11 @@ def test_unit_pairing_maps_equal_mu(seq, top):
                                 for j in rng.sample(range(seq.dim(w)), min(4, seq.dim(w)))})
             for vec in vectors:
                 el = seq.vec_to_element(w, vec)
-                expected = {"left": seq.element_to_vec(seq.mu(m, w, one, el)),
-                            "right": seq.element_to_vec(seq.mu(w, m, el, one))}
+                expected = {"left": seq.element_to_vec(m + w, seq.mu(m, w, one, el)),
+                            "right": seq.element_to_vec(m + w, seq.mu(w, m, el, one))}
                 for side, index_map in maps.items():
                     image = {}
                     for j, c in vec.items():
                         add_scaled(image, index_map[j], c)
                     assert image == expected[side], (w, m, side, vec)
-    assert len(_skew_over_shifted_basis().one(2).coeffs) == 4
+    assert len(_skew_over_shifted_basis().one(2)) == 4
