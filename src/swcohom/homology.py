@@ -25,6 +25,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     add_scaled,
+    divided,
     kernel_basis,
     rank,
     subspace_sum,
@@ -197,7 +198,7 @@ def commutant(seq, n, gens, space):
     if not gens:
         return space
     labels = seq.basis(n)
-    basis = space.basis()
+    basis = [row for row, _ in space.integral_rows()]
     rows = {}
     for gi, g in enumerate(gens):
         for j, vec in enumerate(basis):
@@ -209,8 +210,10 @@ def commutant(seq, n, gens, space):
             for l, x in acc.items():
                 rows.setdefault((gi, l), {})[j] = x
     ker = kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), len(basis)))
-    # kernel vectors are coordinates in space's basis; take them back to A_n
-    combos = SparseMatrix.from_row_dicts(ker.basis(), len(basis)).matmul(
+    # kernel vectors are coordinates in space's integral rows; take them back
+    # to A_n (integral kernel rows span the same combinations)
+    combos = SparseMatrix.from_row_dicts([row for row, _ in ker.integral_rows()],
+                                         len(basis)).matmul(
         SparseMatrix.from_row_dicts(basis, space.ambient_dim))
     return Subspace.from_vectors(combos.row_dicts(), space.ambient_dim)
 
@@ -250,7 +253,7 @@ def _average(space, perms):
                                      space.ambient_dim)
     orbit_of = {k: orbit for orbit in orbits for k in orbit}
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
-    for vec in space.basis():
+    for vec, _ in space.integral_rows():
         sums = {}   # orbit representative -> coefficient sum over the orbit
         for k, c in vec.items():
             r = orbit_of[k][0]
@@ -374,9 +377,9 @@ def cubic_complex(diagram):
             col0 = offsets[comp.parts]
             faces = [(sign, diagram.space(refined), offsets[refined.parts])
                      for sign, refined in subdivisions(comp)]
-            for local, vec in enumerate(diagram.space(comp).basis()):
+            for local, (vec, d) in enumerate(diagram.space(comp).integral_rows()):
                 for sign, space, row0 in faces:
-                    _add_block(ent, space, row0, col0 + local, vec, sign)
+                    _add_block(ent, space, row0, col0 + local, vec, d, sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 
@@ -459,13 +462,13 @@ def deformation_complex_truncated(seq, max_weight):
             raised = [(pairings[(m, w, "left")], spaces[(m,) + parts], offsets[(m,) + parts],
                        pairings[(m, w, "right")], spaces[parts + (m,)], offsets[parts + (m,)])
                       for m in range(1, W - w + 1)]
-            for local, vec in enumerate(spaces[parts].basis()):
+            for local, (vec, d) in enumerate(spaces[parts].integral_rows()):
                 col = col0 + local
                 for sign, space, row0 in faces:
-                    _add_block(ent, space, row0, col, vec, sign)
+                    _add_block(ent, space, row0, col, vec, d, sign)
                 for lmap, lspace, lrow0, rmap, rspace, rrow0 in raised:
-                    _add_block(ent, lspace, lrow0, col, _apply(lmap, vec), 1)
-                    _add_block(ent, rspace, rrow0, col, _apply(rmap, vec), right_sign)
+                    _add_block(ent, lspace, lrow0, col, _apply(lmap, vec), d, 1)
+                    _add_block(ent, rspace, rrow0, col, _apply(rmap, vec), d, right_sign)
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 
@@ -479,10 +482,16 @@ def _apply(index_map, vec):
     return out
 
 
-def _add_block(ent, target_space, row0, col, vec, sign):
-    """Add ``sign`` times the coordinates of ``vec`` in ``target_space`` to
-    column ``col`` of ``ent``, starting at row ``row0``; zero sums are dropped."""
+def _add_block(ent, target_space, row0, col, vec, d, sign):
+    """Add ``sign`` times the coordinates of ``vec`` / d in ``target_space`` to
+    column ``col`` of ``ent``, starting at row ``row0``; zero sums are dropped.
+
+    ``vec`` is the image of an integral source row and d that row's pivot
+    value (``Subspace.integral_rows``), so the column is the image of the
+    source's RREF basis row, in the target's RREF basis."""
     coords = target_space.coords_of(vec)
+    if d != 1:
+        coords = divided(coords, d)
     add_scaled(ent, {(row0 + r, col): c for r, c in coords.items()}, sign)
 
 
@@ -636,8 +645,8 @@ def _reduced_differential_matrix(seq, data, w):
     # subspace one weight up; assert that, once per sequence and weight
     checked = seq.coset_checked_weights
     if w not in checked:
-        for uvec in src.U.basis():
-            if tgt.U.reduce(_reduced_delta(left, right, w, uvec)):
+        for uvec, _ in src.U.integral_rows():
+            if not tgt.U.contains(_reduced_delta(left, right, w, uvec)):
                 raise CrossCheckError(
                     "reduced differential not well-defined on cosets at weight %d" % w)
         checked.add(w)

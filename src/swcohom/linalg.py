@@ -1,8 +1,19 @@
-"""Exact sparse linear algebra over Q.
+"""Exact sparse linear algebra over Q, fraction-free inside.
 
-A coefficient is an ``int``, or a ``Fraction`` only where something divides
-(``Echelon.insert`` or ``rank`` at a pivot other than +-1) or parses
-(``StructureConstantSpec.from_json``), so integral data stay ``int``.
+A coefficient is an ``int``, or a ``Fraction`` only where a caller gets a
+rational number back.  ``Echelon`` stores each row as a primitive integer
+dict whose positive pivot value d stands for the RREF row ``row / d``, and
+``rank`` eliminates on integer rows: at a pivot other than +-1 a row is
+updated as ``d*row - a*pivot_row`` and its content divided out, so no
+``Fraction`` arises inside either.  One is built only at the boundary, and
+only where d does not divide: in the RREF rows of ``Subspace.basis``, in the
+exact residue of ``Subspace.reduce``, and where ``divided`` takes the
+coordinates of an integral row's image back to an RREF basis (the
+differential assembly of ``homology``).  Rational inputs to ``insert`` and
+``rank`` are cleared to integers on entry through their ``denominator``; a
+residue or a zero test takes them as they come.
+``StructureConstantSpec.from_json`` parses integral constants to ``int``.
+
 Vectors are dicts {index: coefficient} with no stored zeros, and
 ``add_scaled`` is the one place that adds a scaled sparse vector into
 another.  Matrices store a sparse {(row, col): coefficient} map.
@@ -10,7 +21,7 @@ Coordinates in a subspace basis are sparse too: ``coords_of`` returns
 {position: coefficient} holding only the nonzero coefficients.  Nothing is
 randomised: ``rank`` is one sparse elimination over Q with Markowitz-style
 pivots and no back-substitution, and echelon bases (kernels, images,
-subspace arithmetic) are kept in full RREF by ``Echelon``.
+subspace arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 
 The same sparse dicts carry algebra elements: an element of A_n is a plain
 {basis label: coefficient} dict with no stored zeros, its level n passed
@@ -21,8 +32,18 @@ small algebras given by a multiplication table.
 import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import attrgetter
 
 from . import CrossCheckError
+
+_denominator = attrgetter("denominator")
+_numerator = attrgetter("numerator")
+
+
+def _common_denominator(values):
+    """The least common multiple of the denominators of ``values`` (1 for ints)."""
+    return lcm(*set(map(_denominator, values)))
 
 
 def add_scaled(acc, vec, coef=1):
@@ -37,6 +58,14 @@ def add_scaled(acc, vec, coef=1):
         else:
             acc.pop(k, None)
     return acc
+
+
+def divided(vec, d):
+    """The sparse vector ``vec`` / d for a positive int d: an ``int`` wherever d
+    divides, a ``Fraction`` elsewhere.  ``vec`` itself when d is 1."""
+    if d == 1:
+        return vec
+    return {c: Fraction(x, d) if x % d else x // d for c, x in vec.items()}
 
 
 class SparseMatrix:
@@ -139,17 +168,21 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon form over Q.
+    """Incrementally maintained echelon form over Q, stored fraction-free.
 
-    Rows are stored per pivot column with pivot value 1 and the pivot column
-    cleared from every other stored row (full RREF); a column index keeps
+    Each row, stored per pivot column, is a primitive integer dict (its
+    entries have gcd 1) whose pivot value, its entry at the pivot column, is
+    positive; every pivot column is cleared from every other stored row.  So
+    a row divided by its pivot value is the row of the reduced row echelon
+    form (RREF), and ``row_list`` builds exactly that, with a ``Fraction``
+    only where the pivot value does not divide.  A column index keeps
     back-substitution proportional to actual fill.  The sorted pivot list
     and the pivot -> position map are built on first use and dropped by every
     accepted ``insert``.
     """
 
     def __init__(self):
-        self.rows = {}          # pivot col -> row dict
+        self.rows = {}          # pivot col -> primitive integer row dict
         self._uses = {}         # col -> set of pivot cols whose rows touch it
         self._pivots = None     # sorted pivot cols, cached
         self._positions = None  # pivot col -> index in the sorted pivots, cached
@@ -171,51 +204,109 @@ class Echelon:
             self._positions = {p: k for k, p in enumerate(self.pivots)}
         return self._positions
 
-    def reduce(self, vec):
-        """Residue of ``vec`` after clearing every pivot coordinate.
+    def _residue(self, vec):
+        """(w, s): a new vector w and a positive int s such that w / s is the
+        residue of ``vec`` after clearing every pivot coordinate; w is
+        integral when ``vec`` is."""
+        return self._clear({c: x for c, x in vec.items() if x})
 
-        One pass suffices: a stored row is zero in every other pivot column
-        (full RREF), so the coefficient to clear at pivot p is ``vec[p]``.
+    def _clear(self, w):
+        """Clear every pivot coordinate of the zero-free vector ``w`` in place;
+        returns (w, s) with w / s the residue of the ``w`` given.
+
+        One pass suffices: a stored row is zero in every other pivot column,
+        so clearing pivot p never changes w at another pivot, and w[p] is
+        still s times its value on entry when p is reached.  At a pivot value
+        e, w[p] = a is cleared by w := (e/g) w - (a/g) row with g = gcd(a, e)
+        (g = 1 for a non-integral a); at e = 1 that is the plain update
+        w -= a row.
         """
-        v = {c: x for c, x in vec.items() if x}
-        for c, x in vec.items():
-            if c in self.rows:
-                add_scaled(v, self.rows[c], -x)
-        return v
+        rows = self.rows
+        s = 1
+        for c in list(w):
+            if c in rows:
+                row = rows[c]
+                a = w[c]
+                e = row[c]
+                if e != 1:
+                    g = gcd(a.numerator, e) if a.denominator == 1 else 1
+                    if g != 1:
+                        e //= g
+                        a //= g
+                    if e != 1:
+                        for k in w:
+                            w[k] *= e
+                        s *= e
+                add_scaled(w, row, -a)
+        return w, s
+
+    def reduce(self, vec):
+        """The exact residue of ``vec`` after clearing every pivot coordinate."""
+        w, s = self._residue(vec)
+        return divided(w, s)
 
     def insert(self, vec):
-        """Reduce and, if nonzero, add as a new pivot row.  Returns the pivot or None."""
-        res = self.reduce(vec)
-        if not res:
+        """Reduce and, if nonzero, add as a new pivot row.  Returns the pivot or None.
+
+        The denominators of ``vec`` are cleared on entry, and the row is
+        stored primitive with a positive pivot value d.
+        """
+        k = _common_denominator(vec.values())
+        row, _ = self._clear({c: (x * k).numerator for c, x in vec.items() if x})
+        if not row:
             return None
-        piv = min(res)
-        x = res[piv]
-        inv = x if x in (1, -1) else 1 / Fraction(x)
-        row = {c: v * inv for c, v in res.items()}
-        # clear the new pivot column from existing rows
-        for other in list(self._uses.get(piv, ())):
-            orow = self.rows[other]
-            coef = orow.pop(piv)
-            self._uses[piv].discard(other)
+        piv = min(row)
+        d = row[piv]
+        if d != 1:
+            g = gcd(*row.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                row = {c: x // g for c, x in row.items()}
+            d = row[piv]
+        rows, uses = self.rows, self._uses
+        # clear the new pivot column from existing rows: orow := d orow - a row,
+        # both scaled down by g = gcd(a, d), then orow's content divided out
+        for other in list(uses.get(piv, ())):
+            orow = rows[other]
+            a = orow.pop(piv)
+            uses[piv].discard(other)
+            if d != 1:
+                g = gcd(a, d)
+                a //= g
+                if d != g:
+                    m = d // g
+                    for c in orow:
+                        orow[c] *= m
             for c, x in row.items():
                 if c == piv:
                     continue
-                s = orow.get(c, 0) - coef * x
+                s = orow.get(c, 0) - a * x
                 if s:
                     if c not in orow:
-                        self._uses.setdefault(c, set()).add(other)
+                        uses.setdefault(c, set()).add(other)
                     orow[c] = s
                 elif c in orow:
                     del orow[c]
-                    self._uses[c].discard(other)
-        self.rows[piv] = row
+                    uses[c].discard(other)
+            if orow[other] != 1:
+                g = gcd(*orow.values())
+                if g != 1:
+                    for c in orow:
+                        orow[c] //= g
+        rows[piv] = row
         self._pivots = self._positions = None
         for c in row:
-            self._uses.setdefault(c, set()).add(piv)
+            uses.setdefault(c, set()).add(piv)
         return piv
 
     def row_list(self):
-        return [dict(self.rows[p]) for p in self.pivots]
+        """The RREF rows in pivot order, as new dicts."""
+        out = []
+        for p in self.pivots:
+            row = self.rows[p]
+            out.append(dict(row) if row[p] == 1 else divided(row, row[p]))
+        return out
 
 
 class Subspace:
@@ -254,14 +345,21 @@ class Subspace:
         return self._ech.pivots
 
     def basis(self):
-        """Echelon basis rows, ordered by pivot."""
+        """Echelon basis rows (RREF), ordered by pivot."""
         return self._ech.row_list()
+
+    def integral_rows(self):
+        """The basis as (row, d) pairs in pivot order, ``basis()[k] == row / d``:
+        ``row`` is a primitive integer dict (shared; do not mutate) and ``d``
+        its positive pivot value."""
+        rows = self._ech.rows
+        return [(rows[p], rows[p][p]) for p in self._ech.pivots]
 
     def reduce(self, vec):
         return self._ech.reduce(vec)
 
     def contains(self, vec):
-        return not self._ech.reduce(vec)
+        return not self._ech._residue(vec)[0]
 
     def coords_of(self, vec):
         """Sparse coordinates {position: int or Fraction} of ``vec`` in ``basis()``.
@@ -270,13 +368,13 @@ class Subspace:
         not a member.  In RREF the coefficient along the row with pivot p is
         simply vec[p], so an ``int`` entry stays an ``int``.
         """
-        if self._ech.reduce(vec):
+        if self._ech._residue(vec)[0]:
             raise ValueError("vector not in subspace")
         positions = self._ech.positions
         return {positions[c]: v for c, v in vec.items() if v and c in positions}
 
     def contains_subspace(self, other):
-        return all(self.contains(row) for row in other.basis())
+        return all(self.contains(row) for row, _ in other.integral_rows())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -293,17 +391,22 @@ class Subspace:
 
 
 def rank(M):
-    """Rank over Q by right-looking sparse elimination.
+    """Rank over Q by right-looking, fraction-free sparse elimination.
 
     Each step pivots on the shortest live row (a heap of (length, row) with
     lazy deletion) and, inside it, on the column held by the fewest rows (a
     column -> rows index; the counts include rows that have since dropped the
     column, which only makes the choice a heuristic).  The pivot column is
     then eliminated from exactly the rows that index lists.  Choosing sparse
-    pivots keeps the fill of these 0/+-1 boundary matrices small, and a
-    coefficient stays an ``int`` until a pivot other than +-1 divides.
+    pivots keeps the fill of these 0/+-1 boundary matrices small.  Fraction
+    entries are cleared to integers on entry, and every row stays integral:
+    at a pivot x other than +-1 a row with entry y there becomes
+    (x/g) row - (y/g) pivot row, g = gcd(x, y), with its content divided out.
     """
+    den = _common_denominator(M.entries.values())
     rows = M.row_dicts()
+    if den != 1:
+        rows = [{c: (x * den).numerator for c, x in row.items()} for row in rows]
     cols = {}  # col -> rows that held it when last touched
     for i, row in enumerate(rows):
         for j in row:
@@ -319,7 +422,7 @@ def rank(M):
         rows[i] = None
         j = min(prow, key=lambda c: len(cols[c]))
         x = prow.pop(j)
-        inv = x if x in (1, -1) else 1 / Fraction(x)
+        unit = x in (1, -1)
         count += 1
         # no live row holds j afterwards, and fill only copies live columns
         for k in cols.pop(j):
@@ -329,7 +432,17 @@ def rank(M):
             y = row.pop(j, None)
             if y is None:
                 continue
-            coef = y * inv
+            if unit:
+                coef = y * x
+            else:
+                # integral values; .numerator also serves a Fraction-typed one
+                g = gcd(x.numerator, y.numerator)
+                m, coef = x // g, y // g
+                if m < 0:
+                    m, coef = -m, -coef
+                if m != 1:
+                    for c in row:
+                        row[c] *= m
             for c, z in prow.items():
                 s = row.get(c, 0) - coef * z
                 if s:
@@ -339,6 +452,11 @@ def rank(M):
                 elif c in row:
                     del row[c]
             if row:
+                if not unit:
+                    g = gcd(*map(_numerator, row.values()))
+                    if g != 1:
+                        for c in row:
+                            row[c] //= g
                 heappush(heap, (len(row), k))
     return count
 
@@ -353,12 +471,16 @@ def kernel_basis(M):
     for row in M.row_dicts():
         ech.insert(row)
     out = Echelon()
+    rows = ech.rows
     for j in range(M.cols):
-        if j in ech.rows:
+        if j in rows:
             continue
-        vec = {j: 1}
-        for p in ech._uses.get(j, ()):
-            vec[p] = -ech.rows[p][j]
+        # x_j = 1 and x_p = -row_p[j] / d_p, all scaled by the lcm of the d_p
+        users = ech._uses.get(j, ())
+        scale = lcm(*(rows[p][p] for p in users))
+        vec = {j: scale}
+        for p in users:
+            vec[p] = -rows[p][j] * (scale // rows[p][p])
         out.insert(vec)
     return Subspace(M.cols, out)
 
@@ -382,7 +504,7 @@ def subspace_sum(*spaces):
         raise ValueError("ambient mismatch")
     ech = Echelon()
     for S in spaces:
-        for row in S.basis():
+        for row, _ in S.integral_rows():
             ech.insert(row)
     return Subspace(ambient, ech)
 
@@ -393,13 +515,13 @@ def subspace_intersect(U, W):
         raise ValueError("ambient mismatch")
     n = U.ambient_dim
     ech = Echelon()
-    for row in U.basis():
+    for row, _ in U.integral_rows():
         doubled = dict(row)
         for c, v in row.items():
             doubled[c + n] = v
         ech.insert(doubled)
-    for row in W.basis():
-        ech.insert(dict(row))
+    for row, _ in W.integral_rows():
+        ech.insert(row)
     inter = Echelon()
     for piv in ech.pivots:
         if piv >= n:
@@ -421,8 +543,8 @@ class QuotientSpace:
         self.V = V
         self.U = U
         ech = Echelon()
-        for row in V.basis():
-            res = U.reduce(row)
+        for row, _ in V.integral_rows():
+            res, _ = U._ech._residue(row)
             if res:
                 ech.insert(res)
         self._rep_space = Subspace(V.ambient_dim, ech)
@@ -552,8 +674,8 @@ class StructureConstantSpec:
         if isinstance(doc, str):
             with open(doc, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        table = [[[Fraction(x) for x in row] for row in block] for block in doc["table"]]
-        extra = {f: [Fraction(x) for x in doc[f]] for f in cls.vectors}
+        table = [[[_parsed(x) for x in row] for row in block] for block in doc["table"]]
+        extra = {f: [_parsed(x) for x in doc[f]] for f in cls.vectors}
         return cls(doc["dim"], table, name=doc.get("name"), **extra)
 
     def to_json(self):
@@ -564,3 +686,9 @@ class StructureConstantSpec:
         }
         doc.update((f, [str(x) for x in getattr(self, f)]) for f in self.vectors)
         return doc
+
+
+def _parsed(text):
+    """A rational string or number as an ``int`` when integral, else a ``Fraction``."""
+    q = Fraction(text)
+    return q.numerator if q.denominator == 1 else q

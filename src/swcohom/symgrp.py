@@ -4,7 +4,8 @@ Conventions, fixed once and asserted by tests:
 
 * one-line notation on {1..n}; ``compose(p, q)`` is the map i -> p(q(i));
 * ``t(i)`` is the adjacent transposition (i, i+1);
-* ``conjugate(p, s)`` is s p s^-1, which relabels points by s;
+* ``conjugate_by_t(p, i)`` is t_i p t_i, which relabels the points i and
+  i+1 (conjugation s p s^-1 by s = t_i);
 * the m-cycle t(1)t(2)...t(m-1) is (1, 2, ..., m).
 
 Sign-twisted class functions (f(s p s^-1) = sign(s) f(p)) live on
@@ -71,16 +72,6 @@ def sign(p):
         if length % 2 == 0:
             sgn = -sgn
     return sgn
-
-
-def conjugate(p, s):
-    """s p s^-1."""
-    if len(p) != len(s):
-        raise ValueError("size mismatch")
-    img = [0] * len(p)
-    for i in range(len(p)):
-        img[s[i] - 1] = s[p[i] - 1]
-    return tuple(img)
 
 
 def conjugate_by_t(p, i):

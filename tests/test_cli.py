@@ -10,6 +10,8 @@ import pytest
 
 from swcohom import CrossCheckError
 from swcohom.cli import main
+from swcohom.lierep import LieAlgebraSpec
+from swcohom.sequences import CommutativeAlgebraSpec
 
 
 def run_cli(*argv):
@@ -89,6 +91,85 @@ def test_representatives_other_label_kinds():
     assert code == 0
     assert len(doc["report"]["representatives"]["1"]) == 2
     assert doc["report"]["representatives"]["2"] == [{"(1, 0)|s(1, 2)": "1"}]
+
+
+# recorded from ``cohomology --sequence skew --weight-max 4 --representatives``
+# before echelon rows were stored fraction-free: the twelve 1/2 coefficients
+# come from pivots of 2 and must come back exactly
+SKEW_W4_REPRESENTATIVES = {
+    "3": [
+        {
+            "(0, 0, 0)|s(3, 1, 2)": "1",
+            "(0, 1, 1)|s(3, 1, 2)": "1/2",
+            "(1, 0, 1)|s(3, 1, 2)": "1/2",
+            "(1, 1, 0)|s(3, 1, 2)": "1/2",
+        },
+        {
+            "(0, 0, 1)|s(3, 1, 2)": "1",
+            "(0, 1, 0)|s(3, 1, 2)": "1",
+            "(1, 0, 0)|s(3, 1, 2)": "1",
+            "(1, 1, 1)|s(3, 1, 2)": "1/2",
+        },
+    ],
+    "4": [
+        {
+            "(0, 0, 0, 0)|s(4, 2, 1, 3)": "1",
+            "(0, 0, 1, 1)|s(4, 2, 1, 3)": "1/2",
+            "(1, 0, 0, 1)|s(4, 2, 1, 3)": "1/2",
+            "(1, 0, 1, 0)|s(4, 2, 1, 3)": "1/2",
+        },
+        {
+            "(0, 0, 1, 0)|s(3, 1, 2, 4)": "1",
+            "(0, 1, 0, 0)|s(3, 1, 2, 4)": "1",
+            "(1, 0, 0, 0)|s(3, 1, 2, 4)": "1",
+            "(1, 1, 1, 0)|s(3, 1, 2, 4)": "1/2",
+        },
+        {
+            "(1, 0, 0, 0)|s(1, 4, 2, 3)": "1",
+            "(1, 0, 1, 1)|s(1, 4, 2, 3)": "1/2",
+            "(1, 1, 0, 1)|s(1, 4, 2, 3)": "1/2",
+            "(1, 1, 1, 0)|s(1, 4, 2, 3)": "1/2",
+        },
+        {
+            "(1, 0, 0, 1)|s(1, 4, 2, 3)": "1",
+            "(1, 0, 1, 0)|s(1, 4, 2, 3)": "1",
+            "(1, 1, 0, 0)|s(1, 4, 2, 3)": "1",
+            "(1, 1, 1, 1)|s(1, 4, 2, 3)": "1/2",
+        },
+    ],
+}
+
+
+def test_skew_representatives_keep_their_halves():
+    code, doc = run_json("cohomology", "--sequence", "skew",
+                         "--weight-max", "4", "--representatives")
+    assert code == 0
+    reps = doc["report"]["representatives"]
+    assert {w: reps[w] for w in ("3", "4")} == SKEW_W4_REPRESENTATIVES
+    assert sum(c == "1/2" for w in ("3", "4") for row in reps[w]
+               for c in row.values()) == 12
+
+
+def _all_int(spec):
+    values = [x for block in spec.table for row in block for x in row]
+    values += [x for f in spec.vectors for x in getattr(spec, f)]
+    return all(type(x) is int for x in values)
+
+
+def test_spec_json_roundtrip_keeps_integral_constants_int(tmp_path):
+    # a parsed table must not turn integers into Fractions: elimination over
+    # it would then run Fraction arithmetic on integers
+    alg = CommutativeAlgebraSpec.quadratic(2)
+    lie = LieAlgebraSpec.gl(2)
+    for spec, name in ((alg, "alg.json"), (lie, "lie.json")):
+        path = tmp_path / name
+        path.write_text(json.dumps(spec.to_json()))
+        back = type(spec).from_json(str(path))
+        assert back.table == spec.table and _all_int(spec) and _all_int(back)
+    argv = ("cohomology", "--sequence", "skew", "--mode", "both", "--weight-max", "4")
+    assert run_json(*argv, "--algebra", str(tmp_path / "alg.json")) == run_json(*argv)
+    code, doc = run_json("gl", "--lie", str(tmp_path / "lie.json"))
+    assert code == 0 and doc["report"]["invariant_dims"] == [1, 1, 0, 1, 1]
 
 
 def test_gl_report():

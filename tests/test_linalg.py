@@ -24,12 +24,13 @@ from swcohom.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from swcohom.sequences import SymmetricGroupSequence
+from swcohom.sequences import SkewGroupSequence, SymmetricGroupSequence
 from swcohom.combinat import Composition
 
 
-def dense_rank(rows):
-    """Independent oracle: plain Gaussian elimination on dense Fraction rows."""
+def dense_rref(rows):
+    """Independent oracle: the nonzero rows of the reduced row echelon form,
+    by plain Gaussian elimination on dense Fraction rows."""
     rows = [[Fraction(x) for x in r] for r in rows]
     rank_ = 0
     col = 0
@@ -48,7 +49,7 @@ def dense_rank(rows):
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank_])]
         rank_ += 1
         col += 1
-    return rank_
+    return rows[:rank_]
 
 
 def one_plus_t1_matrix():
@@ -73,7 +74,7 @@ def test_rank_trivial_cases():
 
 def test_rank_one_plus_t1():
     M = one_plus_t1_matrix()
-    assert dense_rank(to_dense(M)) == 3  # oracle
+    assert len(dense_rref(to_dense(M))) == 3  # oracle
     assert rank(M) == 3
 
 
@@ -104,14 +105,51 @@ def test_integral_data_stay_int():
     assert _entries_are_ints(K.basis())
     C = centralizer(SymmetricGroupSequence(), Composition((2, 2)))
     assert C.dim > 0 and _entries_are_ints(C.basis())
+    # over Q[x]/(x^2-2) elimination meets pivots of 2, yet every entry of the
+    # truncated differentials is an int: the assembly maps integral rows
+    diffs = deformation_complex_truncated(SkewGroupSequence(), 4).differentials
+    entries = [v for d in diffs for v in d.entries.values()]
+    assert len(entries) > 1000
+    assert all(type(v) is int for v in entries)
 
 
 def test_pivot_normalisation_divides_exactly():
     ech = Echelon()
     assert ech.insert({0: 2, 1: 1}) == 0
-    row = ech.rows[0]
+    [row] = ech.row_list()
     assert row == {0: 1, 1: Fraction(1, 2)}
     assert not any(isinstance(c, float) for c in row.values())
+
+
+def _dense(vec, n):
+    return [vec.get(j, 0) for j in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_rref_rows_coords_and_rank_match_dense_oracle(kind):
+    # the fraction-free rows must come back as exactly the RREF of the input
+    rng = random.Random(41 if kind == "int" else 43)
+    for _ in range(60):
+        r, n = rng.randint(1, 7), rng.randint(1, 8)
+        if kind == "int":
+            draw = lambda: rng.randint(-2, 2)
+        else:
+            draw = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        vecs = [{j: draw() for j in range(n) if rng.random() < 0.6} for _ in range(r)]
+        vecs = [{j: x for j, x in v.items() if x} for v in vecs]
+        U = Subspace.from_vectors(vecs, n)
+        oracle = dense_rref([_dense(v, n) for v in vecs])
+        basis = U.basis()
+        assert [_dense(row, n) for row in basis] == oracle
+        assert all(type(x) is int for row in basis for x in row.values()
+                   if x.denominator == 1)
+        for v in vecs:
+            rebuilt = {}
+            for pos, c in U.coords_of(v).items():
+                add_scaled(rebuilt, basis[pos], c)
+            assert rebuilt == v
+        M = SparseMatrix.from_row_dicts(vecs, n)
+        assert rank(M) == U.dim == len(oracle)
 
 
 def test_kernel_image_extremes():
@@ -131,7 +169,7 @@ def test_rank_nullity_randomized():
                for i in range(r) for j in range(c) if rng.random() < 0.4}
         M = SparseMatrix(r, c, ent)
         assert kernel_basis(M).dim + image_basis(M).dim == c
-        assert rank(M) == dense_rank(to_dense(M))
+        assert rank(M) == len(dense_rref(to_dense(M)))
         assert rank(M.transpose()) == rank(M)
 
 
@@ -144,7 +182,7 @@ def test_rank_with_fraction_entries_matches_dense_oracle():
         ent = {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                for i in range(r) for j in range(c) if rng.random() < 0.5}
         M = SparseMatrix(r, c, ent)
-        assert rank(M) == dense_rank(to_dense(M))
+        assert rank(M) == len(dense_rref(to_dense(M)))
 
 
 def _random_sparse(rng, rows, cols, density=0.3):
@@ -175,7 +213,7 @@ def test_rank_matches_dense_oracle_over_shapes_and_densities():
     for shape in ((12, 5), (5, 12), (9, 9)):
         for _ in range(15):
             M = _random_sparse(rng, *shape, density=rng.choice((0.15, 0.3, 0.6)))
-            assert rank(M) == dense_rank(to_dense(M))
+            assert rank(M) == len(dense_rref(to_dense(M)))
 
 
 def test_rank_equals_cols_minus_kernel_dim_on_real_differentials():

@@ -10,7 +10,6 @@ from swcohom.symgrp import (
     all_permutations,
     class_representative,
     compose,
-    conjugate,
     conjugate_by_t,
     e_element,
     has_distinct_odd_type,
@@ -33,6 +32,15 @@ def t(n, i):
 
 def inversions(p):
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+def conjugate(p, s):
+    """s p s^-1 for any s: the reference that ``conjugate_by_t`` is checked against."""
+    assert len(p) == len(s)
+    img = [0] * len(p)
+    for i in range(len(p)):
+        img[s[i] - 1] = s[p[i] - 1]
+    return tuple(img)
 
 
 def cycle_type(p):
