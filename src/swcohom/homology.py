@@ -245,13 +245,10 @@ def _average(space, perms):
     ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints.
 
     On the full space the image is spanned by the orbit indicators (the
-    averages of the unit vectors), which are built directly, as in
-    ``cubic_invariants_diagram``."""
-    orbits = _orbits(space.ambient_dim, perms)
+    averages of the unit vectors), as in ``cubic_invariants_diagram``."""
     if space.dim == space.ambient_dim:
-        return Subspace.from_vectors(({k: 1 for k in orbit} for orbit in orbits),
-                                     space.ambient_dim)
-    orbit_of = {k: orbit for orbit in orbits for k in orbit}
+        return _orbit_sums(space.ambient_dim, perms)
+    orbit_of = {k: orbit for orbit in _orbits(space.ambient_dim, perms) for k in orbit}
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
     for vec, _ in space.integral_rows():
         sums = {}   # orbit representative -> coefficient sum over the orbit
@@ -268,6 +265,14 @@ def _average(space, perms):
             vectors[key] = {k: c * (scale // len(orbit_of[r]))
                             for r, c in sums.items() for k in orbit_of[r]}
     return Subspace.from_vectors(vectors.values(), space.ambient_dim)
+
+
+def _orbit_sums(dim, perms):
+    """The fixed space in Q^dim of the group the index permutations ``perms``
+    generate: the span of its orbit indicators, each already an RREF row
+    (headed by its least index, with value 1)."""
+    return Subspace.from_vectors(({k: 1 for k in orbit} for orbit in _orbits(dim, perms)),
+                                 dim)
 
 
 def _as_permutation(T):
@@ -339,9 +344,7 @@ def cubic_invariants_diagram(module):
     for comp in compositions(n):
         positions = young_positions(comp)
         if all(perms[i - 1] is not None for i in positions):
-            orbits = _orbits(dim, [perms[i - 1] for i in positions])
-            vertex[comp.parts] = Subspace.from_vectors(
-                ({k: 1 for k in orbit} for orbit in orbits), dim)
+            vertex[comp.parts] = _orbit_sums(dim, [perms[i - 1] for i in positions])
         else:
             mats = [SparseMatrix(dim, dim,
                                  add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
@@ -358,28 +361,43 @@ def centralizer_diagram(seq, w):
 
 def cubic_complex(diagram):
     """Cochain complex of a cubic diagram; degree k sums vertices with k ones."""
-    w = diagram.weight
-    layout = {k: [] for k in range(w)}
-    for comp in compositions(w):
-        layout[comp.length - 1].append(comp)
-    dims = []
+    layout = [[] for _ in range(diagram.weight)]
+    for comp in compositions(diagram.weight):
+        layout[comp.length - 1].append(comp.parts)
+    return _face_complex(layout, diagram.spaces.__getitem__, _refinement_faces)
+
+
+def _refinement_faces(parts):
+    """The faces out of the vertex ``parts`` that split one part: signed
+    identity embeddings into its refinements."""
+    return [(sign, mu.parts, None) for sign, mu in subdivisions(Composition(parts))]
+
+
+def _face_complex(layout, space, faces):
+    """The complex, from degree 0, whose degree k sums ``space(key)`` over the
+    keys of ``layout[k]`` in order.  ``faces(key)`` lists the faces out of
+    ``key`` as (sign, target key, index map or None for the identity); an
+    index map is per basis index, as from ``seq.unit_pairing``."""
     offsets = {}
-    for k in range(w):
+    dims = []
+    for keys in layout:
         off = 0
-        for comp in layout[k]:
-            offsets[comp.parts] = off
-            off += diagram.space(comp).dim
+        for key in keys:
+            offsets[key] = off
+            off += space(key).dim
         dims.append(off)
     diffs = []
-    for k in range(w - 1):
+    for k in range(len(layout) - 1):
         ent = {}
-        for comp in layout[k]:
-            col0 = offsets[comp.parts]
-            faces = [(sign, diagram.space(refined), offsets[refined.parts])
-                     for sign, refined in subdivisions(comp)]
-            for local, (vec, d) in enumerate(diagram.space(comp).integral_rows()):
-                for sign, space, row0 in faces:
-                    _add_block(ent, space, row0, col0 + local, vec, d, sign)
+        for key in layout[k]:
+            targets = [(sign, space(target), offsets[target], index_map)
+                       for sign, target, index_map in faces(key)]
+            col = offsets[key]
+            for vec, d in space(key).integral_rows():
+                for sign, target_space, row0, index_map in targets:
+                    image = vec if index_map is None else _apply(index_map, vec)
+                    _add_block(ent, target_space, row0, col, image, d, sign)
+                col += 1
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)
 
@@ -426,51 +444,29 @@ def deformation_complex_truncated(seq, max_weight):
     maps of ``seq.unit_pairing``, built once per (m, w, side) in this call.
     """
     W = max_weight
-    layout = {0: [None]}
+    layout = [[None]]
+    spaces = {None: Subspace.full(1)}   # d(1) = mu(1(x)1) - mu(1(x)1) = 0: no faces
     for k in range(1, W + 1):
-        layout[k] = [c for w in range(1, W + 1) for c in compositions(w)
-                     if c.length == k]
-    spaces = {c.parts: centralizer(seq, c) for k in range(1, W + 1) for c in layout[k]}
-    dims = []
-    offsets = {}
-    for k in range(W + 1):
-        off = 0
-        for comp in layout[k]:
-            if comp is None:
-                offsets[None] = 0
-                off = 1
-                continue
-            offsets[comp.parts] = off
-            off += spaces[comp.parts].dim
-        dims.append(off)
-
-    diffs = [SparseMatrix(dims[1], dims[0])]  # scalars: d(1) = mu(1(x)1) - mu(1(x)1) = 0
+        comps = [c for w in range(1, W + 1) for c in compositions(w) if c.length == k]
+        layout.append([c.parts for c in comps])
+        spaces.update((c.parts, centralizer(seq, c)) for c in comps)
     pairings = {(m, w, side): seq.unit_pairing(m, w, side)
                 for w in range(1, W) for m in range(1, W - w + 1)
                 for side in ("left", "right")}
-    for k in range(1, W):
-        ent = {}
-        right_sign = (-1) ** (k + 1)
-        for comp in layout[k]:
-            w = comp.weight
-            parts = comp.parts
-            col0 = offsets[parts]
-            # middle faces: signed identity embeddings into refinements
-            faces = [(sign, spaces[refined.parts], offsets[refined.parts])
-                     for sign, refined in subdivisions(comp)]
-            # outer faces raise the weight by m on the left or right
-            raised = [(pairings[(m, w, "left")], spaces[(m,) + parts], offsets[(m,) + parts],
-                       pairings[(m, w, "right")], spaces[parts + (m,)], offsets[parts + (m,)])
-                      for m in range(1, W - w + 1)]
-            for local, (vec, d) in enumerate(spaces[parts].integral_rows()):
-                col = col0 + local
-                for sign, space, row0 in faces:
-                    _add_block(ent, space, row0, col, vec, d, sign)
-                for lmap, lspace, lrow0, rmap, rspace, rrow0 in raised:
-                    _add_block(ent, lspace, lrow0, col, _apply(lmap, vec), d, 1)
-                    _add_block(ent, rspace, rrow0, col, _apply(rmap, vec), d, right_sign)
-        diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
-    return CochainComplex(0, dims, diffs)
+
+    def faces(parts):
+        if parts is None:
+            return []
+        w = sum(parts)
+        right_sign = (-1) ** (len(parts) + 1)
+        out = _refinement_faces(parts)
+        # the outer faces raise the weight by m on the left or right
+        for m in range(1, W - w + 1):
+            out.append((1, (m,) + parts, pairings[(m, w, "left")]))
+            out.append((right_sign, parts + (m,), pairings[(m, w, "right")]))
+        return out
+
+    return _face_complex(layout, spaces.__getitem__, faces)
 
 
 def _apply(index_map, vec):
@@ -483,12 +479,13 @@ def _apply(index_map, vec):
 
 
 def _add_block(ent, target_space, row0, col, vec, d, sign):
-    """Add ``sign`` times the coordinates of ``vec`` / d in ``target_space`` to
-    column ``col`` of ``ent``, starting at row ``row0``; zero sums are dropped.
+    """Add ``sign`` times the coordinates of ``vec`` / d in ``target_space`` (a
+    Subspace or QuotientSpace) to column ``col`` of ``ent``, starting at row
+    ``row0``; zero sums are dropped.
 
     ``vec`` is the image of an integral source row and d that row's pivot
-    value (``Subspace.integral_rows``), so the column is the image of the
-    source's RREF basis row, in the target's RREF basis."""
+    value (``integral_rows``), so the column is the image of the source's
+    RREF basis row, in the target's RREF basis."""
     coords = target_space.coords_of(vec)
     if d != 1:
         coords = divided(coords, d)
@@ -642,18 +639,14 @@ def _reduced_differential_matrix(seq, data, w):
     left = seq.unit_pairing(1, w, "left")
     right = seq.unit_pairing(1, w, "right")
     # the induced map is only defined on cosets if the subspace maps into the
-    # subspace one weight up; assert that, once per sequence and weight
-    checked = seq.coset_checked_weights
-    if w not in checked:
-        for uvec, _ in src.U.integral_rows():
-            if not tgt.U.contains(_reduced_delta(left, right, w, uvec)):
-                raise CrossCheckError(
-                    "reduced differential not well-defined on cosets at weight %d" % w)
-        checked.add(w)
+    # subspace one weight up
+    for uvec, _ in src.U.integral_rows():
+        if not tgt.U.contains(_reduced_delta(left, right, w, uvec)):
+            raise CrossCheckError(
+                "reduced differential not well-defined on cosets at weight %d" % w)
     ent = {}
-    for j, repvec in enumerate(src.representatives()):
-        for i, c in tgt.coords_of(_reduced_delta(left, right, w, repvec)).items():
-            ent[(i, j)] = c
+    for j, (repvec, d) in enumerate(src.integral_rows()):
+        _add_block(ent, tgt, 0, j, _reduced_delta(left, right, w, repvec), d, 1)
     return SparseMatrix(tgt.dim, src.dim, ent)
 
 

@@ -19,6 +19,7 @@ integer tensor over the known denominator m!, so every check is exact
 integer arithmetic.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -239,62 +240,45 @@ def wheel_vanishing_table(max_m, max_d):
 # exterior invariants
 
 
-def _wedge_basis(dim, m):
-    return list(combinations(range(dim), m))
+def _check_wedge_size(n, maxdeg):
+    """Refuse (ResourceLimitError), before any kernel work, exterior powers of
+    an n-dim space in degrees 0..maxdeg wider than ``MAX_WEDGE_DIM``."""
+    widest = max(comb(n, m) for m in range(maxdeg + 1))
+    if widest > MAX_WEDGE_DIM:
+        raise ResourceLimitError("exterior power of dim %d exceeds the guard" % widest)
 
 
-def _ad_wedge_matrix(g, xi, m):
-    """ad(e_xi) on the m-th exterior power of g, in the sorted-tuple basis."""
-    basis = _wedge_basis(g.dim, m)
-    index = {b: i for i, b in enumerate(basis)}
-    ent = {}
-    for col, tup in enumerate(basis):
-        for slot, i in enumerate(tup):
-            for j, c in enumerate(g.table[xi][i]):
-                if not c:
-                    continue
-                if j in tup and j != i:
-                    continue
+def _wedge_invariants_dim(act, n, m):
+    """dim of the m-th wedge power of span(e_0..e_{n-1}) killed by every
+    derivation in ``act``: ``act[op][i]`` lists the images (j, c) of e_i, and
+    an image j >= n lies outside the window but is kept exactly.  One row
+    per (op, target wedge), on the sorted-tuple basis."""
+    rows = {}
+    for op, images in enumerate(act):
+        for col, tup in enumerate(combinations(range(n), m)):
+            for slot, i in enumerate(tup):
                 rest = tup[:slot] + tup[slot + 1:]
-                merged = tuple(sorted(rest + (j,)))
-                # j starts at position `slot` in the wedge word; sort it in
-                sign = (-1) ** slot * _insertion_sign(rest, j)
-                add_scaled(ent, {(index[merged], col): c}, sign)
-    n = len(basis)
-    return SparseMatrix(n, n, ent)
-
-
-def _insertion_sign(sorted_rest, j):
-    # sign of sorting j into place within the increasing tuple
-    pos = sum(1 for x in sorted_rest if x < j)
-    return (-1) ** pos
+                for j, c in images[i]:
+                    if j in rest:
+                        continue
+                    # j sits at position `slot` of the word; sort it into place
+                    pos = bisect_left(rest, j)
+                    add_scaled(rows.setdefault((op, rest[:pos] + (j,) + rest[pos:]), {}),
+                               {col: -c if (slot + pos) & 1 else c})
+    return kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), comb(n, m))).dim
 
 
 def exterior_invariants_dims(g, maxdeg):
     """dim of the ad-invariants of each exterior power, degrees 0..maxdeg;
     refused before any kernel work above ``MAX_WEDGE_DIM`` basis vectors."""
-    widest = max(comb(g.dim, m) for m in range(maxdeg + 1))
-    if widest > MAX_WEDGE_DIM:
-        raise ResourceLimitError("exterior power of dim %d exceeds the guard" % widest)
-    out = [1]
-    for m in range(1, maxdeg + 1):
-        basis = _wedge_basis(g.dim, m)
-        if not basis:
-            out.append(0)
-            continue
-        mats = [_ad_wedge_matrix(g, xi, m) for xi in range(g.dim)]
-        out.append(kernel_basis(SparseMatrix.vstack(mats)).dim)
-    return out
+    _check_wedge_size(g.dim, maxdeg)
+    act = [[[(j, c) for j, c in enumerate(g.table[xi][i]) if c] for i in range(g.dim)]
+           for xi in range(g.dim)]
+    return [1] + [_wedge_invariants_dim(act, g.dim, m) for m in range(1, maxdeg + 1)]
 
 
 # ---------------------------------------------------------------------------
 # current algebras g (x) k[x]
-
-
-def _current_bracket(g, a, b):
-    """Bracket on g (x) k[x]: [(i,s), (j,u)] supported in x-degree s+u."""
-    (i, s), (j, u) = a, b
-    return [((k, s + u), c) for k, c in enumerate(g.table[i][j]) if c]
 
 
 def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
@@ -303,38 +287,21 @@ def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
     Invariance is imposed under ad(xi (x) x^s) for s = 0..m (plus s = m+1
     when ``check_extra_power``); the images live in the larger window
     D + s, which is handled exactly.  Returns (dims, expected, agree) where
-    expected counts the exterior powers of z(g) (x) span{1..x^D}.
+    expected counts the exterior powers of z(g) (x) span{1..x^D}.  Refused
+    before any kernel work above ``MAX_WEDGE_DIM`` basis vectors.
     """
     D = x_degree_bound
+    n = g.dim * (D + 1)     # xi (x) x^s has index s * dim + xi
+    _check_wedge_size(n, maxdeg)
     zdim = g.center().dim
-    dims = [1]
-    expected = [1]
+    dims, expected = [1], [1]
     for m in range(1, maxdeg + 1):
-        dom_labels = [(i, s) for s in range(D + 1) for i in range(g.dim)]
-        dom_index = {l: i for i, l in enumerate(dom_labels)}
-        dom_basis = list(combinations(range(len(dom_labels)), m))
         s_max = m + 1 if check_extra_power else m
-        tgt_labels = [(i, s) for s in range(D + s_max + 1) for i in range(g.dim)]
-        tgt_index = {l: i for i, l in enumerate(tgt_labels)}
-
-        rows = {}
-        for xi in range(g.dim):
-            for s in range(s_max + 1):
-                op = (xi, s)
-                for col, tup in enumerate(dom_basis):
-                    labels = [dom_labels[t] for t in tup]
-                    for slot in range(m):
-                        for lbl, c in _current_bracket(g, op, labels[slot]):
-                            new = labels[:slot] + [lbl] + labels[slot + 1:]
-                            idxs = [tgt_index[l] for l in new]
-                            if len(set(idxs)) < m:
-                                continue
-                            sign = _sort_sign(idxs)
-                            key_tuple = tuple(sorted(idxs))
-                            row = rows.setdefault((xi, s, key_tuple), {})
-                            add_scaled(row, {col: c}, sign)
-        mat = SparseMatrix.from_row_dicts(list(rows.values()), len(dom_basis))
-        dims.append(kernel_basis(mat).dim)
+        # [xi (x) x^s, e_i (x) x^u] = sum_k c_k e_k (x) x^(s+u)
+        act = [[[((s + u) * g.dim + k, c) for k, c in enumerate(g.table[xi][i]) if c]
+                for u in range(D + 1) for i in range(g.dim)]
+               for xi in range(g.dim) for s in range(s_max + 1)]
+        dims.append(_wedge_invariants_dim(act, n, m))
         expected.append(comb(zdim * (D + 1), m))
     return dims, expected, dims == expected
 

@@ -556,6 +556,10 @@ class QuotientSpace:
     def representatives(self):
         return self._rep_space.basis()
 
+    def integral_rows(self):
+        """``representatives()`` as (row, d) pairs, as ``Subspace.integral_rows``."""
+        return self._rep_space.integral_rows()
+
     def coords_of(self, vec):
         """Sparse coordinates {position: int or Fraction} of [vec] in ``representatives()``.
 

@@ -57,10 +57,7 @@ class MultiplicativeSequence:
         self._basis_cache = {}
         self._index_cache = {}
         self._conjugation_cache = {}    # (n, i) -> index permutation or None
-        # filled by homology: composition parts -> centralizer, and the
-        # weights whose reduced differential was checked on cosets
-        self.centralizer_cache = {}
-        self.coset_checked_weights = set()
+        self.centralizer_cache = {}     # filled by homology: parts -> centralizer
 
     @property
     def matrix_cap(self):

@@ -26,6 +26,9 @@
   plain ``dict`` {label: coefficient}.  The one value class left,
   ``Composition``, is a hand-written ``__slots__`` class: immutable,
   compared and hashed by value.
+* one builder per construction: ``homology`` assembles every cochain
+  complex (cubic, horizontal, truncated full) in one face-complex builder,
+  so ``CochainComplex(`` occurs once in ``homology.py``.
 """
 
 import ast
@@ -99,6 +102,11 @@ def test_homology_does_not_import_sequences():
                 and any(a.name.split(".")[-1] == "sequences" for a in node.names))]
     assert not hits, hits
     assert "SymmetricGroupSequence" not in path.read_text(encoding="utf-8")
+
+
+def test_one_complex_assembler():
+    path = next(p for p in SOURCES if p.name == "homology.py")
+    assert path.read_text(encoding="utf-8").count("CochainComplex(") == 1
 
 
 def _is_fraction_call(node):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from swcohom import ResourceLimitError
 from swcohom.linalg import SparseMatrix, add_scaled
 from swcohom.lierep import (
     LieAlgebraSpec,
@@ -169,6 +170,28 @@ def test_current_invariants():
     s2 = LieAlgebraSpec.sl2()
     dims, expected, agree = current_invariants_dims(s2, 1, 1)
     assert agree and dims[1] == 0
+    # wedge degree 3, where each target wedge collects several slots
+    for extra in (False, True):
+        assert current_invariants_dims(g2, 1, 3, check_extra_power=extra)[0] == [1, 2, 1, 0]
+    dims, expected, agree = current_invariants_dims(s2, 1, 3)
+    assert agree and dims == [1, 0, 0, 0]
+    # D = 0 keeps only the constants, yet x^s (s >= 1) still acts: its images
+    # leave the window, so the cubic invariant x_3 of gl(3) is not invariant here
+    g3 = LieAlgebraSpec.gl(3)
+    assert current_invariants_dims(g3, 0, 3)[0] == [1, 1, 0, 0]
+    assert exterior_invariants_dims(g3, 3) == [1, 1, 0, 1]
+
+
+def test_current_invariants_refuse_a_wide_wedge_before_any_kernel(monkeypatch):
+    import swcohom.lierep as lierep
+
+    def boom(*args):
+        raise AssertionError("kernel solved before the guard")
+
+    monkeypatch.setattr(lierep, "kernel_basis", boom)
+    # gl(3) (x) span{1, x, x^2} is 27-dim; its 6th wedge power has 296 010 vectors
+    with pytest.raises(ResourceLimitError, match="exterior power of dim 296010"):
+        current_invariants_dims(LieAlgebraSpec.gl(3), 2, 6)
 
 
 def test_current_invariants_vandermonde_bound():

@@ -364,6 +364,16 @@ def test_quotient_space_reps():
     c1 = q.coords_of({0: 1})
     c2 = q.coords_of({1: -1})
     assert c1 == c2  # e0 = -e1 modulo (e0 + e1)
+    # integral rows are the representatives over their pivot values, row by
+    # row, also where a pivot value is not 1
+    q2 = QuotientSpace(Subspace.from_vectors([{0: 2, 1: 1}, {2: 3, 1: 1}], 3),
+                       Subspace.from_vectors([{2: 3, 1: 1}], 3))
+    for quot in (q, q2):
+        rows = quot.integral_rows()
+        assert len(rows) == quot.dim
+        assert [{k: Fraction(x, d) for k, x in row.items()} for row, d in rows] \
+            == quot.representatives()
+    assert [d for _, d in q2.integral_rows()] == [2]
 
 
 def test_cochain_complex_basics():
