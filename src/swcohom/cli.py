@@ -234,7 +234,6 @@ def cmd_gl(args):
 
 
 def cmd_hecke_check(args):
-    from itertools import product as iproduct
     seq = bundled_sequence("hecke", trunc_degree=args.trunc_degree)
     D = args.trunc_degree
     payload = {"trunc_degree": D, "level_max": args.level_max}
@@ -245,8 +244,7 @@ def cmd_hecke_check(args):
             dim = centralizer(seq, comp).dim
             expected = 1
             for p in comp.parts:
-                expected *= sum(1 for mono in iproduct(range(D + 1), repeat=p)
-                                if all(mono[i] >= mono[i + 1] for i in range(p - 1)))
+                expected *= comb(D + p, p)   # dim Sym^p(k^(D+1))
             cents[str(comp.parts)] = {"dim": dim, "symmetric_power_count": expected,
                                       "match": dim == expected}
             ok = ok and dim == expected

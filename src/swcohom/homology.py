@@ -15,7 +15,7 @@ complex, the horizontal complexes and the reduced complex are all built
 explicitly and compared by the test suite.
 """
 
-from math import lcm
+from math import factorial, lcm
 
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions
@@ -30,7 +30,7 @@ from .linalg import (
     rank,
     subspace_sum,
 )
-from .symgrp import all_permutations, young_positions
+from .symgrp import all_permutations, compose, transposition, young_positions
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +92,8 @@ class SnModule:
         index = {p: k for k, p in enumerate(basis)}
         gens = []
         for i in range(1, n):
-            ent = {}
-            for k, p in enumerate(basis):
-                ent[(index[_lmul_t(p, i)], k)] = 1
+            t = transposition(n, i)
+            ent = {(index[compose(t, p)], k): 1 for k, p in enumerate(basis)}
             gens.append(SparseMatrix(len(basis), len(basis), ent))
         return cls(n, len(basis), gens, "regular")
 
@@ -116,16 +115,6 @@ class SnModule:
             gens.append(SparseMatrix(a.rows + b.rows, a.cols + b.cols, ent))
         return SnModule(self.n, self.dim + other.dim, gens,
                         "%s(+)%s" % (self.name, other.name))
-
-
-def _lmul_t(img, i):
-    lst = list(img)
-    for k, v in enumerate(lst):
-        if v == i:
-            lst[k] = i + 1
-        elif v == i + 1:
-            lst[k] = i
-    return tuple(lst)
 
 
 def _kron(a, b):
@@ -525,7 +514,8 @@ class ReducedComplexData:
     """Quotients T_w, coset representatives and the induced differential.
 
     ``diff_status[w]`` records how the differential out of weight w was
-    handled: "matrix" (computed on representatives), "dual-zero" (proved
+    handled: "matrix" (the differential of the face complex on T_1..T_top,
+    in the representative bases; ``diffs[w]``), "dual-zero" (proved
     zero by ``seq.delta_vanishes_dually``; for Q[S_*], by pairing against
     every sign-twisted class function one weight up), "source-zero"
     (T_w = 0), or "not-computed" (beyond the caps; the top cohomology is then
@@ -583,71 +573,57 @@ def _two_part_compositions(w):
 
 
 def reduced_complex(seq, max_weight):
-    """Build T_1..T_P with the induced differential; see ReducedComplexData."""
+    """Build T_1..T_P with the induced differential; see ReducedComplexData.
+
+    The quotients T_1..T_top, top = min(P + 1, ``seq.matrix_cap``), form one
+    face complex (degree w - 1 holds T_w): the faces out of T_w are
+    a -> mu(1 (x) a) and a -> (-1)^(w+1) mu(a (x) 1), the index maps of
+    ``seq.unit_pairing(1, w, side)``, so d.d = 0 and the Euler
+    characteristic are checked as for every complex here.
+    """
     data = ReducedComplexData(seq, max_weight)
     # one extra weight, when affordable, makes the top differential computable
-    build_weights = list(range(1, max_weight + 1))
-    if max_weight + 1 <= seq.matrix_cap:
-        build_weights.append(max_weight + 1)
-    for w in build_weights:
-        if w > seq.matrix_cap:
-            # a count without matrices, or a refusal (the default)
-            data.t_dims[w] = seq.reduced_dim_above_cap(w)
-        else:
-            top = centralizer(seq, Composition((1,) * w))
-            if w == 1:
-                sub = Subspace.zero(seq.dim(1))
-            else:
-                sub = subspace_sum(*(centralizer(seq, c) for c in _two_part_compositions(w)))
-            quot = QuotientSpace(top, sub)
-            data.quotients[w] = quot
-            data.t_dims[w] = quot.dim
+    top = min(max_weight + 1, seq.matrix_cap)
+    for w in range(1, top + 1):
+        sub = (Subspace.zero(seq.dim(1)) if w == 1 else
+               subspace_sum(*(centralizer(seq, c) for c in _two_part_compositions(w))))
+        data.quotients[w] = QuotientSpace(centralizer(seq, Composition((1,) * w)), sub)
+        data.t_dims[w] = data.quotients[w].dim
+    for w in range(top + 1, max_weight + 1):
+        # a count without matrices, or a refusal (the default)
+        data.t_dims[w] = seq.reduced_dim_above_cap(w)
+
+    faces = {w: [(1, w + 1, seq.unit_pairing(1, w, "left")),
+                 ((-1) ** (w + 1), w + 1, seq.unit_pairing(1, w, "right"))]
+             for w in range(1, top)}
+    for w, out in faces.items():
+        # the induced map is only defined on cosets if the subspace maps into
+        # the subspace one weight up
+        for uvec, _ in data.quotients[w].U.integral_rows():
+            delta = {}
+            for sign, _, index_map in out:
+                add_scaled(delta, _apply(index_map, uvec), sign)
+            if not data.quotients[w + 1].U.contains(delta):
+                raise CrossCheckError(
+                    "reduced differential not well-defined on cosets at weight %d" % w)
+    cx = _face_complex([[w] for w in range(1, top + 1)], data.quotients.__getitem__,
+                       faces.__getitem__)
+    h_dims = cx.cohomology_dims()   # degree w - 1 holds T_w
 
     for w in range(1, max_weight + 1):
+        data.diffs[w] = None
         if data.t_dims[w] == 0:
-            data.diffs[w] = None
             data.diff_status[w] = "source-zero"
-            continue
-        if w in data.quotients and (w + 1) in data.quotients:
-            data.diffs[w] = _reduced_differential_matrix(seq, data, w)
+        elif w < top:
+            data.diffs[w] = cx.differentials[w - 1]
             data.diff_status[w] = "matrix"
         elif seq.delta_vanishes_dually(w):
-            data.diffs[w] = None
             data.diff_status[w] = "dual-zero"
         else:
-            data.diffs[w] = None
             data.diff_status[w] = "not-computed"
-
-    # each differential's rank is both the out-rank of w and the in-rank of w + 1
-    ranks = {w: rank(data.diffs[w])
-             for w in range(1, max_weight + 1) if data.diff_status[w] == "matrix"}
-    for w in range(1, max_weight + 1):
-        data.h_dims[w] = data.t_dims[w] - ranks.get(w, 0) - ranks.get(w - 1, 0)
+        data.h_dims[w] = h_dims[w - 1] if w <= top else data.t_dims[w]
         data.final[w] = data.diff_status[w] != "not-computed"
     return data
-
-
-def _reduced_delta(left, right, w, vec):
-    """delta(a) = mu(1 (x) a) + (-1)^(w+1) mu(a (x) 1) for ``vec`` in A_w, from
-    the weight-w index maps ``left`` and ``right`` of ``seq.unit_pairing(1, w, side)``."""
-    return add_scaled(_apply(left, vec), _apply(right, vec), (-1) ** (w + 1))
-
-
-def _reduced_differential_matrix(seq, data, w):
-    src = data.quotients[w]
-    tgt = data.quotients[w + 1]
-    left = seq.unit_pairing(1, w, "left")
-    right = seq.unit_pairing(1, w, "right")
-    # the induced map is only defined on cosets if the subspace maps into the
-    # subspace one weight up
-    for uvec, _ in src.U.integral_rows():
-        if not tgt.U.contains(_reduced_delta(left, right, w, uvec)):
-            raise CrossCheckError(
-                "reduced differential not well-defined on cosets at weight %d" % w)
-    ent = {}
-    for j, (repvec, d) in enumerate(src.integral_rows()):
-        _add_block(ent, tgt, 0, j, _reduced_delta(left, right, w, repvec), d, 1)
-    return SparseMatrix(tgt.dim, src.dim, ent)
 
 
 def first_cohomology_direct(seq):
@@ -706,14 +682,10 @@ def relative_cube_dims(n):
             walk(tuple(nxt), steps + 1)
     walk((0,) * n, 0)
 
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
-        fact[i] = fact[i - 1] * i
     expected = {m: 0 for m in range(1, n + 1)}
     for comp in compositions(n):
-        m = comp.length
-        val = fact[n]
+        val = factorial(n)
         for p in comp.parts:
-            val //= fact[p]
-        expected[m] += val
+            val //= factorial(p)
+        expected[comp.length] += val
     return counts, expected, counts == expected

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from . import CrossCheckError, ResourceLimitError
-from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, kernel_basis
+from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, divided, kernel_basis
 from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_quotient
 from .symgrp import all_permutations, e_element, sign
 
@@ -348,17 +348,15 @@ def cohomology_of_rep_category_graded(g, n):
         return invariants.dim
     gens = []
     for k in range(1, n):
-        swap_ent = {}
+        swap = [0] * dim    # flat index -> flat index with slots k and k + 1 swapped
         for idx in product(range(g.dim), repeat=n):
             j = list(idx)
             j[k - 1], j[k] = j[k], j[k - 1]
-            swap_ent[(_flat_index(j, g.dim), _flat_index(idx, g.dim))] = 1
-        T = SparseMatrix(dim, dim, swap_ent)
+            swap[_flat_index(idx, g.dim)] = _flat_index(j, g.dim)
         mat_ent = {}
-        for col, vec in enumerate(invariants.basis()):
-            img = T.apply(vec)
-            for r, c in invariants.coords_of(img).items():
-                mat_ent[(r, col)] = c
+        for col, (row, d) in enumerate(invariants.integral_rows()):
+            coords = invariants.coords_of({swap[i]: c for i, c in row.items()})
+            mat_ent.update(((r, col), c) for r, c in divided(coords, d).items())
         gens.append(SparseMatrix(invariants.dim, invariants.dim, mat_ent))
     module = SnModule(n, invariants.dim, gens, name="(g^%d)^g" % n)
     top = cubic_cohomology(cubic_invariants_diagram(module))[n - 1]

@@ -120,14 +120,6 @@ class SparseMatrix:
         return SparseMatrix._adopt(self.cols, self.rows,
                                    {(j, i): v for (i, j), v in self.entries.items()})
 
-    def apply(self, vec):
-        """Matrix times column vector (vector given as {col: value})."""
-        out = {}
-        cols = self.col_dicts()
-        for j, x in vec.items():
-            add_scaled(out, cols[j], x)
-        return out
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")

@@ -27,8 +27,9 @@
   ``Composition``, is a hand-written ``__slots__`` class: immutable,
   compared and hashed by value.
 * one builder per construction: ``homology`` assembles every cochain
-  complex (cubic, horizontal, truncated full) in one face-complex builder,
-  so ``CochainComplex(`` occurs once in ``homology.py``.
+  complex (cubic, horizontal, truncated full and reduced) in one
+  face-complex builder, so ``CochainComplex(`` occurs once in
+  ``homology.py``, and ``reduced_complex`` constructs exactly one complex.
 """
 
 import ast
@@ -38,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from swcohom.combinat import Composition, compositions
+from swcohom.linalg import CochainComplex
 from swcohom.sequences import (
     HeckeSequence,
     MultiplicativeSequence,
@@ -107,6 +109,19 @@ def test_homology_does_not_import_sequences():
 def test_one_complex_assembler():
     path = next(p for p in SOURCES if p.name == "homology.py")
     assert path.read_text(encoding="utf-8").count("CochainComplex(") == 1
+
+
+def test_reduced_complex_is_one_face_complex(monkeypatch):
+    import swcohom.homology as homology
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return CochainComplex(*args)
+
+    monkeypatch.setattr(homology, "CochainComplex", counting)
+    homology.reduced_complex(SymmetricGroupSequence(), 4)
+    assert len(built) == 1
 
 
 def _is_fraction_call(node):

@@ -391,6 +391,41 @@ def test_reduced_hecke(hecke):
         assert data.diffs[w].is_zero()
 
 
+class _StubSequence:
+    """T_1 = span{2 e0 + e1} and T_2 = Q^3 / span{e2}, with unit pairings
+    e0 -> e0, e1 -> e1 on the left and e0 -> e1, e1 -> e2 on the right."""
+
+    matrix_cap = 2
+    seq_id = "stub"
+
+    def __init__(self):
+        self.centralizer_cache = {
+            (1,): Subspace.from_vectors([{0: 2, 1: 1}], 2),   # pivot value 2
+            (1, 1): Subspace.full(3),
+            (2,): Subspace.from_vectors([{2: 1}], 3),
+        }
+
+    def dim(self, n):
+        return n + 1
+
+    def unit_pairing(self, m, w, side):
+        return [{0: 1}, {1: 1}] if side == "left" else [{1: 1}, {2: 1}]
+
+    def delta_vanishes_dually(self, w):
+        return False
+
+
+def test_reduced_differential_nonzero_on_a_stub():
+    # delta(2 e0 + e1) = (2 e0 + e1) + (2 e1 + e2) = 2 e0 + 3 e1 mod e2, and the
+    # source row is twice the RREF basis row: a missing / d would read 2, 3,
+    # a wrong right-face sign 1, -1/2
+    data = reduced_complex(_StubSequence(), 1)
+    assert data.t_dims == {1: 1, 2: 2}
+    assert data.h_dims == {1: 0}
+    assert data.diff_status[1] == "matrix"
+    assert data.diffs[1].entries == {(0, 0): 1, (1, 0): Fraction(3, 2)}
+
+
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_reduced_hecke_wedge_dims_all_truncations(D):
     seq = HeckeSequence(trunc_degree=D, level_cap=3)
@@ -469,9 +504,10 @@ def test_cup_antisymmetry_skew(skew):
 
 
 def test_reduced_differential_formula_matches_first_page(sym):
-    # the truncated full complex and the reduced complex are independent
-    # constructions; their agreement (test_reduced_symmetric_cross_route)
-    # pins the chain-level signs.  Here: a deliberate wrong sign breaks d.d=0.
+    # the truncated full complex and the reduced complex share the face-complex
+    # assembler but not their spaces (centralizers vs quotients T_w) or faces;
+    # their agreement (test_reduced_symmetric_cross_route) pins the chain-level
+    # signs.  Here: a deliberate wrong sign breaks d.d=0.
     cx = deformation_complex_truncated(sym, 3)
     d1, d2 = cx.differentials[1], cx.differentials[2]
     assert d2.matmul(d1).is_zero()
