@@ -214,16 +214,17 @@ def _orbits(dim, perms):
     order of that index: an orbit is discovered from the least index not yet
     visited, so it holds no smaller one.
     """
-    seen = set()
+    seen = [False] * dim
     out = []
     for start in range(dim):
-        if start not in seen:
-            seen.add(start)
+        if not seen[start]:
+            seen[start] = True
             orbit = [start]
             for k in orbit:
-                for q in (perm[k] for perm in perms):
-                    if q not in seen:
-                        seen.add(q)
+                for perm in perms:
+                    q = perm[k]
+                    if not seen[q]:
+                        seen[q] = True
                         orbit.append(q)
             out.append(orbit)
     return out
@@ -258,10 +259,10 @@ def _average(space, perms):
 
 def _orbit_sums(dim, perms):
     """The fixed space in Q^dim of the group the index permutations ``perms``
-    generate: the span of its orbit indicators, each already an RREF row
-    (headed by its least index, with value 1)."""
-    return Subspace.from_vectors(({k: 1 for k in orbit} for orbit in _orbits(dim, perms)),
-                                 dim)
+    generate: the span of its orbit indicators.  Each is already an RREF row
+    (headed by its least index, with value 1), so the rows are adopted by
+    ``Subspace.from_indicators``, not eliminated."""
+    return Subspace.from_indicators(_orbits(dim, perms), dim)
 
 
 def _as_permutation(T):
@@ -284,8 +285,10 @@ def _as_permutation(T):
 class CubicDiagram:
     """Subspaces of one ambient space indexed by the vertices of a cube.
 
-    Monotonicity (coarser vertex => smaller subspace) is verified edgewise
-    at construction for weight <= 6 and spot-checked above.
+    Monotonicity (coarser vertex => smaller subspace) is not checked here:
+    ``cubic_complex`` proves it at every weight, for every edge, when it
+    takes the coordinates of each basis row of a vertex in each refinement
+    (a non-member raises CrossCheckError).
     """
 
     def __init__(self, weight, ambient_dim, spaces):
@@ -295,22 +298,9 @@ class CubicDiagram:
         for comp in compositions(weight):
             if comp.parts not in self.spaces:
                 raise ValueError("missing vertex %r" % (comp,))
-        self._check_containments()
 
     def space(self, comp):
         return self.spaces[comp.parts]
-
-    def _check_containments(self):
-        comps = compositions(self.weight)
-        exhaustive = self.weight <= 6
-        for lam in comps:
-            sub = self.space(lam)
-            for k, (sign, mu) in enumerate(subdivisions(lam)):
-                if not exhaustive and k % 3:
-                    continue
-                if not self.space(mu).contains_subspace(sub):
-                    raise CrossCheckError(
-                        "containment fails: C%r not inside C%r" % (lam.parts, mu.parts))
 
 
 def cubic_invariants_diagram(module):
@@ -322,9 +312,11 @@ def cubic_invariants_diagram(module):
     of the group they generate (the image of the averaging operator), taken
     straight from ``_orbits``; otherwise it is ``kernel_basis`` of the stacked
     t_i - 1.  Both give the same basis row for row: RREF is unique, and an
-    orbit headed by its least index is already an RREF row with pivot value 1.
-    A vertex without Young generators has only singleton orbits, so it is
-    the full space.
+    orbit headed by its least index is already an RREF row with pivot value 1,
+    adopted without elimination (``Subspace.from_indicators``).  A vertex
+    without Young generators has only singleton orbits, so it is the full
+    space.  That each vertex lies inside its refinements is proven once, by
+    ``cubic_complex``.
     """
     n, dim = module.n, module.dim
     perms = [_as_permutation(T) for T in module.gens]
@@ -366,7 +358,11 @@ def _face_complex(layout, space, faces):
     """The complex, from degree 0, whose degree k sums ``space(key)`` over the
     keys of ``layout[k]`` in order.  ``faces(key)`` lists the faces out of
     ``key`` as (sign, target key, index map or None for the identity); an
-    index map is per basis index, as from ``seq.unit_pairing``."""
+    index map is per basis index, as from ``seq.unit_pairing``.
+
+    Every face is proven to land in its target: the coordinates of each
+    source row's image are taken in the target space, and an image outside
+    it raises CrossCheckError naming the source and target keys."""
     offsets = {}
     dims = []
     for keys in layout:
@@ -379,13 +375,17 @@ def _face_complex(layout, space, faces):
     for k in range(len(layout) - 1):
         ent = {}
         for key in layout[k]:
-            targets = [(sign, space(target), offsets[target], index_map)
+            targets = [(sign, target, space(target), offsets[target], index_map)
                        for sign, target, index_map in faces(key)]
             col = offsets[key]
             for vec, d in space(key).integral_rows():
-                for sign, target_space, row0, index_map in targets:
+                for sign, target, target_space, row0, index_map in targets:
                     image = vec if index_map is None else _apply(index_map, vec)
-                    _add_block(ent, target_space, row0, col, image, d, sign)
+                    try:
+                        _add_block(ent, target_space, row0, col, image, d, sign)
+                    except ValueError:
+                        raise CrossCheckError("face %r -> %r leaves its target"
+                                              % (key, target)) from None
                 col += 1
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
     return CochainComplex(0, dims, diffs)

@@ -22,6 +22,9 @@ Coordinates in a subspace basis are sparse too: ``coords_of`` returns
 randomised: ``rank`` is one sparse elimination over Q with Markowitz-style
 pivots and no back-substitution, and echelon bases (kernels, images,
 subspace arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
+Rows that are already in that form, the 0/1 indicators of disjoint supports
+each headed by its least index (orbit sums, unit vectors), are adopted by
+``Subspace.from_indicators`` without elimination.
 
 The same sparse dicts carry algebra elements: an element of A_n is a plain
 {basis label: coefficient} dict with no stored zeros, its level n passed
@@ -321,12 +324,35 @@ class Subspace:
         return cls(ambient_dim, ech)
 
     @classmethod
+    def from_indicators(cls, supports, ambient_dim):
+        """The span of the 0/1 indicator vectors of ``supports``: pairwise
+        disjoint index lists, each headed by its least index.
+
+        Such an indicator is already a fraction-free RREF row with pivot value
+        1 (no other row meets its head), so the rows and the column index are
+        adopted as they are, without elimination.  Raises ValueError on an
+        overlap, a head that is not the least index of its support, or an
+        index outside ``range(ambient_dim)``.
+        """
+        ech = Echelon()
+        rows, uses = ech.rows, ech._uses
+        for support in supports:
+            head = support[0]
+            for k in support:
+                if not 0 <= head <= k < ambient_dim or k in uses:
+                    raise ValueError("support %r: index %d repeated, below the head or "
+                                     "outside ambient %d" % (support, k, ambient_dim))
+                uses[k] = {head}
+            rows[head] = dict.fromkeys(support, 1)
+        return cls(ambient_dim, ech)
+
+    @classmethod
     def zero(cls, ambient_dim):
         return cls(ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.from_vectors(({i: 1} for i in range(ambient_dim)), ambient_dim)
+        return cls.from_indicators([[i] for i in range(ambient_dim)], ambient_dim)
 
     @property
     def dim(self):

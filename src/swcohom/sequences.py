@@ -23,7 +23,7 @@ reproducible bit for bit.
 from itertools import product
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
-from .linalg import SparseMatrix, StructureConstantSpec, add_scaled
+from .linalg import StructureConstantSpec, add_scaled
 from .symgrp import (
     SWEEP_CAP,
     all_permutations,
@@ -186,27 +186,6 @@ class MultiplicativeSequence:
     def vec_to_element(self, n, vec):
         basis = self.basis(n)
         return {basis[i]: c for i, c in vec.items() if c}
-
-    def basis_element(self, n, i):
-        return {self.basis(n)[i]: 1}
-
-    def left_mult_matrix(self, n, u):
-        idx = self.index_of(n)
-        ent = {}
-        for j, label in enumerate(self.basis(n)):
-            prod_el = self.multiply(n, u, self.basis_element(n, j))
-            for l, c in prod_el.items():
-                ent[(idx[l], j)] = c
-        return SparseMatrix(self.dim(n), self.dim(n), ent)
-
-    def right_mult_matrix(self, n, u):
-        idx = self.index_of(n)
-        ent = {}
-        for j, label in enumerate(self.basis(n)):
-            prod_el = self.multiply(n, self.basis_element(n, j), u)
-            for l, c in prod_el.items():
-                ent[(idx[l], j)] = c
-        return SparseMatrix(self.dim(n), self.dim(n), ent)
 
 
 # ---------------------------------------------------------------------------
@@ -538,25 +517,6 @@ class HeckeSequence(MultiplicativeSequence):
             e = tuple(1 if k == i else 0 for k in range(n))
             gens.append({(e, identity(n)): 1})
         return gens
-
-    # -- word interface ----------------------------------------------------
-    def generator(self, n, kind, i):
-        """The generator t_i or y_i of level n as an element."""
-        if kind == "t":
-            return {((0,) * n, transposition(n, i)): 1}
-        if kind == "y":
-            if not (1 <= i <= n):
-                raise ValueError("y_%d undefined at level %d" % (i, n))
-            e = tuple(1 if k == i - 1 else 0 for k in range(n))
-            return {(e, identity(n)): 1}
-        raise ValueError("unknown generator kind %r" % kind)
-
-    def normal_form(self, word, n):
-        """Product of a generator word, e.g. [("y",1),("t",1)], in normal form."""
-        el = self.one(n)
-        for kind, i in word:
-            el = self.multiply(n, el, self.generator(n, kind, i))
-        return el
 
 
 def bundled_sequence(seq_id, algebra=None, trunc_degree=3):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from swcohom.combinat import Composition, compositions, union
+from swcohom import CrossCheckError
+from swcohom.combinat import Composition, compositions, subdivisions, union
 from swcohom.linalg import SparseMatrix, Subspace, add_scaled, kernel_basis, subspace_intersect
 from swcohom.homology import (
     SnModule,
@@ -98,12 +99,25 @@ def test_label_conjugation_is_an_involutive_permutation(request, name):
             assert all(perm[perm[k]] == k for k in range(len(perm)))
 
 
+def mult_matrix(seq, n, u, side):
+    """Left (``side`` "left") or right multiplication by the element ``u`` on
+    A_n, as a matrix on basis indices built from ``seq.multiply``."""
+    idx = seq.index_of(n)
+    ent = {}
+    for j, label in enumerate(seq.basis(n)):
+        a, b = (u, {label: 1}) if side == "left" else ({label: 1}, u)
+        prod = seq.multiply(n, a, b)
+        for l, c in prod.items():
+            ent[(idx[l], j)] = c
+    return SparseMatrix(seq.dim(n), seq.dim(n), ent)
+
+
 def brute_force_commutant(seq, n, gens):
     """Dense oracle: solve [g, a] = 0 by elimination on the full table."""
     dim = seq.dim(n)
     rows = []
     for g in gens:
-        mats = seq.left_mult_matrix(n, g), seq.right_mult_matrix(n, g)
+        mats = mult_matrix(seq, n, g, "left"), mult_matrix(seq, n, g, "right")
         for j in range(dim):
             row = {}
             for (i, jj), v in mats[0].entries.items():
@@ -306,6 +320,47 @@ def test_faces_resolved_once_per_composition(monkeypatch):
     deformation_complex_truncated(SymmetricGroupSequence(), 4)
     per_comp = Counter(comp.parts for (comp,) in calls)
     assert per_comp and max(per_comp.values()) == 1
+
+
+def test_containment_failure_names_both_vertices():
+    import swcohom.homology as homology
+
+    diagram = homology.CubicDiagram(2, 2, {
+        (2,): Subspace.full(2),
+        (1, 1): Subspace.from_vectors([{0: 1}], 2),
+    })
+    with pytest.raises(CrossCheckError, match=r"\(2,\) -> \(1, 1\)"):
+        cubic_cohomology(diagram)
+
+
+def test_each_face_membership_is_tested_once(monkeypatch):
+    # the cube of S_4's regular rep: every vertex is adopted from orbit
+    # indicators, and one residue per (source row, refinement face) proves
+    # both the containment and the coordinates
+    import swcohom.linalg as linalg
+
+    inserts = _count_calls(monkeypatch, linalg.Echelon, "insert")
+    residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
+    diagram = cubic_invariants_diagram(SnModule.regular(4))
+    assert cubic_cohomology(diagram) == {0: 0, 1: 0, 2: 0, 3: 1}
+    assert inserts == []
+    assert len(residues) == sum(diagram.space(lam).dim * len(subdivisions(lam))
+                                for lam in compositions(4))
+
+
+def test_face_divides_the_image_of_an_integral_row():
+    import swcohom.homology as homology
+
+    # the source is span{(1, 1/2)}, stored as the integral row 2 e0 + e1 (d = 2);
+    # the face sends e0 -> f0 + f1 and e1 -> 3 f2 into T = span{f0 + f1, f2},
+    # so (1, 1/2) -> (1, 1, 3/2) = 1 (f0 + f1) + 3/2 f2, negated by the sign
+    spaces = {"s": Subspace.from_vectors([{0: 2, 1: 1}], 2),
+              "t": Subspace.from_vectors([{0: 1, 1: 1}, {2: 1}], 3)}
+    assert spaces["s"].integral_rows() == [({0: 2, 1: 1}, 2)]
+    faces = {"s": [(-1, "t", [{0: 1, 1: 1}, {2: 3}])], "t": []}
+    cx = homology._face_complex([["s"], ["t"]], spaces.__getitem__, faces.__getitem__)
+    assert cx.dims == [1, 2]
+    assert cx.differentials[0].entries == {(0, 0): -1, (1, 0): Fraction(-3, 2)}
 
 
 # -- horizontal complexes ----------------------------------------------------------

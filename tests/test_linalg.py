@@ -25,7 +25,8 @@ from swcohom.linalg import (
     subspace_sum,
 )
 from swcohom.sequences import SkewGroupSequence, SymmetricGroupSequence
-from swcohom.combinat import Composition
+from swcohom.combinat import Composition, compositions
+from swcohom.symgrp import young_positions
 
 
 def dense_rref(rows):
@@ -53,11 +54,14 @@ def dense_rref(rows):
 
 
 def one_plus_t1_matrix():
-    """Left multiplication by 1 + t_1 on Q[S_3], dense."""
+    """Left multiplication by 1 + t_1 on Q[S_3], on basis indices."""
     seq = SymmetricGroupSequence()
     t1 = seq.subalgebra_generators(Composition((2, 1)))[0]
     u = add_scaled(seq.one(3), t1)
-    return seq.left_mult_matrix(3, u)
+    idx = seq.index_of(3)
+    return SparseMatrix(seq.dim(3), seq.dim(3), {
+        (idx[l], j): c for j, label in enumerate(seq.basis(3))
+        for l, c in seq.multiply(3, u, {label: 1}).items()})
 
 
 def to_dense(M):
@@ -295,6 +299,40 @@ def test_coords_positions_shift_after_insert():
     assert U.pivots == [0, 2, 4]
     assert U.coords_of({4: 7}) == {2: 7}
     assert U.coords_of({0: 1, 2: -1}) == {0: 1, 1: -1}
+
+
+def _regular4_orbit_partitions():
+    import swcohom.homology as homology
+
+    module = SnModule.regular(4)
+    perms = [homology._as_permutation(T) for T in module.gens]
+    return [homology._orbits(module.dim, [perms[i - 1] for i in young_positions(comp)])
+            for comp in compositions(4)], module.dim
+
+
+def test_from_indicators_adopts_what_elimination_builds():
+    partitions, dim = _regular4_orbit_partitions()
+    assert len(partitions) == 8 and any(len(orbit) > 1 for orbit in partitions[0])
+    for orbits in partitions:
+        adopted = Subspace.from_indicators(orbits, dim)
+        built = Subspace.from_vectors([{k: 1 for k in orbit} for orbit in orbits], dim)
+        assert adopted.pivots == built.pivots
+        assert adopted.integral_rows() == built.integral_rows()
+        assert adopted._ech._uses == built._ech._uses
+    assert Subspace.from_indicators([[i] for i in range(5)], 5) == Subspace.full(5)
+    assert Subspace.from_indicators([], 3).dim == 0
+
+
+@pytest.mark.parametrize("supports", [
+    [[0, 2], [1, 2]],       # overlapping supports
+    [[0, 1, 1]],            # an index repeated inside one support
+    [[1, 0], [2]],          # a head that is not the least index
+    [[0], [1, 3]],          # an index outside the ambient dimension
+    [[-1, 0]],              # a negative head
+], ids=["overlap", "repeat", "head-not-least", "out-of-range", "negative"])
+def test_from_indicators_rejects_what_is_not_an_rref(supports):
+    with pytest.raises(ValueError):
+        Subspace.from_indicators(supports, 3)
 
 
 def test_sum_intersect_trivial_and_complementary():
