@@ -201,10 +201,13 @@ def commutant(seq, n, gens, space):
     ker = kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), len(basis)))
     # kernel vectors are coordinates in space's integral rows; take them back
     # to A_n (integral kernel rows span the same combinations)
-    combos = SparseMatrix.from_row_dicts([row for row, _ in ker.integral_rows()],
-                                         len(basis)).matmul(
-        SparseMatrix.from_row_dicts(basis, space.ambient_dim))
-    return Subspace.from_vectors(combos.row_dicts(), space.ambient_dim)
+    out = Subspace(space.ambient_dim)
+    for coeffs, _ in ker.integral_rows():
+        vec = {}
+        for j, c in coeffs.items():
+            add_scaled(vec, basis[j], c)
+        out.insert(vec)
+    return out
 
 
 def _orbits(dim, perms):
@@ -282,29 +285,9 @@ def _as_permutation(T):
 # cubic diagrams and their complexes
 
 
-class CubicDiagram:
-    """Subspaces of one ambient space indexed by the vertices of a cube.
-
-    Monotonicity (coarser vertex => smaller subspace) is not checked here:
-    ``cubic_complex`` proves it at every weight, for every edge, when it
-    takes the coordinates of each basis row of a vertex in each refinement
-    (a non-member raises CrossCheckError).
-    """
-
-    def __init__(self, weight, ambient_dim, spaces):
-        self.weight = weight
-        self.ambient_dim = ambient_dim
-        self.spaces = dict(spaces)
-        for comp in compositions(weight):
-            if comp.parts not in self.spaces:
-                raise ValueError("missing vertex %r" % (comp,))
-
-    def space(self, comp):
-        return self.spaces[comp.parts]
-
-
 def cubic_invariants_diagram(module):
-    """Vertices are the joint fixed spaces of the Young generators.
+    """The cubic diagram {parts: Subspace} of ``module``: the vertex of a
+    composition of n is the joint fixed space of its Young generators.
 
     This mirrors ``centralizer``: average when every t_i permutes labels,
     else solve.  When every Young generator of a vertex is a permutation
@@ -315,8 +298,8 @@ def cubic_invariants_diagram(module):
     orbit headed by its least index is already an RREF row with pivot value 1,
     adopted without elimination (``Subspace.from_indicators``).  A vertex
     without Young generators has only singleton orbits, so it is the full
-    space.  That each vertex lies inside its refinements is proven once, by
-    ``cubic_complex``.
+    space.  That each vertex lies inside its refinements (coarser vertex =>
+    smaller subspace) is proven once, by ``cubic_complex``.
     """
     n, dim = module.n, module.dim
     perms = [_as_permutation(T) for T in module.gens]
@@ -331,21 +314,23 @@ def cubic_invariants_diagram(module):
                                  add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
                     for i in positions]
             vertex[comp.parts] = kernel_basis(SparseMatrix.vstack(mats))
-    return CubicDiagram(n, dim, vertex)
+    return vertex
 
 
 def centralizer_diagram(seq, w):
-    """The cubic diagram of centralizers at weight w."""
-    spaces = {c.parts: centralizer(seq, c) for c in compositions(w)}
-    return CubicDiagram(w, seq.dim(w), spaces)
+    """The cubic diagram {parts: C(parts)} of centralizers at weight w."""
+    return {c.parts: centralizer(seq, c) for c in compositions(w)}
 
 
 def cubic_complex(diagram):
-    """Cochain complex of a cubic diagram; degree k sums vertices with k ones."""
-    layout = [[] for _ in range(diagram.weight)]
-    for comp in compositions(diagram.weight):
+    """Cochain complex of a cubic diagram {parts: Subspace}, all of one
+    weight; degree k sums the vertices with k + 1 parts.  A face that leaves
+    its target raises CrossCheckError, and a missing vertex KeyError."""
+    weight = sum(next(iter(diagram)))
+    layout = [[] for _ in range(weight)]
+    for comp in compositions(weight):
         layout[comp.length - 1].append(comp.parts)
-    return _face_complex(layout, diagram.spaces.__getitem__, _refinement_faces)
+    return _face_complex(layout, diagram.__getitem__, _refinement_faces)
 
 
 def _refinement_faces(parts):
@@ -388,7 +373,7 @@ def _face_complex(layout, space, faces):
                                               % (key, target)) from None
                 col += 1
         diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
-    return CochainComplex(0, dims, diffs)
+    return CochainComplex(dims, diffs)
 
 
 def cubic_cohomology(diagram):
@@ -535,7 +520,7 @@ class ReducedComplexData:
 
     def representatives(self, w):
         q = self.quotients.get(w)
-        return q.representatives() if q is not None else None
+        return q.basis() if q is not None else None
 
     def class_of(self, w, vec):
         """Dense coordinate list of [vec] in the representative basis of T_w."""

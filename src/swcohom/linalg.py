@@ -6,8 +6,8 @@ dict whose positive pivot value d stands for the RREF row ``row / d``, and
 ``rank`` eliminates on integer rows: at a pivot other than +-1 a row is
 updated as ``d*row - a*pivot_row`` and its content divided out, so no
 ``Fraction`` arises inside either.  One is built only at the boundary, and
-only where d does not divide: in the RREF rows of ``Subspace.basis``, in the
-exact residue of ``Subspace.reduce``, and where ``divided`` takes the
+only where d does not divide: in the RREF rows of ``Echelon.basis``, in the
+exact residue of ``Echelon.reduce``, and where ``divided`` takes the
 coordinates of an integral row's image back to an RREF basis (the
 differential assembly of ``homology``).  Rational inputs to ``insert`` and
 ``rank`` are cleared to integers on entry through their ``denominator``; a
@@ -25,6 +25,14 @@ subspace arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted by
 ``Subspace.from_indicators`` without elimination.
+
+A subspace is its echelon form: ``Subspace`` is an ``Echelon`` that knows
+its ambient dimension and answers membership (``contains``, ``coords_of``),
+and a ``QuotientSpace`` V/U is the ``Subspace`` of its coset
+representatives, which also keeps U.  Every constructor of a subspace (the
+``from_*`` classmethods, ``kernel_basis``, ``subspace_sum``,
+``subspace_intersect``, ``QuotientSpace``) fills the object it returns
+itself, and none holds a second ``Echelon``.
 
 The same sparse dicts carry algebra elements: an element of A_n is a plain
 {basis label: coefficient} dict with no stored zeros, its level n passed
@@ -169,12 +177,14 @@ class Echelon:
     entries have gcd 1) whose pivot value, its entry at the pivot column, is
     positive; every pivot column is cleared from every other stored row.  So
     a row divided by its pivot value is the row of the reduced row echelon
-    form (RREF), and ``row_list`` builds exactly that, with a ``Fraction``
-    only where the pivot value does not divide.  A column index keeps
+    form (RREF), and ``basis`` builds exactly that, with a ``Fraction`` only
+    where the pivot value does not divide.  A column index keeps
     back-substitution proportional to actual fill.  The sorted pivot list
     and the pivot -> position map are built on first use and dropped by every
     accepted ``insert``.
     """
+
+    __slots__ = ("rows", "_uses", "_pivots", "_positions")
 
     def __init__(self):
         self.rows = {}          # pivot col -> primitive integer row dict
@@ -182,7 +192,8 @@ class Echelon:
         self._pivots = None     # sorted pivot cols, cached
         self._positions = None  # pivot col -> index in the sorted pivots, cached
 
-    def __len__(self):
+    @property
+    def dim(self):
         return len(self.rows)
 
     @property
@@ -198,6 +209,21 @@ class Echelon:
         if self._positions is None:
             self._positions = {p: k for k, p in enumerate(self.pivots)}
         return self._positions
+
+    def basis(self):
+        """The RREF rows in pivot order, as new dicts."""
+        out = []
+        for p in self.pivots:
+            row = self.rows[p]
+            out.append(dict(row) if row[p] == 1 else divided(row, row[p]))
+        return out
+
+    def integral_rows(self):
+        """The basis as (row, d) pairs in pivot order, ``basis()[k] == row / d``:
+        ``row`` is a primitive integer dict (shared; do not mutate) and ``d``
+        its positive pivot value."""
+        rows = self.rows
+        return [(rows[p], rows[p][p]) for p in self.pivots]
 
     def _residue(self, vec):
         """(w, s): a new vector w and a positive int s such that w / s is the
@@ -295,33 +321,25 @@ class Echelon:
             uses.setdefault(c, set()).add(piv)
         return piv
 
-    def row_list(self):
-        """The RREF rows in pivot order, as new dicts."""
-        out = []
-        for p in self.pivots:
-            row = self.rows[p]
-            out.append(dict(row) if row[p] == 1 else divided(row, row[p]))
-        return out
 
+class Subspace(Echelon):
+    """Subspace of Q^ambient_dim: the echelon form of its basis, plus membership."""
 
-class Subspace:
-    """Subspace of Q^ambient held as an echelonised basis."""
+    __slots__ = ("ambient_dim",)
 
-    __slots__ = ("ambient_dim", "_ech")
-
-    def __init__(self, ambient_dim, echelon=None):
+    def __init__(self, ambient_dim):
+        super().__init__()
         self.ambient_dim = ambient_dim
-        self._ech = echelon if echelon is not None else Echelon()
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        ech = Echelon()
+        out = cls(ambient_dim)
         for v in vectors:
             for c in v:
                 if not (0 <= c < ambient_dim):
                     raise ValueError("coordinate %d outside ambient %d" % (c, ambient_dim))
-            ech.insert(v)
-        return cls(ambient_dim, ech)
+            out.insert(v)
+        return out
 
     @classmethod
     def from_indicators(cls, supports, ambient_dim):
@@ -334,8 +352,8 @@ class Subspace:
         overlap, a head that is not the least index of its support, or an
         index outside ``range(ambient_dim)``.
         """
-        ech = Echelon()
-        rows, uses = ech.rows, ech._uses
+        out = cls(ambient_dim)
+        rows, uses = out.rows, out._uses
         for support in supports:
             head = support[0]
             for k in support:
@@ -344,7 +362,7 @@ class Subspace:
                                      "outside ambient %d" % (support, k, ambient_dim))
                 uses[k] = {head}
             rows[head] = dict.fromkeys(support, 1)
-        return cls(ambient_dim, ech)
+        return out
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -354,30 +372,8 @@ class Subspace:
     def full(cls, ambient_dim):
         return cls.from_indicators([[i] for i in range(ambient_dim)], ambient_dim)
 
-    @property
-    def dim(self):
-        return len(self._ech)
-
-    @property
-    def pivots(self):
-        return self._ech.pivots
-
-    def basis(self):
-        """Echelon basis rows (RREF), ordered by pivot."""
-        return self._ech.row_list()
-
-    def integral_rows(self):
-        """The basis as (row, d) pairs in pivot order, ``basis()[k] == row / d``:
-        ``row`` is a primitive integer dict (shared; do not mutate) and ``d``
-        its positive pivot value."""
-        rows = self._ech.rows
-        return [(rows[p], rows[p][p]) for p in self._ech.pivots]
-
-    def reduce(self, vec):
-        return self._ech.reduce(vec)
-
     def contains(self, vec):
-        return not self._ech._residue(vec)[0]
+        return not self._residue(vec)[0]
 
     def coords_of(self, vec):
         """Sparse coordinates {position: int or Fraction} of ``vec`` in ``basis()``.
@@ -386,9 +382,9 @@ class Subspace:
         not a member.  In RREF the coefficient along the row with pivot p is
         simply vec[p], so an ``int`` entry stays an ``int``.
         """
-        if self._ech._residue(vec)[0]:
+        if self._residue(vec)[0]:
             raise ValueError("vector not in subspace")
-        positions = self._ech.positions
+        positions = self.positions
         return {positions[c]: v for c, v in vec.items() if v and c in positions}
 
     def contains_subspace(self, other):
@@ -401,7 +397,7 @@ class Subspace:
                 and self.contains_subspace(other))
 
     def __repr__(self):
-        return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
+        return "%s(dim %d of Q^%d)" % (type(self).__name__, self.dim, self.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +484,24 @@ def kernel_basis(M):
     ech = Echelon()
     for row in M.row_dicts():
         ech.insert(row)
-    out = Echelon()
     rows = ech.rows
+    users = {}      # free col j -> {pivot p: row_p[j]}
+    for p, row in rows.items():
+        for j, x in row.items():
+            if j != p:
+                users.setdefault(j, {})[p] = x
+    out = Subspace(M.cols)
     for j in range(M.cols):
         if j in rows:
             continue
         # x_j = 1 and x_p = -row_p[j] / d_p, all scaled by the lcm of the d_p
-        users = ech._uses.get(j, ())
-        scale = lcm(*(rows[p][p] for p in users))
+        col = users.get(j, {})
+        scale = lcm(*(rows[p][p] for p in col))
         vec = {j: scale}
-        for p in users:
-            vec[p] = -rows[p][j] * (scale // rows[p][p])
+        for p, x in col.items():
+            vec[p] = -x * (scale // rows[p][p])
         out.insert(vec)
-    return Subspace(M.cols, out)
+    return out
 
 
 def image_basis(M):
@@ -511,7 +512,7 @@ def image_basis(M):
 def subspace_sum(*spaces):
     """The sum of one or more subspaces of one ambient space.
 
-    Each basis row is inserted once into one ``Echelon``.  RREF is unique, so
+    Each basis row is inserted once into the result.  RREF is unique, so
     the result equals the pairwise fold ``subspace_sum(subspace_sum(U, V), W)``
     without re-inserting the growing partial sum.
     """
@@ -520,11 +521,11 @@ def subspace_sum(*spaces):
     ambient = spaces[0].ambient_dim
     if any(S.ambient_dim != ambient for S in spaces):
         raise ValueError("ambient mismatch")
-    ech = Echelon()
+    out = Subspace(ambient)
     for S in spaces:
         for row, _ in S.integral_rows():
-            ech.insert(row)
-    return Subspace(ambient, ech)
+            out.insert(row)
+    return out
 
 
 def subspace_intersect(U, W):
@@ -540,51 +541,39 @@ def subspace_intersect(U, W):
         ech.insert(doubled)
     for row, _ in W.integral_rows():
         ech.insert(row)
-    inter = Echelon()
+    inter = Subspace(n)
     for piv in ech.pivots:
         if piv >= n:
             row = ech.rows[piv]
             inter.insert({c - n: v for c, v in row.items()})
-    return Subspace(n, inter)
+    return inter
 
 
-class QuotientSpace:
-    """Quotient V/U with echelon-selected coset representatives.
+class QuotientSpace(Subspace):
+    """Quotient V/U, held as the Subspace of its coset representatives.
 
-    Representatives are residues of V's basis after reduction modulo U,
-    re-echelonised; ``coords_of`` expresses a vector's class in that basis.
+    The representatives are the residues of V's basis modulo U,
+    re-echelonised; ``coords_of`` expresses a vector's class in their basis.
     """
+
+    __slots__ = ("U",)
 
     def __init__(self, V, U):
         if not V.contains_subspace(U):
             raise ValueError("U is not contained in V")
-        self.V = V
+        super().__init__(V.ambient_dim)
         self.U = U
-        ech = Echelon()
         for row, _ in V.integral_rows():
-            res, _ = U._ech._residue(row)
+            res, _ = U._residue(row)
             if res:
-                ech.insert(res)
-        self._rep_space = Subspace(V.ambient_dim, ech)
-
-    @property
-    def dim(self):
-        return self._rep_space.dim
-
-    def representatives(self):
-        return self._rep_space.basis()
-
-    def integral_rows(self):
-        """``representatives()`` as (row, d) pairs, as ``Subspace.integral_rows``."""
-        return self._rep_space.integral_rows()
+                self.insert(res)
 
     def coords_of(self, vec):
-        """Sparse coordinates {position: int or Fraction} of [vec] in ``representatives()``.
+        """Sparse coordinates {position: int or Fraction} of [vec] in ``basis()``.
 
         ``vec`` must lie in V; zero coefficients are not stored.
         """
-        res = self.U.reduce(vec)
-        return self._rep_space.coords_of(res)
+        return super().coords_of(self.U.reduce(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +581,12 @@ class QuotientSpace:
 
 
 class CochainComplex:
-    """Finite complex of coordinate spaces; d(k): C^k -> C^(k+1), d.d = 0 enforced."""
+    """Finite complex of coordinate spaces from degree 0; d(k): C^k -> C^(k+1),
+    d.d = 0 enforced."""
 
-    def __init__(self, degree_start, dims, differentials):
+    def __init__(self, dims, differentials):
         if len(differentials) != max(len(dims) - 1, 0):
             raise ValueError("need one differential per adjacent degree pair")
-        self.degree_start = degree_start
         self.dims = list(dims)
         self.differentials = list(differentials)
         for k, d in enumerate(self.differentials):
@@ -607,7 +596,7 @@ class CochainComplex:
         for k in range(len(self.differentials) - 1):
             if not self.differentials[k + 1].matmul(self.differentials[k]).is_zero():
                 raise ValueError("d.d != 0 between degrees %d and %d"
-                                 % (degree_start + k, degree_start + k + 2))
+                                 % (k, k + 2))
 
     def cohomology_dims(self):
         """H^k dims; only the ranks of the differentials are needed."""
@@ -616,7 +605,7 @@ class CochainComplex:
         for k, dim in enumerate(self.dims):
             r_out = ranks[k] if k < len(ranks) else 0
             r_in = ranks[k - 1] if k >= 1 else 0
-            out[self.degree_start + k] = dim - r_out - r_in
+            out[k] = dim - r_out - r_in
         self._check_euler(out)
         return out
 
@@ -625,7 +614,6 @@ class CochainComplex:
         out = {}
         reps = {}
         for k, dim in enumerate(self.dims):
-            deg = self.degree_start + k
             if k < len(self.differentials):
                 ker = kernel_basis(self.differentials[k])
             else:
@@ -635,14 +623,14 @@ class CochainComplex:
             else:
                 img = Subspace.zero(dim)
             quot = QuotientSpace(ker, img)
-            out[deg] = quot.dim
-            reps[deg] = quot.representatives()
+            out[k] = quot.dim
+            reps[k] = quot.basis()
         self._check_euler(out)
         return out, reps
 
     def _check_euler(self, hdims):
         lhs = sum((-1) ** k * d for k, d in enumerate(self.dims))
-        rhs = sum((-1) ** (deg - self.degree_start) * d for deg, d in hdims.items())
+        rhs = sum((-1) ** k * d for k, d in hdims.items())
         if lhs != rhs:
             raise CrossCheckError("Euler characteristic mismatch: %d vs %d" % (lhs, rhs))
 

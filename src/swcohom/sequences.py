@@ -203,7 +203,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         super().__init__(level_cap)
 
     def _build_basis(self, n):
-        return all_permutations(n, cap=self.level_cap)
+        return all_permutations(n)
 
     def one(self, n):
         return {identity(n): 1}
@@ -308,7 +308,7 @@ class SkewGroupSequence(MultiplicativeSequence):
         self.algebra = algebra if algebra is not None else CommutativeAlgebraSpec.quadratic()
 
     def _build_basis(self, n):
-        perms = all_permutations(n, cap=n)
+        perms = all_permutations(n)
         labels = []
         for a in product(range(self.algebra.dim), repeat=n):
             for p in perms:
@@ -352,19 +352,11 @@ class SkewGroupSequence(MultiplicativeSequence):
     def subalgebra_generators(self, comp):
         n = comp.weight
         self.check_level(n)
-        gens = []
-        pid = identity(n)
         unit_ix = self.algebra.unit_basis_index()
-        for i in young_positions(comp):
-            gens.append(self._group_element(n, transposition(n, i)))
+        gens = [self._group_element(n, transposition(n, i)) for i in young_positions(comp)]
         for slot in range(n):
             for k in range(self.algebra.dim):
-                if unit_ix is not None and k == unit_ix:
-                    continue
-                if unit_ix is not None:
-                    a = tuple(k if l == slot else unit_ix for l in range(n))
-                    gens.append({(a, pid): 1})
-                else:
+                if k != unit_ix:
                     gens.append(self._slot_insertion(n, slot, k))
         return gens
 
@@ -417,7 +409,7 @@ class HeckeSequence(MultiplicativeSequence):
 
     def _build_basis(self, n):
         D = self.trunc_degree
-        perms = all_permutations(n, cap=n)
+        perms = all_permutations(n)
         exps = sorted(product(range(D + 1), repeat=n), key=lambda a: (sum(a), a))
         return [(a, p) for a in exps for p in perms]
 

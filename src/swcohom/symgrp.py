@@ -27,7 +27,6 @@ from . import CrossCheckError, ResourceLimitError
 
 ENUMERATION_CAP = 8      # largest n for which S_n is materialised element by element
 SWEEP_CAP = 9            # largest n whose conjugacy classes are swept sign by sign
-COUNTING_CAP = 14        # class-based dimension counts avoid enumeration up to here
 
 
 def identity(n):
@@ -92,10 +91,10 @@ def block_sum(p, q):
 
 
 @lru_cache(maxsize=None)
-def all_permutations(n, cap=ENUMERATION_CAP):
+def all_permutations(n):
     """All of S_n in lexicographic one-line order."""
-    if n > cap:
-        raise ResourceLimitError("refusing to enumerate S_%d (cap %d)" % (n, cap))
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError("refusing to enumerate S_%d (cap %d)" % (n, ENUMERATION_CAP))
     return tuple(_it_permutations(range(1, n + 1)))
 
 
@@ -171,17 +170,14 @@ def signed_class_dim(n):
     """dim of the space of sign-twisted class functions on S_n.
 
     Up to ``SWEEP_CAP`` this is established by the signed orbit sweep of each
-    class itself; beyond it (n <= COUNTING_CAP) the cycle-type criterion - all
-    parts odd and pairwise distinct - is used without touching the group.
+    class itself; beyond it, refuse.
     """
     if n == 0:
         return 1
     if n <= SWEEP_CAP:
         return sum(1 for ct in partitions(n)
                    if signed_orbit_tuples(class_representative(n, ct)) is not None)
-    if n <= COUNTING_CAP:
-        return sum(1 for ct in partitions(n) if has_distinct_odd_type(ct))
-    raise ResourceLimitError("signed_class_dim capped at n=%d" % COUNTING_CAP)
+    raise ResourceLimitError("signed_class_dim capped at n=%d" % SWEEP_CAP)
 
 
 def signed_class_basis(n):

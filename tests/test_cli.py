@@ -271,12 +271,10 @@ def test_cross_check_exit_code(monkeypatch):
 
 def test_cube_containment_failure_exits_4(monkeypatch, capsys):
     import swcohom.cli as cli
-    from swcohom.homology import CubicDiagram
     from swcohom.linalg import Subspace
 
     # C(2) = Q^2 does not lie inside its refinement C(1, 1) = span{e_0}
-    bad = CubicDiagram(2, 2, {(2,): Subspace.full(2),
-                              (1, 1): Subspace.from_vectors([{0: 1}], 2)})
+    bad = {(2,): Subspace.full(2), (1, 1): Subspace.from_vectors([{0: 1}], 2)}
     monkeypatch.setattr(cli, "cubic_invariants_diagram", lambda module: bad)
     code, out = run_cli("cubic", "--n", "2")
     assert code == 4 and out == ""

@@ -30,6 +30,11 @@
   complex (cubic, horizontal, truncated full and reduced) in one
   face-complex builder, so ``CochainComplex(`` occurs once in
   ``homology.py``, and ``reduced_complex`` constructs exactly one complex.
+* a subspace is its echelon form: every subspace ``linalg`` returns is an
+  ``Echelon`` filled by its own ``insert`` (a ``QuotientSpace`` is the
+  subspace of its coset representatives), and none holds another
+  ``Echelon`` but a quotient's U.  ``commutant`` takes its kernel back to
+  A_n row by row, without a matrix product.
 """
 
 import ast
@@ -39,8 +44,19 @@ from pathlib import Path
 import pytest
 
 from swcohom.combinat import Composition, compositions
-from swcohom.linalg import CochainComplex
+from swcohom.linalg import (
+    CochainComplex,
+    Echelon,
+    QuotientSpace,
+    SparseMatrix,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    subspace_intersect,
+    subspace_sum,
+)
 from swcohom.sequences import (
+    CommutativeAlgebraSpec,
     HeckeSequence,
     MultiplicativeSequence,
     SkewGroupSequence,
@@ -122,6 +138,42 @@ def test_reduced_complex_is_one_face_complex(monkeypatch):
     monkeypatch.setattr(homology, "CochainComplex", counting)
     homology.reduced_complex(SymmetricGroupSequence(), 4)
     assert len(built) == 1
+
+
+def _attributes(obj):
+    names = {name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())}
+    names.update(getattr(obj, "__dict__", {}))
+    return {name: getattr(obj, name) for name in names if hasattr(obj, name)}
+
+
+def test_a_subspace_is_its_echelon_form(monkeypatch):
+    import swcohom.homology as homology
+
+    M = SparseMatrix(2, 4, {(0, 0): 2, (0, 1): 1, (1, 2): 3, (1, 3): -1})
+    U = Subspace.from_vectors([{0: 2, 1: 1}, {2: 1}], 4)
+    W = Subspace.from_indicators([[1, 3], [2]], 4)
+    spaces = [U, W, Subspace.full(4), Subspace.zero(4), kernel_basis(M), image_basis(M),
+              subspace_sum(U, W), subspace_intersect(U, W),
+              QuotientSpace(Subspace.full(4), U)]
+    for space in spaces:
+        assert isinstance(space, Echelon), type(space)
+        held = {name: type(value).__name__ for name, value in _attributes(space).items()
+                if isinstance(value, Echelon)
+                and not (isinstance(space, QuotientSpace) and name == "U")}
+        assert not held, (space, held)
+    products = []
+    matmul = SparseMatrix.matmul
+
+    def counting(*args):
+        products.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counting)
+    seq = SkewGroupSequence(CommutativeAlgebraSpec.quadratic(2))
+    for n in range(1, 4):
+        for comp in compositions(n):
+            homology.centralizer(seq, comp)
+    assert products == []
 
 
 def _is_fraction_call(node):

@@ -108,9 +108,6 @@ def test_signed_class_dims_match_series():
     assert signed_class_dim(2) == 0
     assert signed_class_dim(3) == 1
     assert signed_class_dim(8) == 2
-    # counting path beyond the enumeration cap
-    series14 = distinct_odd_partition_series(14)
-    assert signed_class_dim(14) == series14[14]
 
 
 def test_distinct_odd_criterion_matches_sweep():
