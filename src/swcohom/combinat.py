@@ -102,10 +102,7 @@ def compositions(w):
     """
     if w < 1:
         raise ValueError("weight must be >= 1 (the empty weight is the unit layer)")
-    out = []
-    for bits in product((0, 1), repeat=w - 1):
-        out.append(from_binary(bits))
-    return out
+    return [from_binary(bits) for bits in product((0, 1), repeat=w - 1)]
 
 
 def union(lam, mu):

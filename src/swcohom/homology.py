@@ -15,7 +15,8 @@ complex, the horizontal complexes and the reduced complex are all built
 explicitly and compared by the test suite.
 """
 
-from math import factorial, lcm
+from functools import reduce
+from math import factorial, lcm, prod
 
 from . import CrossCheckError, ResourceLimitError
 from .combinat import Composition, compositions, subdivisions
@@ -41,7 +42,10 @@ class SnModule:
     """An S_n-module presented by the matrices of t_1..t_{n-1}.
 
     The involution, braid and distant-commutation relations are checked at
-    construction, so a bad presentation fails fast.
+    construction, so a bad presentation fails fast.  ``perms`` lists each
+    generator as a column -> row index list (None where it is no permutation
+    matrix); when all are index lists the relations are checked by composing
+    them, else by matrix products.
     """
 
     def __init__(self, n, dim, gens, name="M"):
@@ -51,20 +55,28 @@ class SnModule:
         self.name = name
         if len(self.gens) != n - 1:
             raise ValueError("need %d generator matrices" % (n - 1))
-        eye = SparseMatrix.identity(dim)
+        self.perms = [_as_permutation(T) for T in self.gens]
+        if None in self.perms:
+            gens, one = self.gens, SparseMatrix.identity(dim).entries
+            def mul(*factors):
+                return reduce(SparseMatrix.matmul, factors).entries
+        else:
+            gens, one = self.perms, list(range(dim))
+            def mul(*factors):
+                return reduce(lambda a, b: [a[k] for k in b], factors)
         for i, T in enumerate(self.gens, start=1):
             if T.rows != dim or T.cols != dim:
                 raise ValueError("generator %d has wrong shape" % i)
-            if T.matmul(T).entries != eye.entries:
+            if mul(gens[i - 1], gens[i - 1]) != one:
                 raise ValueError("t_%d is not an involution" % i)
         for i in range(1, n - 1):
-            a, b = self.gens[i - 1], self.gens[i]
-            if a.matmul(b).matmul(a).entries != b.matmul(a).matmul(b).entries:
+            a, b = gens[i - 1], gens[i]
+            if mul(a, b, a) != mul(b, a, b):
                 raise ValueError("braid relation fails at %d" % i)
         for i in range(1, n - 1):
             for j in range(i + 2, n):
-                a, b = self.gens[i - 1], self.gens[j - 1]
-                if a.matmul(b).entries != b.matmul(a).entries:
+                a, b = gens[i - 1], gens[j - 1]
+                if mul(a, b) != mul(b, a):
                     raise ValueError("t_%d, t_%d do not commute" % (i, j))
 
     @classmethod
@@ -78,23 +90,15 @@ class SnModule:
 
     @classmethod
     def natural(cls, n):
-        gens = []
-        for i in range(1, n):
-            ent = {(k, k): 1 for k in range(n) if k not in (i - 1, i)}
-            ent[(i - 1, i)] = 1
-            ent[(i, i - 1)] = 1
-            gens.append(SparseMatrix(n, n, ent))
+        gens = [_permutation_matrix([k - 1 for k in transposition(n, i)]) for i in range(1, n)]
         return cls(n, n, gens, "perm")
 
     @classmethod
     def regular(cls, n):
         basis = all_permutations(n)
         index = {p: k for k, p in enumerate(basis)}
-        gens = []
-        for i in range(1, n):
-            t = transposition(n, i)
-            ent = {(index[compose(t, p)], k): 1 for k, p in enumerate(basis)}
-            gens.append(SparseMatrix(len(basis), len(basis), ent))
+        gens = [_permutation_matrix([index[compose(transposition(n, i), p)] for p in basis])
+                for i in range(1, n)]
         return cls(n, len(basis), gens, "regular")
 
     def tensor(self, other):
@@ -115,6 +119,11 @@ class SnModule:
             gens.append(SparseMatrix(a.rows + b.rows, a.cols + b.cols, ent))
         return SnModule(self.n, self.dim + other.dim, gens,
                         "%s(+)%s" % (self.name, other.name))
+
+
+def _permutation_matrix(perm):
+    """The 0/1 matrix sending basis index j to perm[j]."""
+    return SparseMatrix._adopt(len(perm), len(perm), {(i, j): 1 for j, i in enumerate(perm)})
 
 
 def _kron(a, b):
@@ -203,10 +212,7 @@ def commutant(seq, n, gens, space):
     # to A_n (integral kernel rows span the same combinations)
     out = Subspace(space.ambient_dim)
     for coeffs, _ in ker.integral_rows():
-        vec = {}
-        for j, c in coeffs.items():
-            add_scaled(vec, basis[j], c)
-        out.insert(vec)
+        out.insert(_apply(basis, coeffs))
     return out
 
 
@@ -301,8 +307,7 @@ def cubic_invariants_diagram(module):
     space.  That each vertex lies inside its refinements (coarser vertex =>
     smaller subspace) is proven once, by ``cubic_complex``.
     """
-    n, dim = module.n, module.dim
-    perms = [_as_permutation(T) for T in module.gens]
+    n, dim, perms = module.n, module.dim, module.perms
     diagonal = SparseMatrix.identity(dim).entries
     vertex = {}
     for comp in compositions(n):
@@ -372,7 +377,7 @@ def _face_complex(layout, space, faces):
                         raise CrossCheckError("face %r -> %r leaves its target"
                                               % (key, target)) from None
                 col += 1
-        diffs.append(SparseMatrix(dims[k + 1], dims[k], ent))
+        diffs.append(SparseMatrix._adopt(dims[k + 1], dims[k], ent))
     return CochainComplex(dims, diffs)
 
 
@@ -387,10 +392,7 @@ def top_quotient(module):
     diagonal = SparseMatrix.identity(module.dim).entries
     blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
               for T in module.gens]
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.hstack(b)
-    return module.dim - rank(stacked)
+    return module.dim - rank(reduce(SparseMatrix.hstack, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,8 @@ def deformation_complex_truncated(seq, max_weight):
 
 def _apply(index_map, vec):
     """The image of the sparse vector ``vec`` under a map given per basis
-    index (a list of sparse vectors, as from ``seq.unit_pairing``)."""
+    index (a list of sparse vectors, as from ``seq.unit_pairing``): the
+    combination of ``index_map`` with coefficients ``vec``."""
     out = {}
     for j, c in vec.items():
         add_scaled(out, index_map[j], c)
@@ -622,17 +625,9 @@ def first_cohomology_direct(seq):
         basis_els.append(el)
         s = add_scaled(seq.mu(1, 1, el, seq.one(1)), seq.mu(1, 1, seq.one(1), el))
         residue = z2.reduce(seq.element_to_vec(2, s))
-        for i, c in residue.items():
-            cols[(i, j)] = c
-    M = SparseMatrix(seq.dim(2), z1.dim, cols)
-    ker = kernel_basis(M)
-    out = []
-    for coeffs in ker.basis():
-        el = {}
-        for j, c in coeffs.items():
-            add_scaled(el, basis_els[j], c)
-        out.append(el)
-    return ker.dim, out
+        cols.update(((i, j), c) for i, c in residue.items())
+    ker = kernel_basis(SparseMatrix(seq.dim(2), z1.dim, cols))
+    return ker.dim, [_apply(basis_els, coeffs) for coeffs in ker.basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -649,28 +644,20 @@ def relative_cube_dims(n):
     """
     if n > 6:
         raise ResourceLimitError("relative cube enumeration capped at n=6")
-    counts = {m: 0 for m in range(1, n + 1)}
-    top = (1,) * n
+    counts = dict.fromkeys(range(1, n + 1), 0)
+    top = (1 << n) - 1
     def walk(current, steps):
         if current == top:
             counts[steps] += 1
             return
-        if steps >= n:
-            return
-        free = [i for i, b in enumerate(current) if b == 0]
-        # choose any nonempty subset of the remaining coordinates to flip
-        for mask in range(1, 1 << len(free)):
-            nxt = list(current)
-            for b, i in enumerate(free):
-                if mask >> b & 1:
-                    nxt[i] = 1
-            walk(tuple(nxt), steps + 1)
-    walk((0,) * n, 0)
+        # flip any nonempty subset of the remaining coordinates (bits)
+        free = flip = top & ~current
+        while flip:
+            walk(current | flip, steps + 1)
+            flip = (flip - 1) & free
+    walk(0, 0)
 
-    expected = {m: 0 for m in range(1, n + 1)}
+    expected = dict.fromkeys(range(1, n + 1), 0)
     for comp in compositions(n):
-        val = factorial(n)
-        for p in comp.parts:
-            val //= factorial(p)
-        expected[comp.length] += val
+        expected[comp.length] += factorial(n) // prod(map(factorial, comp.parts))
     return counts, expected, counts == expected

@@ -105,11 +105,8 @@ class SparseMatrix:
 
     @classmethod
     def from_row_dicts(cls, row_dicts, cols):
-        ent = {}
-        for i, row in enumerate(row_dicts):
-            for j, v in row.items():
-                ent[(i, j)] = v
-        return cls(len(row_dicts), cols, ent)
+        return cls(len(row_dicts), cols,
+                   {(i, j): v for i, row in enumerate(row_dicts) for j, v in row.items()})
 
     @classmethod
     def identity(cls, n):
@@ -405,7 +402,14 @@ class Subspace(Echelon):
 
 
 def rank(M):
-    """Rank over Q by right-looking, fraction-free sparse elimination.
+    """Rank over Q: the number of pivot rows ``_pivot_rows`` finds in M."""
+    return len(_pivot_rows(M.row_dicts()))
+
+
+def _pivot_rows(rows):
+    """Indices of a maximal independent subset of the row dicts ``rows``
+    (consumed): the pivot rows of a right-looking, fraction-free sparse
+    elimination.
 
     Each step pivots on the shortest live row (a heap of (length, row) with
     lazy deletion) and, inside it, on the column held by the fewest rows (a
@@ -417,8 +421,7 @@ def rank(M):
     at a pivot x other than +-1 a row with entry y there becomes
     (x/g) row - (y/g) pivot row, g = gcd(x, y), with its content divided out.
     """
-    den = _common_denominator(M.entries.values())
-    rows = M.row_dicts()
+    den = _common_denominator(x for row in rows for x in row.values())
     if den != 1:
         rows = [{c: (x * den).numerator for c, x in row.items()} for row in rows]
     cols = {}  # col -> rows that held it when last touched
@@ -427,7 +430,7 @@ def rank(M):
             cols.setdefault(j, []).append(i)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapify(heap)
-    count = 0
+    pivots = []
     while heap:
         length, i = heappop(heap)
         prow = rows[i]
@@ -437,7 +440,7 @@ def rank(M):
         j = min(prow, key=lambda c: len(cols[c]))
         x = prow.pop(j)
         unit = x in (1, -1)
-        count += 1
+        pivots.append(i)
         # no live row holds j afterwards, and fill only copies live columns
         for k in cols.pop(j):
             row = rows[k]
@@ -472,7 +475,7 @@ def rank(M):
                         for c in row:
                             row[c] //= g
                 heappush(heap, (len(row), k))
-    return count
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +602,21 @@ class CochainComplex:
                                  % (k, k + 2))
 
     def cohomology_dims(self):
-        """H^k dims; only the ranks of the differentials are needed."""
-        ranks = [rank(d) for d in self.differentials]
-        out = {}
-        for k, dim in enumerate(self.dims):
-            r_out = ranks[k] if k < len(ranks) else 0
-            r_in = ranks[k - 1] if k >= 1 else 0
-            out[k] = dim - r_out - r_in
+        """H^k dims from the ranks of the differentials, eliminated along the
+        chain: d_(k+1) only on the indices of C^(k+1) off the rank(d_k)
+        independent pivot rows of d_k, whose unit vectors and im d_k span
+        C^(k+1); as d.d = 0 (checked at construction) it has the same rank."""
+        ranks = [0]     # ranks[k] = rank d_(k-1), the rank into degree k
+        pivots = ()
+        for d in self.differentials:
+            rows = [{} for _ in range(d.rows)]
+            for (i, j), v in d.entries.items():
+                if j not in pivots:
+                    rows[i][j] = v
+            pivots = set(_pivot_rows(rows))
+            ranks.append(len(pivots))
+        ranks.append(0)
+        out = {k: dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(self.dims)}
         self._check_euler(out)
         return out
 
@@ -629,6 +640,9 @@ class CochainComplex:
         return out, reps
 
     def _check_euler(self, hdims):
+        """sum (-1)^k H^k must be sum (-1)^k dim C^k.  This guards ``cohomology()``;
+        on the ranks of ``cohomology_dims`` the left side telescopes to the
+        right whatever the ranks are, so there it proves nothing."""
         lhs = sum((-1) ** k * d for k, d in enumerate(self.dims))
         rhs = sum((-1) ** k * d for k, d in hdims.items())
         if lhs != rhs:

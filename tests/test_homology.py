@@ -1,10 +1,12 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from swcohom import CrossCheckError
+from swcohom import CrossCheckError, ResourceLimitError
 from swcohom.combinat import Composition, compositions, subdivisions, union
 from swcohom.linalg import SparseMatrix, Subspace, add_scaled, kernel_basis, subspace_intersect
 from swcohom.homology import (
@@ -229,6 +231,52 @@ def test_bad_module_rejected():
     bad = SparseMatrix(2, 2, {(0, 1): Fraction(1)})
     with pytest.raises(ValueError):
         SnModule(2, 2, [bad])
+
+
+def _permutation_matrix(*images, sign_block=False):
+    # sends index j to images[j]; a trailing -1 block makes it no permutation
+    ent = {(i, j): 1 for j, i in enumerate(images)}
+    if sign_block:
+        ent[(len(images), len(images))] = -1
+    size = len(images) + sign_block
+    return SparseMatrix(size, size, ent)
+
+
+@pytest.mark.parametrize("n, images, message", [
+    (2, [(1, 2, 0)], "t_1 is not an involution"),                        # a 3-cycle
+    (3, [(1, 0, 2, 3), (0, 1, 3, 2)], "braid relation fails at 1"),        # (0 1), (2 3)
+    (4, [(1, 0, 2), (1, 0, 2), (0, 2, 1)], "t_1, t_3 do not commute"),     # t_1 = t_2
+], ids=["involution", "braid", "commutation"])
+def test_permutation_presentations_fail_as_matrices_do(monkeypatch, n, images, message):
+    # the same relation fails with the same message on the index path (no
+    # matrix product) and, with a sign block added, on the matrix path
+    products = _count_calls(monkeypatch, SparseMatrix, "matmul")
+    with pytest.raises(ValueError, match="^%s$" % message):
+        SnModule(n, len(images[0]), [_permutation_matrix(*p) for p in images])
+    assert products == []
+    with pytest.raises(ValueError, match="^%s$" % message):
+        SnModule(n, len(images[0]) + 1,
+                 [_permutation_matrix(*p, sign_block=True) for p in images])
+    assert products
+
+
+@pytest.mark.parametrize("module", [
+    SnModule.regular(4),
+    SnModule.natural(5),
+    SnModule.trivial(3),
+    SnModule.natural(3).tensor(SnModule.regular(3)),
+    SnModule.natural(4).direct_sum(SnModule.trivial(4)),
+    SnModule.regular(3).direct_sum(SnModule.natural(3).tensor(SnModule.natural(3))),
+], ids=lambda m: "%s-%d" % (m.name, m.n))
+def test_permutation_modules_keep_their_index_maps(module):
+    assert len(module.perms) == module.n - 1
+    for T, perm in zip(module.gens, module.perms):
+        assert T.entries == {(i, j): 1 for j, i in enumerate(perm)}
+
+
+def test_a_signed_generator_has_no_index_map():
+    assert SnModule.sign(2).perms == [None]
+    assert SnModule.natural(3).direct_sum(SnModule.sign(3)).perms == [None, None]
 
 
 def test_cubic_acyclicity_random_modules():
@@ -583,3 +631,25 @@ def test_relative_cube_up_to_five():
     for n in range(1, 6):
         _, _, agree = relative_cube_dims(n)
         assert agree, n
+
+
+# the counts of relative_cube_dims, as first recorded
+RELATIVE_CUBE_COUNTS = {
+    1: {1: 1},
+    2: {1: 1, 2: 2},
+    3: {1: 1, 2: 6, 3: 6},
+    4: {1: 1, 2: 14, 3: 36, 4: 24},
+    5: {1: 1, 2: 30, 3: 150, 4: 240, 5: 120},
+    6: {1: 1, 2: 62, 3: 540, 4: 1560, 5: 1800, 6: 720},
+}
+
+
+def test_relative_cube_counts_are_pinned():
+    for n, counts in RELATIVE_CUBE_COUNTS.items():
+        assert relative_cube_dims(n) == (counts, counts, True), n
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cubic-n6.json"
+    recorded = json.loads(golden.read_text(encoding="utf-8"))["report"]
+    assert {int(m): c for m, c in recorded["relative_simplex_counts"].items()} \
+        == RELATIVE_CUBE_COUNTS[6]
+    with pytest.raises(ResourceLimitError, match="capped at n=6"):
+        relative_cube_dims(7)

@@ -10,6 +10,7 @@ from swcohom.homology import (
     cubic_complex,
     cubic_invariants_diagram,
     deformation_complex_truncated,
+    random_module,
 )
 from swcohom.linalg import (
     CochainComplex,
@@ -24,7 +25,12 @@ from swcohom.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from swcohom.sequences import SkewGroupSequence, SymmetricGroupSequence
+from swcohom.sequences import (
+    CommutativeAlgebraSpec,
+    HeckeSequence,
+    SkewGroupSequence,
+    SymmetricGroupSequence,
+)
 from swcohom.combinat import Composition, compositions
 from swcohom.symgrp import young_positions
 
@@ -433,6 +439,47 @@ def test_cochain_complex_rejects_nonzero_square():
     eye = SparseMatrix.identity(1)
     with pytest.raises(ValueError):
         CochainComplex([1, 1, 1], [eye, eye])
+
+
+def _dims_from_independent_ranks(cx):
+    # the reference: each differential ranked alone, not along the chain
+    ranks = [0] + [rank(d) for d in cx.differentials] + [0]
+    return {k: dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(cx.dims)}
+
+
+def _random_cubes():
+    rng = random.Random(2027)
+    return [cubic_complex(cubic_invariants_diagram(random_module(rng.randint(2, 4), rng)))
+            for _ in range(8)]
+
+
+def _truncated(seq, max_weight):
+    return [deformation_complex_truncated(seq, W) for W in range(1, max_weight + 1)]
+
+
+@pytest.mark.parametrize("build", [
+    _random_cubes,
+    lambda: [cubic_complex(cubic_invariants_diagram(SnModule.regular(4)))],
+    lambda: _truncated(SymmetricGroupSequence(), 5),
+    lambda: _truncated(SkewGroupSequence(CommutativeAlgebraSpec.quadratic(2)), 3),
+    lambda: _truncated(HeckeSequence(trunc_degree=2, level_cap=3), 3),
+], ids=["random-cubes", "regular-4", "symmetric-W5", "skew-W3", "hecke-D2-W3"])
+def test_chained_ranks_match_independent_ranks(build):
+    for cx in build():
+        assert cx.cohomology_dims() == _dims_from_independent_ranks(cx), cx.dims
+
+
+def test_chained_ranks_through_a_pivot_value_of_two():
+    # d0 pivots at value 2; d1 (with a Fraction) and d2 then lose the columns
+    # of the earlier pivot rows: ranks 1, 2, 1 on dims 2, 3, 3, 1
+    d0 = SparseMatrix(3, 2, {(0, 0): 2, (0, 1): 4, (2, 0): 2, (2, 1): 4})
+    d1 = SparseMatrix(3, 3, {(0, 0): Fraction(1, 3), (0, 2): Fraction(-1, 3), (1, 1): 2,
+                             (2, 0): Fraction(1, 3), (2, 1): 2, (2, 2): Fraction(-1, 3)})
+    d2 = SparseMatrix(1, 3, {(0, 0): 2, (0, 1): 2, (0, 2): -2})
+    cx = CochainComplex([2, 3, 3, 1], [d0, d1, d2])
+    assert [rank(d) for d in cx.differentials] == [1, 2, 1]
+    assert cx.cohomology_dims() == _dims_from_independent_ranks(cx) == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert cx.cohomology()[0] == {0: 1, 1: 0, 2: 0, 3: 0}
 
 
 def test_cohomology_representatives():
