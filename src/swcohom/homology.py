@@ -308,7 +308,8 @@ def cubic_invariants_diagram(module):
     smaller subspace) is proven once, by ``cubic_complex``.
     """
     n, dim, perms = module.n, module.dim, module.perms
-    diagonal = SparseMatrix.identity(dim).entries
+    # only the kernel branch below subtracts the identity
+    diagonal = SparseMatrix.identity(dim).entries if None in perms else None
     vertex = {}
     for comp in compositions(n):
         positions = young_positions(comp)

@@ -24,7 +24,10 @@ pivots and no back-substitution, and echelon bases (kernels, images,
 subspace arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted by
-``Subspace.from_indicators`` without elimination.
+``Subspace.from_indicators`` without elimination.  Such a space keeps one
+{index: head} map in place of a column index and answers ``contains`` and
+``coords_of`` by lookup in one pass over the vector, until an insert adds a
+row and builds the column index from the map.
 
 A subspace is its echelon form: ``Subspace`` is an ``Echelon`` that knows
 its ambient dimension and answers membership (``contains``, ``coords_of``),
@@ -176,16 +179,20 @@ class Echelon:
     a row divided by its pivot value is the row of the reduced row echelon
     form (RREF), and ``basis`` builds exactly that, with a ``Fraction`` only
     where the pivot value does not divide.  A column index keeps
-    back-substitution proportional to actual fill.  The sorted pivot list
-    and the pivot -> position map are built on first use and dropped by every
-    accepted ``insert``.
+    back-substitution proportional to actual fill.  A space adopted from
+    indicators (``Subspace.from_indicators``) holds an {index: head} map in
+    its place, and its first accepted ``insert`` builds the column index from
+    that map and drops the map.  The sorted pivot list and the pivot ->
+    position map are built on first use and dropped by every accepted
+    ``insert``.
     """
 
-    __slots__ = ("rows", "_uses", "_pivots", "_positions")
+    __slots__ = ("rows", "_uses", "_heads", "_pivots", "_positions")
 
     def __init__(self):
         self.rows = {}          # pivot col -> primitive integer row dict
         self._uses = {}         # col -> set of pivot cols whose rows touch it
+        self._heads = None      # adopted indicators only: index -> head, for _uses
         self._pivots = None     # sorted pivot cols, cached
         self._positions = None  # pivot col -> index in the sorted pivots, cached
 
@@ -282,6 +289,9 @@ class Echelon:
             if g != 1:
                 row = {c: x // g for c, x in row.items()}
             d = row[piv]
+        if self._heads is not None:
+            self._uses = {k: {h} for k, h in self._heads.items()}
+            self._heads = None
         rows, uses = self.rows, self._uses
         # clear the new pivot column from existing rows: orow := d orow - a row,
         # both scaled down by g = gcd(a, d), then orow's content divided out
@@ -344,21 +354,22 @@ class Subspace(Echelon):
         disjoint index lists, each headed by its least index.
 
         Such an indicator is already a fraction-free RREF row with pivot value
-        1 (no other row meets its head), so the rows and the column index are
-        adopted as they are, without elimination.  Raises ValueError on an
-        overlap, a head that is not the least index of its support, or an
-        index outside ``range(ambient_dim)``.
+        1 (no other row meets its head), so the rows are adopted as they are,
+        without elimination, with an {index: head} map in place of the column
+        index.  Raises ValueError on an overlap, a head that is not the least
+        index of its support, or an index outside ``range(ambient_dim)``.
         """
         out = cls(ambient_dim)
-        rows, uses = out.rows, out._uses
+        rows, heads = out.rows, {}
         for support in supports:
             head = support[0]
             for k in support:
-                if not 0 <= head <= k < ambient_dim or k in uses:
+                if not 0 <= head <= k < ambient_dim or k in heads:
                     raise ValueError("support %r: index %d repeated, below the head or "
                                      "outside ambient %d" % (support, k, ambient_dim))
-                uses[k] = {head}
+                heads[k] = head
             rows[head] = dict.fromkeys(support, 1)
+        out._uses, out._heads = None, heads
         return out
 
     @classmethod
@@ -370,6 +381,8 @@ class Subspace(Echelon):
         return cls.from_indicators([[i] for i in range(ambient_dim)], ambient_dim)
 
     def contains(self, vec):
+        if self._heads is not None:
+            return self._looked_up(vec) is not None
         return not self._residue(vec)[0]
 
     def coords_of(self, vec):
@@ -379,10 +392,38 @@ class Subspace(Echelon):
         not a member.  In RREF the coefficient along the row with pivot p is
         simply vec[p], so an ``int`` entry stays an ``int``.
         """
+        if self._heads is not None:
+            coords = self._looked_up(vec)
+            if coords is None:
+                raise ValueError("vector not in subspace")
+            return coords
         if self._residue(vec)[0]:
             raise ValueError("vector not in subspace")
         positions = self.positions
         return {positions[c]: v for c, v in vec.items() if v and c in positions}
+
+    def _looked_up(self, vec):
+        """``coords_of`` of a space adopted from indicators, in one pass over
+        ``vec``; None if ``vec`` is not a member.
+
+        Each nonzero entry's head must hold the same value, so the entries lie
+        in the supports whose heads they meet and are constant on each; those
+        supports' sizes must add up to the number of nonzero entries, so
+        every index of each is present.
+        """
+        heads, rows, positions = self._heads, self.rows, self.positions
+        coords = {}
+        missing = 0     # support sizes met so far minus nonzero entries seen
+        for c, x in vec.items():
+            if x:
+                h = heads.get(c)
+                if h is None or vec.get(h) != x:
+                    return None
+                missing -= 1
+                if h == c:
+                    missing += len(rows[c])
+                    coords[positions[c]] = x
+        return coords if not missing else None
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row, _ in other.integral_rows())

@@ -273,13 +273,15 @@ def test_cube_containment_failure_exits_4(monkeypatch, capsys):
     import swcohom.cli as cli
     from swcohom.linalg import Subspace
 
-    # C(2) = Q^2 does not lie inside its refinement C(1, 1) = span{e_0}
-    bad = {(2,): Subspace.full(2), (1, 1): Subspace.from_vectors([{0: 1}], 2)}
-    monkeypatch.setattr(cli, "cubic_invariants_diagram", lambda module: bad)
-    code, out = run_cli("cubic", "--n", "2")
-    assert code == 4 and out == ""
-    assert capsys.readouterr().err == \
-        "cross-check failure: face (2,) -> (1, 1) leaves its target\n"
+    # C(2) = Q^2 does not lie inside its refinement C(1, 1) = span{e_0}, an
+    # eliminated target or one adopted from indicators (refused by lookup)
+    for target in (Subspace.from_vectors([{0: 1}], 2), Subspace.from_indicators([[0]], 2)):
+        bad = {(2,): Subspace.full(2), (1, 1): target}
+        monkeypatch.setattr(cli, "cubic_invariants_diagram", lambda module: bad)
+        code, out = run_cli("cubic", "--n", "2")
+        assert code == 4 and out == ""
+        assert capsys.readouterr().err == \
+            "cross-check failure: face (2,) -> (1, 1) leaves its target\n"
 
 
 def test_failed_report_check_exit_code(monkeypatch):

@@ -370,27 +370,37 @@ def test_faces_resolved_once_per_composition(monkeypatch):
     assert per_comp and max(per_comp.values()) == 1
 
 
-def test_containment_failure_names_both_vertices():
-    import swcohom.homology as homology
+def test_containment_failure_names_both_vertices(monkeypatch):
+    import swcohom.linalg as linalg
 
-    diagram = {(2,): Subspace.full(2), (1, 1): Subspace.from_vectors([{0: 1}], 2)}
-    with pytest.raises(CrossCheckError, match=r"\(2,\) -> \(1, 1\)"):
-        cubic_cohomology(diagram)
+    # C(2) = Q^2 does not lie inside C(1, 1) = span{e_0}, whether that target
+    # was eliminated (one residue per face of e_0 and e_1) or adopted from
+    # indicators (found by lookup, with no residue)
+    residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
+    for target, eliminations in ((Subspace.from_vectors([{0: 1}], 2), 2),
+                                 (Subspace.from_indicators([[0]], 2), 0)):
+        residues.clear()
+        diagram = {(2,): Subspace.full(2), (1, 1): target}
+        with pytest.raises(CrossCheckError,
+                           match=r"^face \(2,\) -> \(1, 1\) leaves its target$"):
+            cubic_cohomology(diagram)
+        assert len(residues) == eliminations
 
 
 def test_each_face_membership_is_tested_once(monkeypatch):
     # the cube of S_4's regular rep: every vertex is adopted from orbit
-    # indicators, and one residue per (source row, refinement face) proves
-    # both the containment and the coordinates
+    # indicators, and one lookup per (source row, refinement face) proves
+    # both the containment and the coordinates, with no elimination
     import swcohom.linalg as linalg
 
     inserts = _count_calls(monkeypatch, linalg.Echelon, "insert")
     residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
+    coords = _count_calls(monkeypatch, linalg.Subspace, "coords_of")
     diagram = cubic_invariants_diagram(SnModule.regular(4))
     assert cubic_cohomology(diagram) == {0: 0, 1: 0, 2: 0, 3: 1}
-    assert inserts == []
-    assert len(residues) == sum(diagram[lam.parts].dim * len(subdivisions(lam))
-                                for lam in compositions(4))
+    assert inserts == [] and residues == []
+    assert len(coords) == sum(diagram[lam.parts].dim * len(subdivisions(lam))
+                              for lam in compositions(4))
 
 
 def test_face_divides_the_image_of_an_integral_row():

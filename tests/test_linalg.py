@@ -324,14 +324,62 @@ def test_from_indicators_adopts_what_elimination_builds():
         built = Subspace.from_vectors([{k: 1 for k in orbit} for orbit in orbits], dim)
         assert adopted.pivots == built.pivots
         assert adopted.integral_rows() == built.integral_rows()
+        member = {k: j + 1 for j, orbit in enumerate(orbits) for k in orbit}
+        assert adopted.coords_of(member) == built.coords_of(member)
         # a later insert clears its pivot from the adopted rows through the
-        # adopted column index, so both stay equal row by row
+        # column index it builds from the head map, so both stay equal row by
+        # row, and membership moves to elimination with the same answers
         for orbit in orbits:
             if len(orbit) > 1:
                 assert adopted.insert({orbit[-1]: 1}) == built.insert({orbit[-1]: 1})
         assert adopted.integral_rows() == built.integral_rows()
+        assert adopted.coords_of(member) == built.coords_of(member)
     assert Subspace.from_indicators([[i] for i in range(5)], 5) == Subspace.full(5)
     assert Subspace.from_indicators([], 3).dim == 0
+
+
+def _membership_probes(orbits, dim):
+    """(vector, is a member) pairs for the span of the indicators of ``orbits``
+    in Q^dim: members, and each kind of non-member the lookup must refuse."""
+    covered = {k for orbit in orbits for k in orbit}
+    member = {k: Fraction(j + 1, 2) if j % 3 else j for j, orbit in enumerate(orbits)
+              for k in orbit}   # orbit 0 has coefficient 0: stored zeros
+    probes = [({}, True), (member, True),
+              ({dim: 1}, False), ({**member, dim: 1}, False), ({**member, dim: 0}, True)]
+    probes += [({k: 1}, False) for k in range(dim) if k not in covered][:1]
+    for orbit in orbits:
+        indicator = dict.fromkeys(orbit, 3)
+        probes.append((indicator, True))
+        if len(orbit) > 1:
+            probes += [
+                ({**indicator, orbit[-1]: 2}, False),           # not constant
+                ({**indicator, orbit[-1]: 0}, False),           # a stored zero inside
+                ({k: 3 for k in orbit[:-1]}, False),            # one index missing
+                ({k: 3 for k in orbit[1:]}, False),             # the head missing
+            ]
+    return probes
+
+
+def test_lookup_membership_agrees_with_elimination():
+    # every orbit partition, every other orbit of each (so some indices lie
+    # off every support), and Subspace.full
+    partitions, dim = _regular4_orbit_partitions()
+    cases = [(Subspace.from_indicators(orbits, dim), orbits, dim)
+             for orbits in partitions + [orbits[::2] for orbits in partitions]]
+    cases.append((Subspace.full(5), [[i] for i in range(5)], 5))
+    for adopted, orbits, ambient in cases:
+        built = Subspace.from_vectors([dict.fromkeys(orbit, 1) for orbit in orbits], ambient)
+        kinds = set()
+        for vec, is_member in _membership_probes(orbits, ambient):
+            assert adopted.contains(vec) is built.contains(vec) is is_member, vec
+            if is_member:
+                assert adopted.coords_of(vec) == built.coords_of(vec)
+            else:
+                for space in (adopted, built):
+                    with pytest.raises(ValueError):
+                        space.coords_of(vec)
+            kinds.add(is_member)
+        assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("supports", [
