@@ -189,31 +189,49 @@ def centralizer(seq, comp):
 def commutant(seq, n, gens, space):
     """The elements of ``space`` (a Subspace of A_n) commuting with every g in ``gens``.
 
-    The commutators are accumulated in the untruncated label space: a
-    coefficient that falls outside the representable window is still a
-    linear constraint on a, never an error.
+    Each row comes from ``seq.commutators``: [g, b_k] once per generator and
+    basis index k that the rows of ``space`` touch.  The commutators are
+    accumulated in the untruncated label space: a coefficient that falls
+    outside the representable window is still a linear constraint on a,
+    never an error.
     """
     if not gens:
         return space
-    labels = seq.basis(n)
     basis = [row for row, _ in space.integral_rows()]
-    rows = {}
-    for gi, g in enumerate(gens):
-        for j, vec in enumerate(basis):
-            acc = {}
-            for k, c in vec.items():
-                for gl, gc in g.items():
-                    add_scaled(acc, seq._mul_basis_raw(n, gl, labels[k]), gc * c)
-                    add_scaled(acc, seq._mul_basis_raw(n, labels[k], gl), -gc * c)
-            for l, x in acc.items():
-                rows.setdefault((gi, l), {})[j] = x
-    ker = kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), len(basis)))
+    ker = kernel_basis(SparseMatrix.from_row_dicts(
+        _commutator_rows(seq, n, gens, basis), len(basis)))
+    if space.dim == space.ambient_dim:
+        # the rows of a full space are the unit vectors: coordinates are vectors
+        return ker
     # kernel vectors are coordinates in space's integral rows; take them back
     # to A_n (integral kernel rows span the same combinations)
     out = Subspace(space.ambient_dim)
     for coeffs, _ in ker.integral_rows():
         out.insert(_apply(basis, coeffs))
     return out
+
+
+def _commutator_rows(seq, n, gens, basis):
+    """The equations [g, a] = 0 on the coordinates of a in the vectors
+    ``basis``: one row {position in basis: coefficient} per generator and label.
+
+    The brackets of one generator live only while its rows are built, so
+    none is held through the elimination."""
+    touched = {k for vec in basis for k in vec}
+    rows = {}
+    for gi, g in enumerate(gens):
+        brackets = seq.commutators(n, g, touched)
+        for j, vec in enumerate(basis):
+            if len(vec) == 1:
+                # a primitive integer row with one entry is a unit vector
+                acc = brackets[next(iter(vec))]
+            else:
+                acc = {}
+                for k, c in vec.items():
+                    add_scaled(acc, brackets[k], c)
+            for l, x in acc.items():
+                rows.setdefault((gi, l), {})[j] = x
+    return list(rows.values())
 
 
 def _orbits(dim, perms):

@@ -45,7 +45,8 @@ class MultiplicativeSequence:
     Besides the products, a sequence declares facts, never routes, that
     ``homology`` may use: ``matrix_cap`` (the largest weight whose reduced
     quotient T_w is built from matrices), ``conjugate_label`` (where t_i b t_i
-    sends a basis label), ``reduced_dim_above_cap`` and
+    sends a basis label), ``commutators`` (the [g, b] of one element g with
+    basis elements b), ``reduced_dim_above_cap`` and
     ``delta_vanishes_dually``.  The defaults here claim nothing special, so
     above its level cap a sequence refuses.
     """
@@ -101,6 +102,24 @@ class MultiplicativeSequence:
     def _mu_basis_label(self, m, n, la, lb):
         """mu of two basis labels; for the bundled sequences a single label."""
         raise NotImplementedError
+
+    def commutators(self, n, g, indices):
+        """[g, b_k] = g b_k - b_k g for the element ``g`` of A_n and every basis
+        index k in ``indices``, as {k: raw {label: coefficient}}.
+
+        As in ``_mul_basis_raw``, labels may fall outside the representable
+        window.  This default sums two raw basis products per term of g; a
+        sequence whose generators act on few labels may compute them directly.
+        """
+        labels = self.basis(n)
+        out = {}
+        for k in indices:
+            acc = {}
+            for gl, gc in g.items():
+                add_scaled(acc, self._mul_basis_raw(n, gl, labels[k]), gc)
+                add_scaled(acc, self._mul_basis_raw(n, labels[k], gl), -gc)
+            out[k] = acc
+        return out
 
     def one(self, n):
         raise NotImplementedError
@@ -348,6 +367,43 @@ class SkewGroupSequence(MultiplicativeSequence):
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
         return (a + b, block_sum(p, q))
+
+    def commutators(self, n, g, indices):
+        """[g, b] per basis index, computed directly for a slot insertion.
+
+        A slot insertion g = {(a, id): 1}, with a the unit index in every slot
+        but s, multiplies one slot: g (b, q) multiplies slot s of b, and
+        (b, q) g slot q(s), both through the table row of e_(a_s).  Any other
+        g (several terms, as when the unit is no basis vector, a coefficient
+        other than 1, or a non-identity permutation) takes the default route.
+        """
+        insertion = self._insertion_slot(n, g)
+        if insertion is None:
+            return super().commutators(n, g, indices)
+        s, row = insertion
+
+        def times_row(b, q, l):
+            """(b, q) with slot l multiplied by the inserted basis vector."""
+            return {(b[:l] + (m,) + b[l + 1:], q): x for m, x in enumerate(row[b[l]]) if x}
+
+        labels = self.basis(n)
+        out = {}
+        for k in indices:
+            b, q = labels[k]
+            out[k] = add_scaled(times_row(b, q, s), times_row(b, q, q[s] - 1), -1)
+        return out
+
+    def _insertion_slot(self, n, g):
+        """(s, table row) when ``g`` is the insertion of a basis vector into
+        slot s, else None."""
+        unit_ix = self.algebra.unit_basis_index()
+        if unit_ix is None or len(g) != 1:
+            return None
+        ((a, p), c), = g.items()
+        slots = [l for l, i in enumerate(a) if i != unit_ix]
+        if c != 1 or p != identity(n) or len(slots) != 1:
+            return None
+        return slots[0], self.algebra.table[a[slots[0]]]
 
     def subalgebra_generators(self, comp):
         n = comp.weight

@@ -12,6 +12,9 @@
   ``delta_vanishes_dually``);
 * ``homology.centralizer`` is the one place that knows how a centralizer is
   computed: no sequence class defines a method named after centralizers.
+* ``homology.py`` touches no private attribute of a sequence (no
+  ``seq._name``): it multiplies through the declared ``commutators``,
+  ``unit_pairing`` and ``mu``, never through ``_mul_basis_raw``.
 * a coefficient is an ``int`` until something divides: every true division
   (``/``) has a ``Fraction(...)`` operand, because int / int gives a float,
   and no code asks whether a value is a ``Fraction``.
@@ -120,6 +123,20 @@ def test_homology_does_not_import_sequences():
                 and any(a.name.split(".")[-1] == "sequences" for a in node.names))]
     assert not hits, hits
     assert "SymmetricGroupSequence" not in path.read_text(encoding="utf-8")
+
+
+def _names_a_sequence(node):
+    return (isinstance(node, ast.Name) and node.id == "seq") or (
+        isinstance(node, ast.Attribute) and node.attr == "seq")
+
+
+def test_homology_touches_no_private_attribute_of_a_sequence():
+    path = next(p for p in SOURCES if p.name == "homology.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d: %s" % (node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and _names_a_sequence(node.value)]
+    assert not hits, hits
 
 
 def test_one_complex_assembler():

@@ -157,6 +157,17 @@ def test_skew_centralizer_against_dense_oracle(skew):
     assert centralizer(skew, Composition((1, 1))).dim == 6
 
 
+@pytest.mark.parametrize("c", [2, 0], ids=["x2-2", "x-nilpotent"])
+def test_skew_centralizers_at_three_against_dense_oracle(c):
+    # C(1^3) comes from the slot-insertion commutators, the coarser ones from
+    # its Young averages; the oracle multiplies every basis element by seq.multiply
+    seq = SkewGroupSequence(CommutativeAlgebraSpec.quadratic(c))
+    for comp in compositions(3):
+        oracle = brute_force_commutant(seq, 3, seq.subalgebra_generators(comp))
+        got = centralizer(seq, comp)
+        assert got.dim == oracle.dim and got == oracle, comp
+
+
 def test_skew_centralizer_contains_symmetric_powers(skew):
     # S^2(A) inside the centre: 1(x)1, x(x)1 + 1(x)x, x(x)x all commute
     c2 = centralizer(skew, Composition((2,)))

@@ -11,6 +11,7 @@ from swcohom.linalg import add_scaled
 from swcohom.sequences import (
     CommutativeAlgebraSpec,
     HeckeSequence,
+    MultiplicativeSequence,
     SkewGroupSequence,
     SymmetricGroupSequence,
 )
@@ -463,3 +464,38 @@ def test_unit_pairing_maps_equal_mu(seq, top):
                         add_scaled(image, index_map[j], c)
                     assert image == expected[side], (w, m, side, vec)
     assert len(_skew_over_shifted_basis().one(2)) == 4
+
+
+# -- commutators ----------------------------------------------------------------
+
+
+def _cubic_field():
+    # Q[x]/(x^3 - x - 1) on 1, x, x^2: x * x^2 = 1 + x and x^2 * x^2 = x + x^2
+    table = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+             [(0, 1, 0), (0, 0, 1), (1, 1, 0)],
+             [(0, 0, 1), (1, 1, 0), (0, 1, 1)]]
+    return CommutativeAlgebraSpec(3, table, (1, 0, 0), name="Q[x]/(x^3-x-1)")
+
+
+@pytest.mark.parametrize("algebra, direct, top", [
+    (CommutativeAlgebraSpec.quadratic(2), True, 4),
+    (CommutativeAlgebraSpec.quadratic(0), True, 4),
+    (_cubic_field(), True, 4),
+    (_skew_over_shifted_basis().algebra, False, 3),
+], ids=["x2-2", "x-nilpotent", "cubic-field", "unit-of-two-terms"])
+def test_skew_commutators_equal_the_basis_product_route(algebra, direct, top):
+    # slot insertions are multiplied slot by slot, everything else (the t_i,
+    # and every generator when the unit is no basis vector) by the default;
+    # the default's generators have 2^(n-1) terms there, hence its lower top
+    seq = SkewGroupSequence(algebra)
+    raw_products = []
+    product = seq._mul_basis_raw
+    seq._mul_basis_raw = lambda *args: raw_products.append(args) or product(*args)
+    for n in range(1, top + 1):
+        indices = range(seq.dim(n))
+        for g in seq.subalgebra_generators(Composition((n,))):
+            is_insertion = all(p == identity(n) for _, p in g)
+            del raw_products[:]
+            got = seq.commutators(n, g, indices)
+            assert bool(raw_products) != (direct and is_insertion), (n, g)
+            assert got == MultiplicativeSequence.commutators(seq, n, g, indices), (n, g)
