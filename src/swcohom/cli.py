@@ -241,9 +241,9 @@ def cmd_hecke_check(args):
         for comp in compositions(n):
             dim = centralizer(seq, comp).dim
             expected = 1
-            for p in comp.parts:
+            for p in comp:
                 expected *= comb(D + p, p)   # dim Sym^p(k^(D+1))
-            cents[str(comp.parts)] = {"dim": dim, "symmetric_power_count": expected,
+            cents[str(comp)] = {"dim": dim, "symmetric_power_count": expected,
                                       "match": dim == expected}
             ok = ok and dim == expected
     payload["centralizers"] = cents

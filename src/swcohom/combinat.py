@@ -6,73 +6,40 @@ is 1 exactly when j and j+1 lie in different parts.  A cube vertex is that
 cut vector itself, a plain tuple of 0/1 bits.  All orderings are fixed so
 that downstream matrix layouts are reproducible run to run.
 
-``Composition`` stays a small value class rather than a bare tuple: code
-outside the package reads ``comp.parts`` (``perfbench/traced.py`` keys its
-centralizer counts by it), and ``homology`` reads ``weight`` and ``length``.
+A composition is its parts tuple: ``Composition`` subclasses ``tuple`` only
+to check its parts on construction, so it compares, hashes and prints as
+that tuple and keys every diagram as is.  Its one extra member, ``parts``,
+is read from outside the package (``perfbench/traced.py`` keys its
+centralizer counts by it).
 """
 
 from functools import lru_cache
 from itertools import product
 
 
-class Composition:
-    """Ordered tuple of positive integers; doubles as a cube vertex.
+class Composition(tuple):
+    """Ordered tuple of positive integers; doubles as a cube vertex."""
 
-    Immutable and compared and hashed by ``parts``.
-    """
+    __slots__ = ()
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
+    def __new__(cls, parts):
         if len(parts) == 0:
             raise ValueError("composition must have at least one part")
         if any((not isinstance(p, int)) or p < 1 for p in parts):
             raise ValueError("parts must be positive integers: %r" % (parts,))
-        _set_parts(self, parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
+        return super().__new__(cls, parts)
 
     @property
-    def weight(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self):
-        return "Composition%r" % (self.parts,)
-
-
-# slot setter that bypasses the immutable ``__setattr__``
-_set_parts = Composition.parts.__set__
+    def parts(self):
+        return tuple(self)
 
 
 def to_binary(comp):
     """Cut vector of a composition: bit j is 1 iff j, j+1 are in different parts."""
     bits = []
-    pos = 0
-    for p in comp.parts:
-        bits.extend([0] * (p - 1))
-        pos += p
-        if pos < comp.weight:
-            bits.append(1)
-    return tuple(bits)
+    for p in comp:
+        bits.extend([0] * (p - 1) + [1])
+    return tuple(bits[:-1])
 
 
 def from_binary(bits, weight=None):
@@ -91,7 +58,7 @@ def from_binary(bits, weight=None):
         else:
             run += 1
     parts.append(run)
-    return Composition(tuple(parts))
+    return Composition(parts)
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +74,8 @@ def compositions(w):
 
 def union(lam, mu):
     """Coarsest composition refined by both arguments (bitwise AND of cuts)."""
-    if lam.weight != mu.weight:
-        raise ValueError("weights differ: %d vs %d" % (lam.weight, mu.weight))
+    if sum(lam) != sum(mu):
+        raise ValueError("weights differ: %d vs %d" % (sum(lam), sum(mu)))
     return from_binary(tuple(a & b for a, b in zip(to_binary(lam), to_binary(mu))))
 
 
@@ -119,18 +86,17 @@ def subdivision_sign(lam, j, split):
     zero, which the test suite checks rather than assumes.
     """
     a, b = split
-    if not (1 <= j <= lam.length):
+    if not (1 <= j <= len(lam)):
         raise ValueError("part index %d out of range" % j)
-    if a < 1 or b < 1 or a + b != lam.parts[j - 1]:
-        raise ValueError("invalid split %r of part %d" % (split, lam.parts[j - 1]))
-    parts = lam.parts[: j - 1] + (a, b) + lam.parts[j:]
-    return (-1) ** j, Composition(parts)
+    if a < 1 or b < 1 or a + b != lam[j - 1]:
+        raise ValueError("invalid split %r of part %d" % (split, lam[j - 1]))
+    return (-1) ** j, Composition(lam[: j - 1] + (a, b) + lam[j:])
 
 
 def subdivisions(lam):
     """All (sign, refinement) pairs obtained by splitting one part of ``lam``."""
     out = []
-    for j, p in enumerate(lam.parts, start=1):
+    for j, p in enumerate(lam, start=1):
         for a in range(1, p):
             out.append(subdivision_sign(lam, j, (a, p - a)))
     return out

@@ -167,9 +167,9 @@ def centralizer(seq, comp):
     The test suite compares both with the full-algebra commutant.
     """
     cache = seq.centralizer_cache
-    out = cache.get(comp.parts)
+    out = cache.get(comp)
     if out is None:
-        n = comp.weight
+        n = sum(comp)
         top_comp = Composition((1,) * n)
         perms = [seq.label_conjugation(n, i) for i in young_positions(comp)]
         gens = seq.subalgebra_generators(comp)
@@ -182,7 +182,7 @@ def centralizer(seq, comp):
             out = commutant(seq, n, young, centralizer(seq, top_comp))
         else:
             out = _average(centralizer(seq, top_comp), perms)
-        cache[comp.parts] = out
+        cache[comp] = out
     return out
 
 
@@ -310,7 +310,7 @@ def _as_permutation(T):
 
 
 def cubic_invariants_diagram(module):
-    """The cubic diagram {parts: Subspace} of ``module``: the vertex of a
+    """The cubic diagram {composition: Subspace} of ``module``: the vertex of a
     composition of n is the joint fixed space of its Young generators.
 
     This mirrors ``centralizer``: average when every t_i permutes labels,
@@ -332,35 +332,35 @@ def cubic_invariants_diagram(module):
     for comp in compositions(n):
         positions = young_positions(comp)
         if all(perms[i - 1] is not None for i in positions):
-            vertex[comp.parts] = _orbit_sums(dim, [perms[i - 1] for i in positions])
+            vertex[comp] = _orbit_sums(dim, [perms[i - 1] for i in positions])
         else:
             mats = [SparseMatrix(dim, dim,
                                  add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
                     for i in positions]
-            vertex[comp.parts] = kernel_basis(SparseMatrix.vstack(mats))
+            vertex[comp] = kernel_basis(SparseMatrix.vstack(mats))
     return vertex
 
 
 def centralizer_diagram(seq, w):
-    """The cubic diagram {parts: C(parts)} of centralizers at weight w."""
-    return {c.parts: centralizer(seq, c) for c in compositions(w)}
+    """The cubic diagram {lambda: C(lambda)} of centralizers at weight w."""
+    return {c: centralizer(seq, c) for c in compositions(w)}
 
 
 def cubic_complex(diagram):
-    """Cochain complex of a cubic diagram {parts: Subspace}, all of one
+    """Cochain complex of a cubic diagram {composition: Subspace}, all of one
     weight; degree k sums the vertices with k + 1 parts.  A face that leaves
     its target raises CrossCheckError, and a missing vertex KeyError."""
     weight = sum(next(iter(diagram)))
     layout = [[] for _ in range(weight)]
     for comp in compositions(weight):
-        layout[comp.length - 1].append(comp.parts)
+        layout[len(comp) - 1].append(comp)
     return _face_complex(layout, diagram.__getitem__, _refinement_faces)
 
 
-def _refinement_faces(parts):
-    """The faces out of the vertex ``parts`` that split one part: signed
+def _refinement_faces(comp):
+    """The faces out of the vertex ``comp`` that split one part: signed
     identity embeddings into its refinements."""
-    return [(sign, mu.parts, None) for sign, mu in subdivisions(Composition(parts))]
+    return [(sign, mu, None) for sign, mu in subdivisions(comp)]
 
 
 def _face_complex(layout, space, faces):
@@ -442,23 +442,23 @@ def deformation_complex_truncated(seq, max_weight):
     layout = [[None]]
     spaces = {None: Subspace.full(1)}   # d(1) = mu(1(x)1) - mu(1(x)1) = 0: no faces
     for k in range(1, W + 1):
-        comps = [c for w in range(1, W + 1) for c in compositions(w) if c.length == k]
-        layout.append([c.parts for c in comps])
-        spaces.update((c.parts, centralizer(seq, c)) for c in comps)
+        comps = [c for w in range(1, W + 1) for c in compositions(w) if len(c) == k]
+        layout.append(comps)
+        spaces.update((c, centralizer(seq, c)) for c in comps)
     pairings = {(m, w, side): seq.unit_pairing(m, w, side)
                 for w in range(1, W) for m in range(1, W - w + 1)
                 for side in ("left", "right")}
 
-    def faces(parts):
-        if parts is None:
+    def faces(comp):
+        if comp is None:
             return []
-        w = sum(parts)
-        right_sign = (-1) ** (len(parts) + 1)
-        out = _refinement_faces(parts)
+        w = sum(comp)
+        right_sign = (-1) ** (len(comp) + 1)
+        out = _refinement_faces(comp)
         # the outer faces raise the weight by m on the left or right
         for m in range(1, W - w + 1):
-            out.append((1, (m,) + parts, pairings[(m, w, "left")]))
-            out.append((right_sign, parts + (m,), pairings[(m, w, "right")]))
+            out.append((1, (m,) + comp, pairings[(m, w, "left")]))
+            out.append((right_sign, comp + (m,), pairings[(m, w, "right")]))
         return out
 
     return _face_complex(layout, spaces.__getitem__, faces)
@@ -678,5 +678,5 @@ def relative_cube_dims(n):
 
     expected = dict.fromkeys(range(1, n + 1), 0)
     for comp in compositions(n):
-        expected[comp.length] += factorial(n) // prod(map(factorial, comp.parts))
+        expected[len(comp)] += factorial(n) // prod(map(factorial, comp))
     return counts, expected, counts == expected

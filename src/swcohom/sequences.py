@@ -58,7 +58,7 @@ class MultiplicativeSequence:
         self._basis_cache = {}
         self._index_cache = {}
         self._conjugation_cache = {}    # (n, i) -> index permutation or None
-        self.centralizer_cache = {}     # filled by homology: parts -> centralizer
+        self.centralizer_cache = {}     # filled by homology: composition -> centralizer
 
     @property
     def matrix_cap(self):
@@ -234,7 +234,7 @@ class SymmetricGroupSequence(MultiplicativeSequence):
         return block_sum(la, lb)
 
     def subalgebra_generators(self, comp):
-        n = comp.weight
+        n = sum(comp)
         self.check_level(n)
         return [{transposition(n, i): 1} for i in young_positions(comp)]
 
@@ -335,17 +335,7 @@ class SkewGroupSequence(MultiplicativeSequence):
         return labels
 
     def one(self, n):
-        acc = {}
-        pid = identity(n)
-        for a in product(range(self.algebra.dim), repeat=n):
-            c = 1
-            for i in a:
-                c *= self.algebra.unit[i]
-                if not c:
-                    break
-            if c:
-                acc[(a, pid)] = c
-        return acc
+        return _slot_tensor([self.algebra.unit] * n, identity(n))
 
     def _permute_tuple(self, p, a):
         inv = inverse(p)
@@ -354,15 +344,9 @@ class SkewGroupSequence(MultiplicativeSequence):
     def _mul_basis_raw(self, n, la, lb):
         (a, p), (b, q) = la, lb
         bp = self._permute_tuple(p, b)
-        r = compose(p, q)
-        # slotwise product a_l * bp_l expanded through the structure constants
-        # (every key is a distinct prefix, so nothing accumulates or cancels)
-        partial = {(): 1}
-        for l in range(n):
-            row = self.algebra.table[a[l]][bp[l]]
-            partial = {prefix + (k,): c * x for prefix, c in partial.items()
-                       for k, x in enumerate(row) if x}
-        return {(key, r): c for key, c in partial.items()}
+        # slot l holds the product a_l * bp_l, read off the structure constants
+        table = self.algebra.table
+        return _slot_tensor([table[a[l]][bp[l]] for l in range(n)], compose(p, q))
 
     def _mu_basis_label(self, m, n, la, lb):
         (a, p), (b, q) = la, lb
@@ -406,7 +390,7 @@ class SkewGroupSequence(MultiplicativeSequence):
         return slots[0], self.algebra.table[a[slots[0]]]
 
     def subalgebra_generators(self, comp):
-        n = comp.weight
+        n = sum(comp)
         self.check_level(n)
         unit_ix = self.algebra.unit_basis_index()
         gens = [self._group_element(n, transposition(n, i)) for i in young_positions(comp)]
@@ -426,20 +410,21 @@ class SkewGroupSequence(MultiplicativeSequence):
         return {(a, compose(p, perm)): c for (a, p), c in self.one(n).items()}
 
     def _slot_insertion(self, n, slot, k):
-        acc = {}
-        pid = identity(n)
-        for a in product(range(self.algebra.dim), repeat=n):
-            c = 1
-            for l, i in enumerate(a):
-                if l == slot:
-                    c *= int(i == k)
-                else:
-                    c *= self.algebra.unit[i]
-                if not c:
-                    break
-            if c:
-                acc[(a, pid)] = c
-        return acc
+        vectors = [self.algebra.unit] * n
+        vectors[slot] = [int(i == k) for i in range(self.algebra.dim)]
+        return _slot_tensor(vectors, identity(n))
+
+
+def _slot_tensor(vectors, perm):
+    """The skew element (v_1 (x) ... (x) v_n, perm), the v_l coordinate
+    vectors in A, expanded into basis labels in lexicographic order of the
+    multi-index (every key is a distinct prefix, so nothing accumulates or
+    cancels)."""
+    partial = {(): 1}
+    for v in vectors:
+        partial = {prefix + (k,): c * x for prefix, c in partial.items()
+                   for k, x in enumerate(v) if x}
+    return {(a, perm): c for a, c in partial.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +542,7 @@ class HeckeSequence(MultiplicativeSequence):
         return (a + b, block_sum(p, q))
 
     def subalgebra_generators(self, comp):
-        n = comp.weight
+        n = sum(comp)
         self.check_level(n)
         zero = (0,) * n
         gens = [{(zero, transposition(n, i)): 1} for i in young_positions(comp)]

@@ -102,7 +102,7 @@ def young_positions(comp):
     """Indices i with i and i+1 in the same interval part of the composition."""
     out = []
     pos = 0
-    for p in comp.parts:
+    for p in comp:
         out.extend(range(pos + 1, pos + p))
         pos += p
     return out

@@ -189,6 +189,9 @@ def test_hecke_check():
     assert r["reduced"]["T"] == {"1": 4, "2": 6, "3": 4}
     assert r["reduced"]["match"] and r["reduced"]["differential_zero"]
     assert all(v["match"] for v in r["centralizers"].values())
+    # a composition prints as its parts tuple
+    assert sorted(r["centralizers"]) == sorted(
+        ["(1,)", "(2,)", "(1, 1)", "(3,)", "(2, 1)", "(1, 2)", "(1, 1, 1)"])
 
 
 def test_cubic_command():

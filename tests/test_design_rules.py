@@ -26,9 +26,9 @@
 * labels and elements are plain data: a permutation is its one-line tuple,
   a cube vertex its tuple of bits, every basis label of a bundled sequence
   is built from ``tuple`` and ``int`` alone, and an algebra element is a
-  plain ``dict`` {label: coefficient}.  The one value class left,
-  ``Composition``, is a hand-written ``__slots__`` class: immutable,
-  compared and hashed by value.
+  plain ``dict`` {label: coefficient}.  A composition is its parts tuple:
+  ``Composition`` subclasses ``tuple`` with no slots of its own, so it
+  compares, hashes and prints as its parts and keys a diagram as is.
 * one builder per construction: ``homology`` assembles every cochain
   complex (cubic, horizontal, truncated full and reduced) in one
   face-complex builder, so ``CochainComplex(`` occurs once in
@@ -265,27 +265,19 @@ def test_labels_are_tuples_of_ints_and_elements_are_dicts(seq):
         assert not bad, (n, bad[:3])
 
 
-# -- value classes: slotted, immutable, compared and hashed by value -----------
+# -- a composition is its parts tuple ------------------------------------------
 
 
-VALUES = [
-    (lambda: Composition((2, 1)), "parts", "Composition(2, 1)"),
-]
-
-
-@pytest.mark.parametrize("make, field, text", VALUES, ids=["Composition"])
-def test_value_classes_are_immutable_slotted_values(make, field, text):
-    value, same = make(), make()
-    assert not hasattr(value, "__dict__")
-    for name in (field, "other"):
+def test_a_composition_is_its_parts_tuple():
+    c = Composition((2, 1))
+    assert isinstance(c, tuple) and type(c).__slots__ == ()
+    assert not hasattr(c, "__dict__")
+    assert c == c.parts == (2, 1) and type(c.parts) is tuple
+    assert hash(c) == hash(c.parts) == hash((2, 1))
+    assert {c: 1}[(2, 1)] == 1 and repr(c) == "(2, 1)"
+    for name in ("parts", "other"):
         with pytest.raises(AttributeError):
-            setattr(value, name, (1,))
-    with pytest.raises(AttributeError):
-        delattr(value, field)
-    # equal and hashed by value: the hash of the one-field tuple
-    key = getattr(value, field)
-    assert value == same and value is not same
-    assert hash(value) == hash(same) == hash((key,))
-    assert value != key and len({value, same}) == 1
-    assert repr(value) == text
-
+            setattr(c, name, (1,))
+    for bad in ((), (2, 0), (1.5,)):
+        with pytest.raises(ValueError):
+            Composition(bad)

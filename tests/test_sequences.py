@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -464,6 +465,51 @@ def test_unit_pairing_maps_equal_mu(seq, top):
                         add_scaled(image, index_map[j], c)
                     assert image == expected[side], (w, m, side, vec)
     assert len(_skew_over_shifted_basis().one(2)) == 4
+
+
+# -- skew slot tensors ----------------------------------------------------------
+
+
+def _slotwise(algebra, n, slot=None, k=None):
+    # one(n), or the insertion of e_k into ``slot``, one coefficient per
+    # multi-index: the unit's coordinates in every slot but ``slot``
+    acc = {}
+    for a in product(range(algebra.dim), repeat=n):
+        c = 1
+        for l, i in enumerate(a):
+            c *= int(i == k) if l == slot else algebra.unit[i]
+        if c:
+            acc[(a, identity(n))] = c
+    return acc
+
+
+def _slotwise_product(algebra, la, lb):
+    # (a, p)(b, q) = (a . p(b), pq), a . p(b) expanded slot by slot
+    (a, p), (b, q) = la, lb
+    inv = inverse(p)
+    rows = [algebra.table[a[l]][b[inv[l] - 1]] for l in range(len(a))]
+    return {(c, compose(p, q)): prod(row[i] for row, i in zip(rows, c))
+            for c in product(range(algebra.dim), repeat=len(a))
+            if all(row[i] for row, i in zip(rows, c))}
+
+
+@pytest.mark.parametrize("algebra", [CommutativeAlgebraSpec.quadratic(2),
+                                     _skew_over_shifted_basis().algebra],
+                         ids=["x2-2", "unit-of-two-terms"])
+def test_skew_slot_tensors_equal_their_slotwise_definitions(algebra):
+    # terms in lexicographic order of the multi-index, hence the item lists
+    seq = SkewGroupSequence(algebra)
+    for n in range(1, 4):
+        assert list(seq.one(n).items()) == list(_slotwise(algebra, n).items())
+        for slot in range(n):
+            for k in range(algebra.dim):
+                assert (list(seq._slot_insertion(n, slot, k).items())
+                        == list(_slotwise(algebra, n, slot, k).items())), (n, slot, k)
+        if n <= 2:
+            for la in seq.basis(n):
+                for lb in seq.basis(n):
+                    assert (list(seq._mul_basis_raw(n, la, lb).items())
+                            == list(_slotwise_product(algebra, la, lb).items())), (la, lb)
 
 
 # -- commutators ----------------------------------------------------------------
