@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from . import CrossCheckError, ResourceLimitError
-from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, divided, kernel_basis
+from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, divided, kernel_basis, rank
 from .homology import SnModule, cubic_cohomology, cubic_invariants_diagram, top_quotient
 from .symgrp import all_permutations, e_element, sign
 
@@ -40,20 +40,17 @@ class LieAlgebraSpec(StructureConstantSpec):
 
     def _validate(self):
         d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if self.table[i][j] != tuple(-x for x in self.table[j][i]):
-                    raise ValueError("bracket is not antisymmetric")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    x = self.mul_coords(self.table[i][j], self._basis_vec(k))
-                    y = self.mul_coords(self.table[j][k], self._basis_vec(i))
-                    z = self.mul_coords(self.table[k][i], self._basis_vec(j))
-                    for t in range(d):
-                        if x[t] + y[t] + z[t]:
-                            raise ValueError("Jacobi identity fails at (%d,%d,%d)"
-                                             % (i, j, k))
+        for i, j in product(range(d), repeat=2):
+            if self.table[i][j] != tuple(-x for x in self.table[j][i]):
+                raise ValueError("bracket is not antisymmetric")
+        br = [[{k: c for k, c in enumerate(row) if c} for row in block] for block in self.table]
+        for i, j, k in product(range(d), repeat=3):
+            out = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, x in br[a][b].items():
+                    add_scaled(out, br[t][c], x)
+            if out:
+                raise ValueError("Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
 
     def ad_matrix(self, i):
         """Matrix of ad(e_i) in the basis."""
@@ -136,22 +133,28 @@ def wheel(m, d):
 
 def alt2_wheel_raw(m, d):
     """(N, m!) with x_m = N / m!; N is an exact integer tensor."""
-    # The alternation applies each permutation to the m (V, V*) pairs at once.
-    # A chain with a repeated pair alternates to zero: swapping the two equal
-    # pairs fixes it and flips the sign.  A chain with distinct pairs is a
-    # reordering q of its sorted pairs K and alternates to sign(q) alt(K).  So
-    # sum the signed chains per sorted key, then expand only the keys whose
-    # count survives.
-    counts = {}
-    for key in wheel(m, d):
-        pairs = [key[2 * k:2 * k + 2] for k in range(m)]
-        if len(set(pairs)) == m:
-            add_scaled(counts, {tuple(sorted(pairs)): _sort_sign(pairs)})
     signed = [(p, sign(p)) for p in all_permutations(m)]
     N = {}
-    for K, c in counts.items():
+    for K, c in _wheel_key_counts(m, d).items():
         add_scaled(N, {tuple(x for i in p for x in K[i - 1]): s for p, s in signed}, c)
     return N, factorial(m)
+
+
+def _wheel_key_counts(m, d):
+    """{sorted pairs K: c != 0} with alt2(wheel) = sum_K c alt(K); x_m = 0 iff it is empty.
+
+    Each permutation acts on the m (V, V*) pairs of a chain at once.  A chain
+    with a repeated pair alternates to zero (swapping the equal pairs fixes it
+    and flips the sign); one with distinct pairs is a reordering q of its sorted
+    pairs K and alternates to sign(q) alt(K), supported on K's reorderings alone."""
+    check_tensor_size(m, d)
+    counts = {}
+    for a in product(range(d), repeat=m):    # the chains of ``wheel``
+        pairs = list(zip(a, a[1:] + a[:1]))
+        if len(set(pairs)) == m:
+            order = sorted(range(1, m + 1), key=lambda k: pairs[k - 1])
+            add_scaled(counts, {tuple(pairs[k - 1] for k in order): sign(order)})
+    return counts
 
 
 def _flat_index(idx, base):
@@ -177,13 +180,12 @@ def perm_matrix(perm, d):
     """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
     m = len(perm)
     check_tensor_size(m, d)
-    ent = {}
-    for j in product(range(d), repeat=m):
-        i = [0] * m
-        for k in range(m):
-            i[perm[k] - 1] = j[k]
-        ent[(_flat_index(i, d), _flat_index(j, d))] = 1
-    return SparseMatrix(d ** m, d ** m, ent)
+    # row of e_j: sum_k j_k d^(m - perm[k]), expanded slot by slot in the order of j
+    rows = [0]
+    for k in range(m):
+        w = d ** (m - perm[k])
+        rows = [r + x * w for r in rows for x in range(d)]
+    return SparseMatrix(d ** m, d ** m, {(r, col): 1 for col, r in enumerate(rows)})
 
 
 def perm_action(m, u, d):
@@ -232,7 +234,7 @@ def verify_wheel_action(m, d):
 
 def wheel_vanishing_table(max_m, max_d):
     """(m, d) -> bool: whether x_m = 0, over the requested grid."""
-    return {(m, d): not alt2_wheel_raw(m, d)[0]
+    return {(m, d): not _wheel_key_counts(m, d)
             for d in range(1, max_d + 1) for m in range(1, max_m + 1)}
 
 
@@ -251,11 +253,19 @@ def _check_wedge_size(n, maxdeg):
 def _wedge_invariants_dim(act, n, m):
     """dim of the m-th wedge power of span(e_0..e_{n-1}) killed by every
     derivation in ``act``: ``act[op][i]`` lists the images (j, c) of e_i, and
-    an image j >= n lies outside the window but is kept exactly.  One row
-    per (op, target wedge), on the sorted-tuple basis."""
+    an image j >= n lies outside the window but is kept exactly.  An op diagonal
+    on the basis scales a sorted wedge by its eigenvalue sum, so the columns are
+    the wedges where all such sums are 0, with one row per (other op, target)."""
+    diag = {op for op, images in enumerate(act)
+            if all(j == i for i, im in enumerate(images) for j, _ in im)}
+    weight = [tuple(sum(c for _, c in act[op][i]) for op in diag) for i in range(n)]
+    cols = [tup for tup in combinations(range(n), m)
+            if not any(map(sum, zip(*(weight[i] for i in tup))))]
     rows = {}
     for op, images in enumerate(act):
-        for col, tup in enumerate(combinations(range(n), m)):
+        if op in diag:
+            continue
+        for col, tup in enumerate(cols):
             for slot, i in enumerate(tup):
                 rest = tup[:slot] + tup[slot + 1:]
                 for j, c in images[i]:
@@ -265,7 +275,7 @@ def _wedge_invariants_dim(act, n, m):
                     pos = bisect_left(rest, j)
                     add_scaled(rows.setdefault((op, rest[:pos] + (j,) + rest[pos:]), {}),
                                {col: -c if (slot + pos) & 1 else c})
-    return kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), comb(n, m))).dim
+    return len(cols) - rank(SparseMatrix.from_row_dicts(list(rows.values()), len(cols)))
 
 
 def exterior_invariants_dims(g, maxdeg):
@@ -304,16 +314,6 @@ def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
         dims.append(_wedge_invariants_dim(act, n, m))
         expected.append(comb(zdim * (D + 1), m))
     return dims, expected, dims == expected
-
-
-def _sort_sign(seq):
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,9 @@ def test_gl_refuses_a_wide_exterior_power_before_any_kernel(tmp_path, monkeypatc
     def boom(*args):
         raise AssertionError("kernel solved before the guard")
 
+    # the wedge solve is one rank; the kernel is still patched for the other routes
     monkeypatch.setattr(lierep, "kernel_basis", boom)
+    monkeypatch.setattr(lierep, "rank", boom)
     path = tmp_path / "abelian25.json"
     path.write_text(json.dumps(lierep.LieAlgebraSpec.abelian(25).to_json()))
     code, out = run_cli("gl", "--lie", str(path))

@@ -1,17 +1,20 @@
 import json
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial
 
 import pytest
 
 from swcohom import ResourceLimitError
-from swcohom.linalg import SparseMatrix, add_scaled
+import swcohom.lierep as lierep
+from swcohom.linalg import SparseMatrix, add_scaled, kernel_basis
 from swcohom.lierep import (
     LieAlgebraSpec,
     act_on_power,
     ad_transform,
     alt2_wheel_raw,
+    check_tensor_size,
     cohomology_of_rep_category_graded,
     current_invariants_dims,
     exterior_invariants_dims,
@@ -30,13 +33,29 @@ def test_lie_spec_validation():
     with pytest.raises(ValueError):
         # not antisymmetric
         LieAlgebraSpec(2, [[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Jacobi identity fails at \(0,1,2\)$"):
         # antisymmetric but fails Jacobi: [e0,e1]=e2, [e1,e2]=e0, [e2,e0]=e0
         LieAlgebraSpec(3, [
             [(0, 0, 0), (0, 0, 1), (-1, 0, 0)],
             [(0, 0, -1), (0, 0, 0), (1, 0, 0)],
             [(1, 0, 0), (-1, 0, 0), (0, 0, 0)],
         ])
+    # e0 scales e1, e2, e3 by 1/2, 1/3, -5/6, and [e2, e3] = e1/2: the weights
+    # 1/3 - 5/6 != 1/2 break Jacobi first at (0,2,3), every earlier triple holding
+    with pytest.raises(ValueError, match=r"^Jacobi identity fails at \(0,2,3\)$"):
+        LieAlgebraSpec(4, _brackets(4, {(0, 1): {1: Fraction(1, 2)},
+                                        (0, 2): {2: Fraction(1, 3)},
+                                        (0, 3): {3: Fraction(-5, 6)},
+                                        (2, 3): {1: Fraction(1, 2)}}))
+
+
+def _brackets(dim, upper):
+    """An antisymmetric table from {(i, j): {k: c}} for i < j: [e_i, e_j] = sum c e_k."""
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), image in upper.items():
+        for k, c in image.items():
+            table[i][j][k], table[j][i][k] = c, -c
+    return table
 
 
 def test_lie_spec_json_roundtrip(tmp_path):
@@ -84,6 +103,38 @@ def test_wheel_vanishing():
     table1 = wheel_vanishing_table(6, 1)
     for m in range(1, 7):
         assert table1[(m, 1)] == ((m % 2 == 0) or (m > 1)), m
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_vanishing_table_matches_the_expanded_wheel(d):
+    # the table reads x_m = 0 off the sorted-key counts; the reference expands
+    # every count over S_m and asks whether anything is left
+    for m in range(1, 7):
+        try:
+            check_tensor_size(m, d)
+        except ResourceLimitError:
+            continue
+        assert wheel_vanishing_table(m, d)[(m, d)] == (not alt2_wheel_raw(m, d)[0]), (m, d)
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m in range(1, 6) for d in range(1, 4)])
+def test_perm_matrix_follows_the_slot_rule(m, d):
+    # reference: e_j goes to e_i with i[perm[k] - 1] = j[k], indices flattened entry by entry
+    def flat(idx):
+        out = 0
+        for x in idx:
+            out = out * d + x
+        return out
+
+    for perm in all_permutations(m):
+        ent = {}
+        for j in product(range(d), repeat=m):
+            i = [0] * m
+            for k in range(m):
+                i[perm[k] - 1] = j[k]
+            ent[(flat(i), flat(j))] = 1
+        P = perm_matrix(perm, d)
+        assert (P.rows, P.cols, P.entries) == (d ** m, d ** m, ent), perm
 
 
 def test_perm_action_is_algebra_map():
@@ -160,6 +211,86 @@ def _poly_product(d, N):
     return coeffs
 
 
+def _full_kernel_wedge_invariants_dim(act, n, m):
+    # the reference: every operator on every wedge, one full kernel
+    rows = {}
+    for op, images in enumerate(act):
+        for col, tup in enumerate(combinations(range(n), m)):
+            for slot, i in enumerate(tup):
+                rest = tup[:slot] + tup[slot + 1:]
+                for j, c in images[i]:
+                    if j in rest:
+                        continue
+                    pos = bisect_left(rest, j)
+                    add_scaled(rows.setdefault((op, rest[:pos] + (j,) + rest[pos:]), {}),
+                               {col: -c if (slot + pos) & 1 else c})
+    return kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), comb(n, m))).dim
+
+
+def _ad_images(g):
+    return [[[(j, c) for j, c in enumerate(g.table[xi][i]) if c] for i in range(g.dim)]
+            for xi in range(g.dim)]
+
+
+def _is_diagonal(images):
+    return all(j == i for i, im in enumerate(images) for j, _ in im)
+
+
+def _basis_changed_gl2():
+    # f_a = sum_i P[i][a] E_i with P unimodular; [f_a, f_b] in f-coordinates via P^-1
+    P = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [2, 0, 0, 1]]
+    Pinv = [[-1, 1, -1, 1], [2, -1, 1, -1], [-2, 2, -1, 1], [2, -2, 2, -1]]
+    g = LieAlgebraSpec.gl(2)
+    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for a, b, i, j, k in product(range(4), repeat=5):
+        bracket = sum(P[i][a] * P[j][b] * g.table[i][j][t] * Pinv[k][t] for t in range(4))
+        table[a][b][k] += bracket
+    return LieAlgebraSpec(4, table, name="gl(2), skew basis")
+
+
+def _fraction_weights():
+    # e0 scales e1..e4 by 1/2, 1/3, -1/2, -1/3 and fixes e5; [e1, e3] = [e2, e4] = e5
+    # (a graded Heisenberg algebra): weights cancel only as Fractions
+    return LieAlgebraSpec(6, _brackets(6, {(0, 1): {1: Fraction(1, 2)},
+                                           (0, 2): {2: Fraction(1, 3)},
+                                           (0, 3): {3: Fraction(-1, 2)},
+                                           (0, 4): {4: Fraction(-1, 3)},
+                                           (1, 3): {5: 1}, (2, 4): {5: 1}}))
+
+
+def test_wedge_invariants_match_the_full_kernel():
+    algebras = [LieAlgebraSpec.gl(d) for d in (1, 2, 3)]
+    algebras += [LieAlgebraSpec.sl2(), LieAlgebraSpec.abelian(3), _basis_changed_gl2(),
+                 _fraction_weights()]
+    skew = _ad_images(algebras[5])
+    assert not any(_is_diagonal(images) for images in skew)
+    assert any(_is_diagonal(images) for images in _ad_images(algebras[6]))
+    for g in algebras:
+        act = _ad_images(g)
+        for m in range(1, g.dim + 1):
+            assert lierep._wedge_invariants_dim(act, g.dim, m) == \
+                _full_kernel_wedge_invariants_dim(act, g.dim, m), (g.name, m)
+
+
+def test_current_wedge_invariants_match_the_full_kernel(monkeypatch):
+    # every act list current_invariants_dims builds, checked against the reference
+    solve = lierep._wedge_invariants_dim
+    seen = []
+
+    def checked(act, n, m):
+        dim = solve(act, n, m)
+        assert dim == _full_kernel_wedge_invariants_dim(act, n, m), (n, m)
+        seen.append(any(_is_diagonal(images) for images in act))
+        return dim
+
+    monkeypatch.setattr(lierep, "_wedge_invariants_dim", checked)
+    for g, D, maxdeg in [(LieAlgebraSpec.gl(2), 1, 3), (LieAlgebraSpec.sl2(), 1, 3),
+                         (LieAlgebraSpec.gl(1), 2, 3), (LieAlgebraSpec.gl(3), 0, 3)]:
+        for extra in (False, True):
+            current_invariants_dims(g, D, maxdeg, check_extra_power=extra)
+    assert len(seen) == 24 and all(seen)
+
+
 def test_current_invariants():
     ab = LieAlgebraSpec.abelian(1)
     dims, expected, agree = current_invariants_dims(ab, 1, 1)
@@ -188,7 +319,9 @@ def test_current_invariants_refuse_a_wide_wedge_before_any_kernel(monkeypatch):
     def boom(*args):
         raise AssertionError("kernel solved before the guard")
 
+    # the wedge solve is one rank; the kernel is still patched for the other routes
     monkeypatch.setattr(lierep, "kernel_basis", boom)
+    monkeypatch.setattr(lierep, "rank", boom)
     # gl(3) (x) span{1, x, x^2} is 27-dim; its 6th wedge power has 296 010 vectors
     with pytest.raises(ResourceLimitError, match="exterior power of dim 296010"):
         current_invariants_dims(LieAlgebraSpec.gl(3), 2, 6)
