@@ -26,7 +26,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     add_scaled,
-    divided,
+    combination,
     kernel_basis,
     rank,
     subspace_sum,
@@ -207,7 +207,7 @@ def commutant(seq, n, gens, space):
     # to A_n (integral kernel rows span the same combinations)
     out = Subspace(space.ambient_dim)
     for coeffs, _ in ker.integral_rows():
-        out.insert(_apply(basis, coeffs))
+        out.insert(combination(basis, coeffs))
     return out
 
 
@@ -369,35 +369,32 @@ def _face_complex(layout, space, faces):
     ``key`` as (sign, target key, index map or None for the identity); an
     index map is per basis index, as from ``seq.unit_pairing``.
 
-    Every face is proven to land in its target: the coordinates of each
-    source row's image are taken in the target space, and an image outside
-    it raises CrossCheckError naming the source and target keys."""
-    offsets = {}
-    dims = []
+    Every face is proven to land in its target, in one block by
+    ``image_coords``; an image outside it raises CrossCheckError naming the
+    source and target keys.  Each source basis row gives one column: a face
+    writes its block in, and only a target met twice from one key adds in."""
+    offsets, dims = {}, []
     for keys in layout:
-        off = 0
+        dims.append(0)
         for key in keys:
-            offsets[key] = off
-            off += space(key).dim
-        dims.append(off)
-    diffs = []
-    for k in range(len(layout) - 1):
-        ent = {}
-        for key in layout[k]:
-            targets = [(sign, target, space(target), offsets[target], index_map)
-                       for sign, target, index_map in faces(key)]
-            col = offsets[key]
-            for vec, d in space(key).integral_rows():
-                for sign, target, target_space, row0, index_map in targets:
-                    image = vec if index_map is None else _apply(index_map, vec)
-                    try:
-                        _add_block(ent, target_space, row0, col, image, d, sign)
-                    except ValueError:
-                        raise CrossCheckError("face %r -> %r leaves its target"
-                                              % (key, target)) from None
-                col += 1
-        diffs.append(SparseMatrix._adopt(dims[k + 1], dims[k], ent))
-    return CochainComplex(dims, diffs)
+            offsets[key] = dims[-1]
+            dims[-1] += space(key).dim
+    columns = [[{} for _ in range(dim)] for dim in dims[:-1]]
+    for keys, cols in zip(layout, columns):
+        for key in keys:
+            source = space(key)
+            own, written = cols[offsets[key]:offsets[key] + source.dim], set()
+            for sign, target, index_map in faces(key):
+                try:
+                    block = space(target).image_coords(source, index_map, offsets[target], sign)
+                except ValueError:
+                    raise CrossCheckError("face %r -> %r leaves its target"
+                                          % (key, target)) from None
+                merge = add_scaled if target in written else dict.update
+                for col, coords in zip(own, block):
+                    merge(col, coords)
+                written.add(target)
+    return CochainComplex(dims, columns)
 
 
 def cubic_cohomology(diagram):
@@ -462,30 +459,6 @@ def deformation_complex_truncated(seq, max_weight):
         return out
 
     return _face_complex(layout, spaces.__getitem__, faces)
-
-
-def _apply(index_map, vec):
-    """The image of the sparse vector ``vec`` under a map given per basis
-    index (a list of sparse vectors, as from ``seq.unit_pairing``): the
-    combination of ``index_map`` with coefficients ``vec``."""
-    out = {}
-    for j, c in vec.items():
-        add_scaled(out, index_map[j], c)
-    return out
-
-
-def _add_block(ent, target_space, row0, col, vec, d, sign):
-    """Add ``sign`` times the coordinates of ``vec`` / d in ``target_space`` (a
-    Subspace or QuotientSpace) to column ``col`` of ``ent``, starting at row
-    ``row0``; zero sums are dropped.
-
-    ``vec`` is the image of an integral source row and d that row's pivot
-    value (``integral_rows``), so the column is the image of the source's
-    RREF basis row, in the target's RREF basis."""
-    coords = target_space.coords_of(vec)
-    if d != 1:
-        coords = divided(coords, d)
-    add_scaled(ent, {(row0 + r, col): c for r, c in coords.items()}, sign)
 
 
 class TruncatedCohomology:
@@ -609,20 +582,20 @@ def reduced_complex(seq, max_weight):
         for uvec, _ in data.quotients[w].U.integral_rows():
             delta = {}
             for sign, _, index_map in out:
-                add_scaled(delta, _apply(index_map, uvec), sign)
+                add_scaled(delta, combination(index_map, uvec), sign)
             if not data.quotients[w + 1].U.contains(delta):
                 raise CrossCheckError(
                     "reduced differential not well-defined on cosets at weight %d" % w)
     cx = _face_complex([[w] for w in range(1, top + 1)], data.quotients.__getitem__,
                        faces.__getitem__)
-    h_dims = cx.cohomology_dims()   # degree w - 1 holds T_w
+    h_dims, diffs = cx.cohomology_dims(), cx.differentials   # degree w - 1 holds T_w
 
     for w in range(1, max_weight + 1):
         data.diffs[w] = None
         if data.t_dims[w] == 0:
             data.diff_status[w] = "source-zero"
         elif w < top:
-            data.diffs[w] = cx.differentials[w - 1]
+            data.diffs[w] = diffs[w - 1]
             data.diff_status[w] = "matrix"
         elif seq.delta_vanishes_dually(w):
             data.diff_status[w] = "dual-zero"
@@ -646,7 +619,7 @@ def first_cohomology_direct(seq):
         residue = z2.reduce(seq.element_to_vec(2, s))
         cols.update(((i, j), c) for i, c in residue.items())
     ker = kernel_basis(SparseMatrix(seq.dim(2), z1.dim, cols))
-    return ker.dim, [_apply(basis_els, coeffs) for coeffs in ker.basis()]
+    return ker.dim, [combination(basis_els, coeffs) for coeffs in ker.basis()]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ integer arithmetic.
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, factorial
 
 from . import CrossCheckError, ResourceLimitError
@@ -168,31 +168,32 @@ def act_on_power(t, m, d):
     """The operator on V^(x)m applying each gl factor of ``t`` to its own slot.
 
     Accepts the (v_1, w_1, ...)-keyed tensor and returns the d^m x d^m
-    matrix with rows indexed by the v multi-index, columns by the w one.
-    """
-    if any(len(key) != 2 * m or max(key) >= d for key in t):
+    matrix with rows indexed by the v multi-index, columns by the w one."""
+    if set(map(len, t)) - {2 * m} or not set(chain.from_iterable(t)) <= set(range(d)):
         raise ValueError("shape mismatch")
-    return SparseMatrix(d ** m, d ** m, {
-        (_flat_index(key[0::2], d), _flat_index(key[1::2], d)): c for key, c in t.items()})
+    rows = cols = [0] * len(t)     # the flat v and w indices, built slot by slot
+    for s in range(0, 2 * m, 2):
+        rows = [r * d + key[s] for r, key in zip(rows, t)]
+        cols = [c * d + key[s + 1] for c, key in zip(cols, t)]
+    return SparseMatrix(d ** m, d ** m, dict(zip(zip(rows, cols), t.values())))
 
 
 def perm_matrix(perm, d):
     """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
-    m = len(perm)
-    check_tensor_size(m, d)
-    # row of e_j: sum_k j_k d^(m - perm[k]), expanded slot by slot in the order of j
-    rows = [0]
-    for k in range(m):
-        w = d ** (m - perm[k])
-        rows = [r + x * w for r in rows for x in range(d)]
-    return SparseMatrix(d ** m, d ** m, {(r, col): 1 for col, r in enumerate(rows)})
+    return perm_action(len(perm), {perm: 1}, d)
 
 
 def perm_action(m, u, d):
     """Linear extension of slot permutation to an element ``u`` of Q[S_m]."""
+    check_tensor_size(m, d)
     ent = {}
     for p, c in u.items():
-        add_scaled(ent, perm_matrix(p, d).entries, c)
+        # row of e_j: sum_k j_k d^(m - p[k]), expanded slot by slot in the order of j
+        rows = [0]
+        for k in range(len(p)):
+            w = d ** (len(p) - p[k])
+            rows = [r + x * w for r in rows for x in range(d)]
+        add_scaled(ent, dict.fromkeys(zip(rows, range(len(rows))), c))
     return SparseMatrix(d ** m, d ** m, ent)
 
 

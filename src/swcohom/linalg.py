@@ -7,21 +7,18 @@ dict whose positive pivot value d stands for the RREF row ``row / d``, and
 updated as ``d*row - a*pivot_row`` and its content divided out, so no
 ``Fraction`` arises inside either.  One is built only at the boundary, and
 only where d does not divide: in the RREF rows of ``Echelon.basis``, in the
-exact residue of ``Echelon.reduce``, and where ``divided`` takes the
-coordinates of an integral row's image back to an RREF basis (the
-differential assembly of ``homology``).  Rational inputs to ``insert`` and
-``rank`` are cleared to integers on entry through their ``denominator``; a
-residue or a zero test takes them as they come.
-``StructureConstantSpec.from_json`` parses integral constants to ``int``.
+exact residue of ``Echelon.reduce``, and where ``image_coords`` divides
+the coordinates of an integral row's image back to an RREF basis.  Rational
+inputs to ``insert`` and ``rank`` are cleared to integers on entry through
+their ``denominator``; a residue or a zero test takes them as they come.
 
 Vectors are dicts {index: coefficient} with no stored zeros, and
 ``add_scaled`` is the one place that adds a scaled sparse vector into
-another.  Matrices store a sparse {(row, col): coefficient} map.
-Coordinates in a subspace basis are sparse too: ``coords_of`` returns
-{position: coefficient} holding only the nonzero coefficients.  Nothing is
-randomised: ``rank`` is one sparse elimination over Q with Markowitz-style
-pivots and no back-substitution, and echelon bases (kernels, images,
-subspace arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
+another.  Matrices store a sparse {(row, col): coefficient} map, and
+coordinates in a subspace basis are sparse too.  Nothing is randomised:
+``rank`` is one sparse elimination over Q with Markowitz-style pivots and
+no back-substitution, and echelon bases (kernels, images, subspace
+arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted by
 ``Subspace.from_indicators`` without elimination.  Such a space keeps one
@@ -46,8 +43,9 @@ small algebras given by a multiplication table.
 import json
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, eq
 
 from . import CrossCheckError
 
@@ -72,6 +70,14 @@ def add_scaled(acc, vec, coef=1):
         else:
             acc.pop(k, None)
     return acc
+
+
+def combination(vectors, coeffs):
+    """sum_j coeffs[j] vectors[j]: ``coeffs`` under a map given per basis index."""
+    out = {}
+    for j, c in coeffs.items():
+        add_scaled(out, vectors[j], c)
+    return out
 
 
 def divided(vec, d):
@@ -425,6 +431,39 @@ class Subspace(Echelon):
                     coords[positions[c]] = x
         return coords if not missing else None
 
+    def image_coords(self, source, index_map, offset, sign):
+        """``coords_of`` the image under ``index_map`` (per basis index, or None
+        for the identity) of each basis row of the Subspace ``source``, in pivot
+        order, with positions moved up by ``offset`` and values times ``sign``;
+        ValueError if one is not a member.  Between spaces adopted from
+        indicators, under a map sending indices injectively to indices with
+        coefficient 1, one lookup proves the block: each image index's head is
+        the image of an index of the same source support (so a target support
+        meets one source support only), and the sizes of the target supports
+        met add up to the number of images (so each is covered)."""
+        heads, owner = self._heads, source._heads   # owner: image index -> source head
+        if heads is not None and owner is not None and index_map is not None:
+            terms = list(map(index_map.__getitem__, owner))
+            owner = dict(zip(chain.from_iterable(terms), owner.values()))
+            if set(map(len, terms)) != {1} or len(owner) != len(terms) \
+                    or set(chain.from_iterable(map(dict.values, terms))) != {1}:
+                owner = None    # several terms, a coefficient other than 1, or not injective
+        if heads is not None and owner is not None:
+            met = list(map(heads.get, owner))
+            hits = list(compress(owner, map(eq, owner, met)))   # the target heads met
+            if list(map(owner.get, met)) != list(owner.values()) \
+                    or sum(map(len, map(self.rows.__getitem__, hits))) != len(owner):
+                raise ValueError("vector not in subspace")
+            coords, positions = {p: {} for p in source.pivots}, self.positions
+            for h in hits:
+                coords[owner[h]][offset + positions[h]] = sign
+            return list(coords.values())
+        out = []
+        for vec, d in source.integral_rows():
+            coords = self.coords_of(vec if index_map is None else combination(index_map, vec))
+            out.append({offset + r: sign * c for r, c in divided(coords, d).items()})
+        return out
+
     def contains_subspace(self, other):
         return all(self.contains(row) for row, _ in other.integral_rows())
 
@@ -548,11 +587,6 @@ def kernel_basis(M):
     return out
 
 
-def image_basis(M):
-    """Column space of M as a Subspace of Q^rows."""
-    return Subspace.from_vectors(M.col_dicts(), M.rows)
-
-
 def subspace_sum(*spaces):
     """The sum of one or more subspaces of one ambient space.
 
@@ -625,35 +659,47 @@ class QuotientSpace(Subspace):
 
 
 class CochainComplex:
-    """Finite complex of coordinate spaces from degree 0; d(k): C^k -> C^(k+1),
-    d.d = 0 enforced."""
+    """Finite complex of coordinate spaces from degree 0, d.d = 0 enforced:
+    ``columns[k]`` lists the dims[k] zero-free column vectors of d_k: C^k ->
+    C^(k+1), and ``differentials`` builds each d_k as SparseMatrix on read."""
 
-    def __init__(self, dims, differentials):
-        if len(differentials) != max(len(dims) - 1, 0):
+    def __init__(self, dims, columns):
+        self.dims, self.columns = dims, columns = list(dims), list(columns)
+        if len(columns) != max(len(dims) - 1, 0):
             raise ValueError("need one differential per adjacent degree pair")
-        self.dims = list(dims)
-        self.differentials = list(differentials)
-        for k, d in enumerate(self.differentials):
-            if d.cols != self.dims[k] or d.rows != self.dims[k + 1]:
-                raise ValueError("differential %d has shape %dx%d, expected %dx%d"
-                                 % (k, d.rows, d.cols, self.dims[k + 1], self.dims[k]))
-        for k in range(len(self.differentials) - 1):
-            if not self.differentials[k + 1].matmul(self.differentials[k]).is_zero():
-                raise ValueError("d.d != 0 between degrees %d and %d"
-                                 % (k, k + 2))
+        for k, cols in enumerate(columns):
+            rows = set(range(dims[k + 1]))
+            if len(cols) != dims[k] or not rows.issuperset(chain.from_iterable(cols)):
+                raise ValueError("differential %d is no %dx%d matrix" % (k, len(rows), dims[k]))
+        # every column of d_k must be killed by d_(k+1): sum_i v col_i(d_(k+1)) = 0
+        for k, (before, after) in enumerate(zip(columns, columns[1:])):
+            for col in before:
+                acc = {}
+                get = acc.get
+                for i, v in col.items():
+                    for j, x in after[i].items():
+                        acc[j] = get(j, 0) + v * x
+                if any(acc.values()):
+                    raise ValueError("d.d != 0 between degrees %d and %d" % (k, k + 2))
+
+    @property
+    def differentials(self):
+        return [SparseMatrix._adopt(rows, len(cols), {(i, j): v for j, col in enumerate(cols)
+                                                      for i, v in col.items()})
+                for rows, cols in zip(self.dims[1:], self.columns)]
 
     def cohomology_dims(self):
         """H^k dims from the ranks of the differentials, eliminated along the
         chain: d_(k+1) only on the indices of C^(k+1) off the rank(d_k)
         independent pivot rows of d_k, whose unit vectors and im d_k span
         C^(k+1); as d.d = 0 (checked at construction) it has the same rank."""
-        ranks = [0]     # ranks[k] = rank d_(k-1), the rank into degree k
-        pivots = ()
-        for d in self.differentials:
-            rows = [{} for _ in range(d.rows)]
-            for (i, j), v in d.entries.items():
+        ranks, pivots = [0], ()     # ranks[k] = rank d_(k-1), the rank into degree k
+        for k, cols in enumerate(self.columns):
+            rows = [{} for _ in range(self.dims[k + 1])]
+            for j, col in enumerate(cols):
                 if j not in pivots:
-                    rows[i][j] = v
+                    for i, v in col.items():
+                        rows[i][j] = v
             pivots = set(_pivot_rows(rows))
             ranks.append(len(pivots))
         ranks.append(0)
@@ -661,29 +707,9 @@ class CochainComplex:
         self._check_euler(out)
         return out
 
-    def cohomology(self):
-        """(H^k dims, H^k representatives): kernels modulo images, degree by degree."""
-        out = {}
-        reps = {}
-        for k, dim in enumerate(self.dims):
-            if k < len(self.differentials):
-                ker = kernel_basis(self.differentials[k])
-            else:
-                ker = Subspace.full(dim)
-            if k >= 1:
-                img = image_basis(self.differentials[k - 1])
-            else:
-                img = Subspace.zero(dim)
-            quot = QuotientSpace(ker, img)
-            out[k] = quot.dim
-            reps[k] = quot.basis()
-        self._check_euler(out)
-        return out, reps
-
     def _check_euler(self, hdims):
-        """sum (-1)^k H^k must be sum (-1)^k dim C^k.  This guards ``cohomology()``;
-        on the ranks of ``cohomology_dims`` the left side telescopes to the
-        right whatever the ranks are, so there it proves nothing."""
+        """sum (-1)^k H^k must be sum (-1)^k dim C^k.  On the ranks of ``cohomology_dims``
+        the left side telescopes to the right whatever they are: it proves nothing."""
         lhs = sum((-1) ** k * d for k, d in enumerate(self.dims))
         rhs = sum((-1) ** k * d for k, d in hdims.items())
         if lhs != rhs:

@@ -184,7 +184,7 @@ def test_criterion_9_infrastructure():
     # d.d = 0 is enforced on construction, and violations are rejected
     eye = SparseMatrix.identity(1)
     try:
-        CochainComplex([1, 1, 1], [eye, eye])
+        CochainComplex([1, 1, 1], [eye.col_dicts(), eye.col_dicts()])
         ok = False
     except ValueError:
         pass

@@ -8,12 +8,23 @@ import pytest
 
 from swcohom import CrossCheckError, ResourceLimitError
 from swcohom.combinat import Composition, compositions, subdivisions, union
-from swcohom.linalg import SparseMatrix, Subspace, add_scaled, kernel_basis, subspace_intersect
+from swcohom.linalg import (
+    CochainComplex,
+    QuotientSpace,
+    SparseMatrix,
+    Subspace,
+    add_scaled,
+    combination,
+    divided,
+    kernel_basis,
+    subspace_intersect,
+)
 from swcohom.homology import (
     SnModule,
     centralizer,
     commutant,
     cubic_cohomology,
+    cubic_complex,
     cubic_invariants_diagram,
     deformation_cohomology_truncated,
     deformation_complex_truncated,
@@ -400,18 +411,23 @@ def test_containment_failure_names_both_vertices(monkeypatch):
 
 def test_each_face_membership_is_tested_once(monkeypatch):
     # the cube of S_4's regular rep: every vertex is adopted from orbit
-    # indicators, and one lookup per (source row, refinement face) proves
-    # both the containment and the coordinates, with no elimination
+    # indicators, and one block lookup per (source vertex, refinement face)
+    # proves both the containment and the coordinates of all its rows, with
+    # no elimination and no per-row ``coords_of``
     import swcohom.linalg as linalg
 
     inserts = _count_calls(monkeypatch, linalg.Echelon, "insert")
     residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
     coords = _count_calls(monkeypatch, linalg.Subspace, "coords_of")
+    blocks = _count_calls(monkeypatch, linalg.Subspace, "image_coords")
     diagram = cubic_invariants_diagram(SnModule.regular(4))
     assert cubic_cohomology(diagram) == {0: 0, 1: 0, 2: 0, 3: 1}
-    assert inserts == [] and residues == []
-    assert len(coords) == sum(diagram[lam.parts].dim * len(subdivisions(lam))
-                              for lam in compositions(4))
+    assert inserts == [] and residues == [] and coords == []
+    vertex_of = {id(space): comp for comp, space in diagram.items()}
+    looked_up = Counter((vertex_of[id(source)], vertex_of[id(target)])
+                        for target, source, *_ in blocks)
+    assert looked_up == Counter((lam, mu) for lam in compositions(4)
+                                for _, mu in subdivisions(lam))
 
 
 def test_face_divides_the_image_of_an_integral_row():
@@ -429,7 +445,142 @@ def test_face_divides_the_image_of_an_integral_row():
     assert cx.differentials[0].entries == {(0, 0): -1, (1, 0): Fraction(-3, 2)}
 
 
+def _per_row_differentials(layout, space, faces):
+    """The face assembly one source row at a time, kept as the reference: one
+    ``coords_of`` per (source row, face), divided by the row's pivot value and
+    added in as {(row, col): coefficient} entries."""
+    offsets, dims = {}, []
+    for keys in layout:
+        off = 0
+        for key in keys:
+            offsets[key] = off
+            off += space(key).dim
+        dims.append(off)
+    out = []
+    for k in range(len(layout) - 1):
+        ent = {}
+        for key in layout[k]:
+            col = offsets[key]
+            for vec, d in space(key).integral_rows():
+                for sign, target, index_map in faces(key):
+                    image = vec if index_map is None else combination(index_map, vec)
+                    coords = divided(space(target).coords_of(image), d)
+                    add_scaled(ent, {(offsets[target] + r, col): c
+                                     for r, c in coords.items()}, sign)
+                col += 1
+        out.append(ent)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cubic_complex(cubic_invariants_diagram(SnModule.regular(4))),
+    lambda: cubic_complex(cubic_invariants_diagram(SnModule.regular(5))),
+    lambda: deformation_complex_truncated(SymmetricGroupSequence(), 5),
+    lambda: reduced_complex(SymmetricGroupSequence(), 5),
+    lambda: deformation_complex_truncated(
+        SkewGroupSequence(CommutativeAlgebraSpec.quadratic(2)), 3),
+    lambda: reduced_complex(_StubSequence(), 1),
+], ids=["regular-4", "regular-5", "symmetric-W5", "symmetric-reduced-5", "skew-W3",
+        "stub-reduced"])
+def test_face_blocks_match_the_per_row_assembly(monkeypatch, build):
+    # every complex built while ``build`` runs, entry by entry against the
+    # per-row reference on the same layout, spaces and faces
+    import swcohom.homology as homology
+
+    built = []
+    face_complex = homology._face_complex
+
+    def recording(layout, space, faces):
+        cx = face_complex(layout, space, faces)
+        built.append((cx, _per_row_differentials(layout, space, faces)))
+        return cx
+
+    monkeypatch.setattr(homology, "_face_complex", recording)
+    build()
+    assert built
+    for cx, reference in built:
+        assert [d.entries for d in cx.differentials] == reference
+
+
+def _one_face(source, target, index_map):
+    spaces = {"s": source, "t": target}
+    return [["s"], ["t"]], spaces.__getitem__, {"s": [(1, "t", index_map)], "t": []}.__getitem__
+
+
+@pytest.mark.parametrize("source, target, index_map", [
+    ([[0], [1]], [[0, 1]], None),             # target orbit {0, 1} straddles {0} and {1}
+    ([[0]], [[0, 1]], None),                  # {0, 1} is met at its head, but not covered
+    ([[0], [2]], [[0, 1], [2]], None),        # the same beside a covered orbit
+    ([[0, 1]], [[0, 1], [2]], [{1: 1}, {2: 1}, {0: 1}]),    # {0, 1} -> {1, 2}
+    ([[0, 1]], [[0]], None),                  # index 1 lies in no target orbit
+])
+def test_an_orbit_face_that_leaves_its_target_is_refused(source, target, index_map):
+    import swcohom.homology as homology
+
+    face = _one_face(Subspace.from_indicators(source, 3),
+                     Subspace.from_indicators(target, 3), index_map)
+    with pytest.raises(CrossCheckError, match=r"^face 's' -> 't' leaves its target$"):
+        homology._face_complex(*face)
+    with pytest.raises(ValueError, match="^vector not in subspace$"):
+        _per_row_differentials(*face)
+
+
+@pytest.mark.parametrize("source, target, index_map, entries", [
+    # not injective: 0 and 1 both go to 0
+    ([[0, 1], [2]], [[0], [1]], [{0: 1}, {0: 1}, {1: 1}], {(0, 0): 2, (1, 1): 1}),
+    # a two-term image: 0 -> f0 + f1
+    ([[0], [1, 2]], [[0, 1], [2, 3]], [{0: 1, 1: 1}, {2: 1}, {3: 1}], {(0, 0): 1, (1, 1): 1}),
+    # a coefficient other than 1
+    ([[0], [1]], [[0], [1]], [{0: 2}, {1: 1}], {(0, 0): 2, (1, 1): 1}),
+], ids=["not-injective", "two-terms", "coefficient-2"])
+def test_other_orbit_faces_take_the_per_row_route(monkeypatch, source, target, index_map,
+                                                  entries):
+    import swcohom.homology as homology
+    import swcohom.linalg as linalg
+
+    face = _one_face(Subspace.from_indicators(source, 3),
+                     Subspace.from_indicators(target, 4), index_map)
+    coords = _count_calls(monkeypatch, linalg.Subspace, "coords_of")
+    cx = homology._face_complex(*face)
+    assert len(coords) == len(source)
+    assert [d.entries for d in cx.differentials] == _per_row_differentials(*face) == [entries]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_dd_is_checked_on_every_column(k):
+    # the cube of S_4's regular rep from degree k on, after zero spaces below
+    # k: a flipped entry in the last column of d_k alone leaves every other
+    # product zero, and the constructor must still refuse it; d_1 has 14
+    # columns, so a check of the first column alone would pass it
+    cx = cubic_complex(cubic_invariants_diagram(SnModule.regular(4)))
+    assert len(cx.columns[1]) == 14
+    dims = [0] * k + cx.dims[k:]
+    columns = [[] for _ in range(k)] + [list(cols) for cols in cx.columns[k:]]
+    CochainComplex(dims, columns)
+    last = columns[k][-1]
+    i = next(i for i in last if columns[k + 1][i])
+    columns[k][-1] = {**last, i: -last[i]}
+    with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees %d and %d$" % (k, k + 2)):
+        CochainComplex(dims, columns)
+
+
 # -- horizontal complexes ----------------------------------------------------------
+
+
+def cohomology_with_representatives(cx):
+    """(H^k dims, H^k representatives) of ``cx``: kernels modulo images, degree
+    by degree, kept as the reference for ``cohomology_dims``."""
+    dims, reps = {}, {}
+    diffs = cx.differentials
+    for k, dim in enumerate(cx.dims):
+        ker = kernel_basis(diffs[k]) if k < len(diffs) else Subspace.full(dim)
+        img = (Subspace.from_vectors(diffs[k - 1].col_dicts(), dim) if k
+               else Subspace.zero(dim))
+        quot = QuotientSpace(ker, img)
+        dims[k], reps[k] = quot.dim, quot.basis()
+    assert sum((-1) ** k * h for k, h in dims.items()) \
+        == sum((-1) ** k * c for k, c in enumerate(cx.dims))
+    return dims, reps
 
 
 def test_horizontal_symmetric(sym):
@@ -568,10 +719,10 @@ def test_reduced_hecke_cross_route(D):
 
 
 def test_horizontal_complex_representatives(sym):
-    from swcohom.homology import centralizer_diagram, cubic_complex
+    from swcohom.homology import centralizer_diagram
     cx = cubic_complex(centralizer_diagram(sym, 3))
-    dims, reps = cx.cohomology()
-    assert dims == {0: 0, 1: 0, 2: 1}
+    dims, reps = cohomology_with_representatives(cx)
+    assert dims == cx.cohomology_dims() == {0: 0, 1: 0, 2: 1}
     assert len(reps[2]) == 1
 
 
@@ -628,14 +779,17 @@ def test_reduced_differential_formula_matches_first_page(sym):
     # the truncated full complex and the reduced complex share the face-complex
     # assembler but not their spaces (centralizers vs quotients T_w) or faces;
     # their agreement (test_reduced_symmetric_cross_route) pins the chain-level
-    # signs.  Here: a deliberate wrong sign breaks d.d=0.
+    # signs.  Here: a deliberate wrong sign breaks d.d=0, and the complex's
+    # own constructor refuses it.
     cx = deformation_complex_truncated(sym, 3)
-    d1, d2 = cx.differentials[1], cx.differentials[2]
-    assert d2.matmul(d1).is_zero()
+    CochainComplex(cx.dims, cx.columns)
+    d1 = cx.differentials[1]
     flipped = SparseMatrix(d1.rows, d1.cols,
                            {k: -v if k[0] < d1.rows // 2 else v
                             for k, v in d1.entries.items()})
-    assert not d2.matmul(flipped).is_zero()
+    columns = cx.columns[:1] + [flipped.col_dicts()] + cx.columns[2:]
+    with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 1 and 3$"):
+        CochainComplex(cx.dims, columns)
 
 
 # -- simplicial cube ---------------------------------------------------------------

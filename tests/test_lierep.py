@@ -137,6 +137,62 @@ def test_perm_matrix_follows_the_slot_rule(m, d):
         assert (P.rows, P.cols, P.entries) == (d ** m, d ** m, ent), perm
 
 
+def _flat(idx, d):
+    out = 0
+    for x in idx:
+        out = out * d + x
+    return out
+
+
+def _act_on_power_per_key(t, m, d):
+    # the reference: two flat indices and a bound check per key
+    if any(len(key) != 2 * m or max(key) >= d for key in t):
+        raise ValueError("shape mismatch")
+    return SparseMatrix(d ** m, d ** m, {
+        (_flat(key[0::2], d), _flat(key[1::2], d)): c for key, c in t.items()})
+
+
+def _perm_matrix_by_rows(perm, d):
+    m = len(perm)
+    rows = [0]
+    for k in range(m):
+        w = d ** (m - perm[k])
+        rows = [r + x * w for r in rows for x in range(d)]
+    return SparseMatrix(d ** m, d ** m, {(r, col): 1 for col, r in enumerate(rows)})
+
+
+def _perm_action_per_matrix(m, u, d):
+    # the reference: one checked permutation matrix per term of u
+    ent = {}
+    for p, c in u.items():
+        add_scaled(ent, _perm_matrix_by_rows(p, d).entries, c)
+    return SparseMatrix(d ** m, d ** m, ent)
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m in (1, 3, 5) for d in (1, 2, 3)])
+def test_slot_actions_match_their_per_key_definitions(m, d):
+    for t in (alt2_wheel_raw(m, d)[0], wheel(m, d)):
+        new, old = act_on_power(t, m, d), _act_on_power_per_key(t, m, d)
+        assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries)
+    perms = all_permutations(m)
+    for u in (e_element(m), {perms[-1]: 3, perms[0]: -1},
+              {p: Fraction(k + 1, 2) * sign(p) for k, p in enumerate(perms)}):
+        new, old = perm_action(m, u, d), _perm_action_per_matrix(m, u, d)
+        assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries)
+    for p in perms:
+        new, old = perm_matrix(p, d), _perm_matrix_by_rows(p, d)
+        assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries)
+
+
+@pytest.mark.parametrize("key", [(0, 1), (0, 1, 2, 0), (0, 2, 1, 1), (0, 1, 1)])
+def test_act_on_power_refuses_a_key_of_the_wrong_shape(key):
+    # m = 2, d = 2: keys are 4 indices below 2
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        act_on_power({(0, 0, 1, 1): 1, key: 1}, 2, 2)
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        _act_on_power_per_key({(0, 0, 1, 1): 1, key: 1}, 2, 2)
+
+
 def test_perm_action_is_algebra_map():
     d = 2
     for p in all_permutations(3):
