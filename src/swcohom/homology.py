@@ -90,14 +90,15 @@ class SnModule:
 
     @classmethod
     def natural(cls, n):
-        gens = [_permutation_matrix([k - 1 for k in transposition(n, i)]) for i in range(1, n)]
+        gens = [SparseMatrix.permutation([k - 1 for k in transposition(n, i)])
+                for i in range(1, n)]
         return cls(n, n, gens, "perm")
 
     @classmethod
     def regular(cls, n):
         basis = all_permutations(n)
         index = {p: k for k, p in enumerate(basis)}
-        gens = [_permutation_matrix([index[compose(transposition(n, i), p)] for p in basis])
+        gens = [SparseMatrix.permutation([index[compose(transposition(n, i), p)] for p in basis])
                 for i in range(1, n)]
         return cls(n, len(basis), gens, "regular")
 
@@ -119,11 +120,6 @@ class SnModule:
             gens.append(SparseMatrix(a.rows + b.rows, a.cols + b.cols, ent))
         return SnModule(self.n, self.dim + other.dim, gens,
                         "%s(+)%s" % (self.name, other.name))
-
-
-def _permutation_matrix(perm):
-    """The 0/1 matrix sending basis index j to perm[j]."""
-    return SparseMatrix._adopt(len(perm), len(perm), {(i, j): 1 for j, i in enumerate(perm)})
 
 
 def _kron(a, b):
@@ -402,13 +398,37 @@ def cubic_cohomology(diagram):
 
 
 def top_quotient(module):
-    """dim M / sum_i (1 + t_i) M, computed directly from the stacked images."""
-    if module.n == 1:
-        return module.dim
-    diagonal = SparseMatrix.identity(module.dim).entries
-    blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
-              for T in module.gens]
-    return module.dim - rank(reduce(SparseMatrix.hstack, blocks))
+    """dim M / sum_i (1 + t_i) M, computed directly, not from the cube.
+
+    A permutation module needs no rank.  A functional kills every e_x +
+    e_(t_i x) exactly when it flips sign along each edge x -- t_i x, so on a
+    component of that graph it is +-c by a 2-colouring, and c can be nonzero
+    exactly when every edge is bichromatic (a fixed point t_i x = x is an odd
+    loop).  The dimension, that of the dual, is the number of such components,
+    counted by one search per component, as in ``_orbits``.  Any other module
+    is ranked: dim M minus the rank of the stacked 1 + t_i.
+    """
+    dim, perms = module.dim, module.perms
+    if None in perms:
+        diagonal = SparseMatrix.identity(dim).entries
+        blocks = [SparseMatrix(dim, dim, add_scaled(dict(T.entries), diagonal))
+                  for T in module.gens]
+        return dim - rank(reduce(SparseMatrix.hstack, blocks))
+    colour, count = [None] * dim, 0
+    for start in range(dim):
+        if colour[start] is None:
+            colour[start], orbit, bichromatic = 0, [start], True
+            for k in orbit:
+                other = 1 - colour[k]
+                for perm in perms:
+                    q = perm[k]
+                    if colour[q] is None:
+                        colour[q] = other
+                        orbit.append(q)
+                    elif colour[q] != other:
+                        bichromatic = False
+            count += bichromatic
+    return count
 
 
 # ---------------------------------------------------------------------------

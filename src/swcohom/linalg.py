@@ -16,8 +16,9 @@ Vectors are dicts {index: coefficient} with no stored zeros, and
 ``add_scaled`` is the one place that adds a scaled sparse vector into
 another.  Matrices store a sparse {(row, col): coefficient} map, and
 coordinates in a subspace basis are sparse too.  Nothing is randomised:
-``rank`` is one sparse elimination over Q with Markowitz-style pivots and
-no back-substitution, and echelon bases (kernels, images, subspace
+``rank`` is one sparse elimination over Q with no back-substitution: a row
+with one entry left is pivoted first, with no arithmetic, and otherwise the
+pivots are Markowitz-style.  Echelon bases (kernels, images, subspace
 arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted by
@@ -120,6 +121,12 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
+
+    @classmethod
+    def permutation(cls, perm):
+        """The 0/1 matrix sending basis index j to perm[j]; ``perm``, a
+        permutation of range(len(perm)), is not checked."""
+        return cls._adopt(len(perm), len(perm), {(i, j): 1 for j, i in enumerate(perm)})
 
     def row_dicts(self):
         out = [dict() for _ in range(self.rows)]
@@ -491,70 +498,84 @@ def _pivot_rows(rows):
     (consumed): the pivot rows of a right-looking, fraction-free sparse
     elimination.
 
-    Each step pivots on the shortest live row (a heap of (length, row) with
+    A row with one entry left is pivoted first, from a stack, with no
+    arithmetic: its column only drops out of the rows that hold it.  Else
+    each step pivots on the shortest live row (a heap of (length, row) with
     lazy deletion) and, inside it, on the column held by the fewest rows (a
     column -> rows index; the counts include rows that have since dropped the
-    column, which only makes the choice a heuristic).  The pivot column is
-    then eliminated from exactly the rows that index lists.  Choosing sparse
-    pivots keeps the fill of these 0/+-1 boundary matrices small.  Fraction
-    entries are cleared to integers on entry, and every row stays integral:
-    at a pivot x other than +-1 a row with entry y there becomes
-    (x/g) row - (y/g) pivot row, g = gcd(x, y), with its content divided out.
+    column, which only makes the choice a heuristic), eliminated from exactly
+    the rows that index lists.  A row left with one entry joins the stack,
+    and the loop stops once every nonzero row is pivoted or emptied.
+    Choosing sparse pivots keeps the fill of these 0/+-1 boundary matrices
+    small.  Fraction entries are cleared to integers on entry, and every row
+    stays integral: at a pivot x other than +-1 a row with entry y there
+    becomes (x/g) row - (y/g) pivot row, g = gcd(x, y), with its content
+    divided out.
     """
-    den = _common_denominator(x for row in rows for x in row.values())
+    den = _common_denominator(chain.from_iterable(map(dict.values, rows)))
     if den != 1:
         rows = [{c: (x * den).numerator for c, x in row.items()} for row in rows]
     cols = {}  # col -> rows that held it when last touched
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, []).append(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    stack = [i for i, row in enumerate(rows) if len(row) == 1]
+    heap = [(len(row), i) for i, row in enumerate(rows) if len(row) > 1]
     heapify(heap)
+    live = len(stack) + len(heap)   # nonzero rows not yet pivoted
     pivots = []
-    while heap:
-        length, i = heappop(heap)
-        prow = rows[i]
-        if prow is None or len(prow) != length:
-            continue  # a pivot row already, or a stale length
-        rows[i] = None
-        j = min(prow, key=lambda c: len(cols[c]))
+    while live:
+        if stack:
+            i = stack.pop()
+            if not rows[i]:
+                continue  # emptied by an earlier one-entry pivot
+        else:
+            length, i = heappop(heap)
+            if rows[i] is None or len(rows[i]) != length:
+                continue  # a pivot row already, or a stale length
+        prow, rows[i] = rows[i], None
+        pivots.append(i)
+        live -= 1
+        j = min(prow, key=lambda c: len(cols[c])) if len(prow) > 1 else next(iter(prow))
         x = prow.pop(j)
         unit = x in (1, -1)
-        pivots.append(i)
         # no live row holds j afterwards, and fill only copies live columns
         for k in cols.pop(j):
             row = rows[k]
-            if row is None:
-                continue
-            y = row.pop(j, None)
+            y = row.pop(j, None) if row else None
             if y is None:
                 continue
-            if unit:
-                coef = y * x
-            else:
-                # integral values; .numerator also serves a Fraction-typed one
-                g = gcd(x.numerator, y.numerator)
-                m, coef = x // g, y // g
-                if m < 0:
-                    m, coef = -m, -coef
-                if m != 1:
-                    for c in row:
-                        row[c] *= m
-            for c, z in prow.items():
-                s = row.get(c, 0) - coef * z
-                if s:
-                    if c not in row:
-                        cols[c].append(k)
-                    row[c] = s
-                elif c in row:
-                    del row[c]
-            if row:
-                if not unit:
+            if prow:    # else a structural pivot: dropping j was all
+                if unit:
+                    coef = y * x
+                else:
+                    # integral values; .numerator also serves a Fraction-typed one
+                    g = gcd(x.numerator, y.numerator)
+                    m, coef = x // g, y // g
+                    if m < 0:
+                        m, coef = -m, -coef
+                    if m != 1:
+                        for c in row:
+                            row[c] *= m
+                for c, z in prow.items():
+                    s = row.get(c, 0) - coef * z
+                    if s:
+                        if c not in row:
+                            cols[c].append(k)
+                        row[c] = s
+                    elif c in row:
+                        del row[c]
+                if row and not unit:
                     g = gcd(*map(_numerator, row.values()))
                     if g != 1:
                         for c in row:
                             row[c] //= g
+            if len(row) > 1:
                 heappush(heap, (len(row), k))
+            elif row:
+                stack.append(k)
+            else:
+                live -= 1
     return pivots
 
 

@@ -3,6 +3,10 @@
 * no module imports a private name (``_name``; dunders such as
   ``__version__`` are fine) from another module of the package: shared
   helpers are public where they live;
+* no module reads a private attribute (``X._name``) that it does not
+  define itself: what another module's objects share is public, such as
+  ``SparseMatrix.permutation``.  A method's ``self._name`` may reach a
+  protected member of its base class;
 * no module reaches into ``__dict__``: state such as caches is a plain
   attribute set in ``__init__``;
 * no module asks which sequence it holds (``isinstance`` against a sequence
@@ -76,6 +80,45 @@ def test_no_private_imports_across_modules(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if re.match(r"_[a-z]", alias.name)]
     assert not private, private
+
+
+def _foreign_private_attributes(source):
+    """``X._name`` reads in ``source``, X not ``self`` or ``cls``, whose ``_name``
+    the module never defines: no ``def``, ``class``, assignment or attribute
+    store of that name."""
+    tree = ast.parse(source)
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return ["line %d: %s" % (node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and re.match(r"_[a-z]", node.attr)
+            and node.attr not in own
+            and getattr(node.value, "id", None) not in ("self", "cls")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_attributes_across_modules(path):
+    hits = _foreign_private_attributes(path.read_text(encoding="utf-8"))
+    assert not hits, hits
+
+
+def test_the_private_attribute_rule_flags_a_foreign_read():
+    source = ("from . import linalg\n"
+              "from .linalg import SparseMatrix\n"
+              "class Box:\n"
+              "    def __init__(self):\n"
+              "        self._items = []\n"
+              "    def _grow(self, other):\n"
+              "        return self._validate(), other._items, self._grow\n"
+              "def build(rows):\n"
+              "    M = SparseMatrix._adopt(1, 1, {})\n"
+              "    return linalg._pivot_rows(rows), M\n")
+    assert _foreign_private_attributes(source) == ["line 9: _adopt", "line 10: _pivot_rows"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

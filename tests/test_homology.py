@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from swcohom.linalg import (
     combination,
     divided,
     kernel_basis,
+    rank,
     subspace_intersect,
 )
 from swcohom.homology import (
@@ -247,6 +249,74 @@ def test_top_quotient_examples():
     assert top_quotient(M) == 1
     # trivial rep: (1 + t_i) acts as 2, invertible
     assert top_quotient(SnModule.trivial(4)) == 0
+
+
+def _top_quotient_by_rank(module):
+    # the reference: dim M minus the rank of the stacked images of 1 + t_i
+    diagonal = SparseMatrix.identity(module.dim).entries
+    blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
+              for T in module.gens]
+    return module.dim - (rank(reduce(SparseMatrix.hstack, blocks)) if blocks else 0)
+
+
+def _swap_module():
+    # Q^2 (x) Q^2 with t_1 swapping the tensor factors: fixes e_00 and e_11
+    return SnModule(2, 4, [SparseMatrix.permutation([0, 2, 1, 3])])
+
+
+def _permutation_modules():
+    mods = [_swap_module(), _swap_module().direct_sum(SnModule.natural(2))]
+    for n in range(1, 6):
+        natural = SnModule.natural(n)
+        mods += [SnModule.trivial(n), natural, natural.tensor(natural), SnModule.regular(n),
+                 natural.direct_sum(SnModule.regular(n)),
+                 SnModule.regular(n).direct_sum(SnModule.trivial(n))]
+    return mods
+
+
+def test_a_permutation_module_counts_its_top_quotient_without_a_rank(monkeypatch):
+    import swcohom.homology as homology
+
+    mods = _permutation_modules()
+    expected = [_top_quotient_by_rank(M) for M in mods]
+
+    def refuse(M):
+        raise AssertionError("a permutation module reached rank")
+
+    monkeypatch.setattr(homology, "rank", refuse)
+    assert all(None not in M.perms for M in mods)
+    assert [top_quotient(M) for M in mods] == expected
+    by_name = {(M.name, M.n): q for M, q in zip(mods, expected)}
+    # a fixed point is an odd loop: (1 + t) is invertible there
+    assert [by_name[("triv", n)] for n in range(1, 6)] == [1, 0, 0, 0, 0]
+    assert [by_name[("regular", n)] for n in range(1, 6)] == [1, 1, 1, 1, 1]
+    assert [by_name[("perm", n)] for n in range(1, 6)] == [1, 1, 0, 0, 0]
+    assert expected[:2] == [1, 2]   # the swap module: its wedge, then plus one more
+
+
+def test_any_other_module_is_ranked(monkeypatch):
+    import swcohom.homology as homology
+
+    rng = random.Random(31)
+    mods = [SnModule.sign(n) for n in range(2, 6)]
+    mods += [SnModule.natural(3).direct_sum(SnModule.sign(3)),
+             SnModule.sign(4).tensor(SnModule.regular(4))]
+    while len(mods) < 12:
+        M = random_module(rng.randint(2, 4), rng)
+        if None in M.perms:
+            mods.append(M)
+    calls = []
+
+    def recording(A):
+        calls.append(A)
+        return rank(A)
+
+    monkeypatch.setattr(homology, "rank", recording)
+    for M in mods:
+        before = len(calls)
+        assert top_quotient(M) == _top_quotient_by_rank(M), M.name
+        assert len(calls) == before + 1, M.name
+    assert [top_quotient(SnModule.sign(n)) for n in range(2, 6)] == [1, 1, 1, 1]
 
 
 def test_bad_module_rejected():

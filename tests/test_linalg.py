@@ -18,6 +18,7 @@ from swcohom.linalg import (
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    _pivot_rows,
     add_scaled,
     kernel_basis,
     rank,
@@ -220,6 +221,8 @@ def test_derived_matrices_match_dense_and_the_constructor_still_validates():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, {(2, 0): 1})
     assert SparseMatrix(2, 2, {(0, 0): 0}).is_zero()
+    # column j holds its one 1 at row perm[j]
+    assert to_dense(SparseMatrix.permutation([2, 0, 1])) == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
 def test_rank_matches_dense_oracle_over_shapes_and_densities():
@@ -228,6 +231,47 @@ def test_rank_matches_dense_oracle_over_shapes_and_densities():
         for _ in range(15):
             M = _random_sparse(rng, *shape, density=rng.choice((0.15, 0.3, 0.6)))
             assert rank(M) == len(dense_rref(to_dense(M)))
+
+
+def _assert_a_maximal_independent_set(rows, pivots):
+    # every pivot row is accepted in turn, then no other row adds to their span
+    assert len(set(pivots)) == len(pivots)
+    ech = Echelon()
+    assert all(ech.insert(rows[i]) is not None for i in pivots)
+    assert all(ech.insert(row) is None for row in rows)
+    ncols = 1 + max((c for row in rows for c in row), default=0)
+    assert ech.dim == len(dense_rref([_dense(row, ncols) for row in rows]))
+
+
+@pytest.mark.parametrize("kind", [lambda p, q: p, Fraction], ids=["int", "fraction"])
+def test_pivot_rows_are_a_maximal_independent_set(kind):
+    rng = random.Random(43)
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            roll = rng.random()
+            if roll < 0.1:
+                rows.append({})
+            elif roll < 0.25 and rows:
+                rows.append(dict(rng.choice(rows)))     # a repeated row
+            else:
+                density = rng.choice((0.15, 0.4, 0.7))
+                rows.append({j: kind(rng.choice((-2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 2)))
+                             for j in range(ncols) if rng.random() < density})
+        _assert_a_maximal_independent_set(rows, _pivot_rows([dict(row) for row in rows]))
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
+def test_a_row_left_with_one_entry_by_a_pivot_of_two_is_pivoted(scale):
+    # r0 pivots first at value 2 in column 0 (three rows hold it, four hold
+    # column 1); r1 becomes 2 r1 - 3 r0 = {2: 2}, a one-entry row, which then
+    # clears column 2 from r2, and r3 repeats r0
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 6, 2: 1}, {1: 1, 2: 1, 3: 1}, {0: 2, 1: 4}]
+    rows = [{c: x * scale for c, x in row.items()} for row in rows]
+    pivots = _pivot_rows([dict(row) for row in rows])
+    assert sorted(pivots) in ([0, 1, 2], [1, 2, 3])
+    _assert_a_maximal_independent_set(rows, pivots)
 
 
 def test_rank_equals_cols_minus_kernel_dim_on_real_differentials():
