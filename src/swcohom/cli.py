@@ -330,6 +330,13 @@ def build_parser():
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--backend", choices=("modular", "exact"),
                         default=argparse.SUPPRESS)
+    # the options that pick a bundled sequence, for each command that takes one
+    sequence = argparse.ArgumentParser(add_help=False)
+    sequence.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
+                          default="symmetric")
+    sequence.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec),
+                          help="JSON file with commutative algebra structure constants")
+    sequence.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="distinct-odd-parts partition series",
@@ -340,24 +347,15 @@ def build_parser():
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("cohomology", help="reduced and/or truncated-full cohomology",
-                       parents=[common])
-    p.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
-                   default="symmetric")
+                       parents=[common, sequence])
     p.add_argument("--weight-max", type=_positive_int, default=5)
     p.add_argument("--mode", choices=("reduced", "full", "both"), default="reduced")
-    p.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec),
-                   help="JSON file with commutative algebra structure constants")
-    p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.add_argument("--representatives", action="store_true")
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("horizontal", help="one horizontal complex",
-                       parents=[common])
-    p.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
-                   default="symmetric")
+                       parents=[common, sequence])
     p.add_argument("--weight", type=_positive_int, default=3)
-    p.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec))
-    p.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
     p.set_defaults(func=cmd_horizontal)
 
     p = sub.add_parser("cubic", help="simplicial-cube comparison and regular-rep acyclicity",

@@ -178,13 +178,9 @@ def act_on_power(t, m, d):
     return SparseMatrix(d ** m, d ** m, dict(zip(zip(rows, cols), t.values())))
 
 
-def perm_matrix(perm, d):
-    """Slot permutation on V^(x)m: basis e_{j_1}(x)...(x)e_{j_m} -> slot s(k) gets j_k."""
-    return perm_action(len(perm), {perm: 1}, d)
-
-
 def perm_action(m, u, d):
-    """Linear extension of slot permutation to an element ``u`` of Q[S_m]."""
+    """Linear extension to an element ``u`` of Q[S_m] of the slot permutation
+    on V^(x)m: s sends e_{j_1}(x)...(x)e_{j_m} to the tensor with j_k in slot s(k)."""
     check_tensor_size(m, d)
     ent = {}
     for p, c in u.items():

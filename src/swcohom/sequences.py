@@ -13,11 +13,13 @@ An element of level n is a sparse dict {basis label: coefficient} with no
 stored zeros; its level is the explicit argument of every operation on it
 (``multiply(n, ...)``, ``mu(m, n, ...)``).  Labels are plain tuples: a
 permutation is its one-line tuple (``symgrp``), a skew label is (multi-index,
-permutation) and a Hecke label (exponents of y, permutation).  The
-coefficient algebra of the skew sequence is a ``linalg.StructureConstantSpec``.
-Basis orders are fixed (permutations lexicographic; skew by (multi-index,
-permutation); Hecke graded-lexicographic), so every matrix downstream is
-reproducible bit for bit.
+permutation) and a Hecke label (exponents of y, permutation).  Skew and Hecke
+are ``SlotPermutationSequence``s: the base owns basis, unit, pairing and Young
+generators, and each declares its slot data, slot unit, slot generators and
+``_mul_basis_raw``.  Skew's coefficient algebra is a
+``linalg.StructureConstantSpec``.  Basis orders are fixed (permutations
+lexicographic; skew by (multi-index, permutation); Hecke graded-lexicographic),
+so every matrix downstream is reproducible bit for bit.
 """
 
 from itertools import product
@@ -207,6 +209,42 @@ class MultiplicativeSequence:
         return {basis[i]: c for i, c in vec.items() if c}
 
 
+class SlotPermutationSequence(MultiplicativeSequence):
+    """Labels (slot data, permutation); basis, unit, pairing and the Young t_i
+    are defined here once.  A subclass declares ``_slot_data(n)`` in basis
+    order, ``slot_unit`` (the coordinates of 1 in one slot),
+    ``_slot_generators(n)`` and ``_mul_basis_raw``."""
+
+    def _build_basis(self, n):
+        return [(a, p) for a in self._slot_data(n) for p in all_permutations(n)]
+
+    def one(self, n):
+        return _slot_tensor([self.slot_unit] * n, identity(n))
+
+    def _mu_basis_label(self, m, n, la, lb):
+        (a, p), (b, q) = la, lb
+        return (a + b, block_sum(p, q))
+
+    def subalgebra_generators(self, comp):
+        """Each Young t_i as one(n) t_i, then the slot generators."""
+        n = sum(comp)
+        self.check_level(n)
+        return [{(a, compose(p, transposition(n, i))): c for (a, p), c in self.one(n).items()}
+                for i in young_positions(comp)] + self._slot_generators(n)
+
+
+def _slot_tensor(vectors, perm):
+    """The element (v_1 (x) ... (x) v_n, perm), each v_l the coordinates of
+    slot l, expanded into basis labels in lexicographic order of the slot
+    data (every key is a distinct prefix, so nothing accumulates or
+    cancels)."""
+    partial = {(): 1}
+    for v in vectors:
+        partial = {prefix + (k,): c * x for prefix, c in partial.items()
+                   for k, x in enumerate(v) if x}
+    return {(a, perm): c for a, c in partial.items()}
+
+
 # ---------------------------------------------------------------------------
 # Q[S_*]
 
@@ -317,7 +355,7 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
         return cls(2, table, (1, 0), name="Q[x]/(x^2-%s)" % c)
 
 
-class SkewGroupSequence(MultiplicativeSequence):
+class SkewGroupSequence(SlotPermutationSequence):
     """A^(x)n twisted by the permutation action: (a,s)(b,t) = (a.s(b), st)."""
 
     seq_id = "skew"
@@ -326,16 +364,17 @@ class SkewGroupSequence(MultiplicativeSequence):
         super().__init__(level_cap)
         self.algebra = algebra if algebra is not None else CommutativeAlgebraSpec.quadratic()
 
-    def _build_basis(self, n):
-        perms = all_permutations(n)
-        labels = []
-        for a in product(range(self.algebra.dim), repeat=n):
-            for p in perms:
-                labels.append((a, p))
-        return labels
+    def _slot_data(self, n):
+        return product(range(self.algebra.dim), repeat=n)
 
-    def one(self, n):
-        return _slot_tensor([self.algebra.unit] * n, identity(n))
+    @property
+    def slot_unit(self):
+        return self.algebra.unit
+
+    def _slot_generators(self, n):
+        unit_ix = self.algebra.unit_basis_index()
+        return [self._slot_insertion(n, slot, k) for slot in range(n)
+                for k in range(self.algebra.dim) if k != unit_ix]
 
     def _permute_tuple(self, p, a):
         inv = inverse(p)
@@ -347,10 +386,6 @@ class SkewGroupSequence(MultiplicativeSequence):
         # slot l holds the product a_l * bp_l, read off the structure constants
         table = self.algebra.table
         return _slot_tensor([table[a[l]][bp[l]] for l in range(n)], compose(p, q))
-
-    def _mu_basis_label(self, m, n, la, lb):
-        (a, p), (b, q) = la, lb
-        return (a + b, block_sum(p, q))
 
     def commutators(self, n, g, indices):
         """[g, b] per basis index, computed directly for a slot insertion.
@@ -389,25 +424,11 @@ class SkewGroupSequence(MultiplicativeSequence):
             return None
         return slots[0], self.algebra.table[a[slots[0]]]
 
-    def subalgebra_generators(self, comp):
-        n = sum(comp)
-        self.check_level(n)
-        unit_ix = self.algebra.unit_basis_index()
-        gens = [self._group_element(n, transposition(n, i)) for i in young_positions(comp)]
-        for slot in range(n):
-            for k in range(self.algebra.dim):
-                if k != unit_ix:
-                    gens.append(self._slot_insertion(n, slot, k))
-        return gens
-
     def conjugate_label(self, label, i):
         """(a, p) -> (t_i a, t_i p t_i), whatever the unit of A; t_i a swaps
         the slots i and i+1 of the multi-index a."""
         a, p = label
         return (a[:i - 1] + (a[i], a[i - 1]) + a[i + 1:], conjugate_by_t(p, i))
-
-    def _group_element(self, n, perm):
-        return {(a, compose(p, perm)): c for (a, p), c in self.one(n).items()}
 
     def _slot_insertion(self, n, slot, k):
         vectors = [self.algebra.unit] * n
@@ -415,23 +436,11 @@ class SkewGroupSequence(MultiplicativeSequence):
         return _slot_tensor(vectors, identity(n))
 
 
-def _slot_tensor(vectors, perm):
-    """The skew element (v_1 (x) ... (x) v_n, perm), the v_l coordinate
-    vectors in A, expanded into basis labels in lexicographic order of the
-    multi-index (every key is a distinct prefix, so nothing accumulates or
-    cancels)."""
-    partial = {(): 1}
-    for v in vectors:
-        partial = {prefix + (k,): c * x for prefix, c in partial.items()
-                   for k, x in enumerate(v) if x}
-    return {(a, perm): c for a, c in partial.items()}
-
-
 # ---------------------------------------------------------------------------
 # degree-truncated degenerate affine Hecke algebras
 
 
-class HeckeSequence(MultiplicativeSequence):
+class HeckeSequence(SlotPermutationSequence):
     """Degenerate affine Hecke algebras on the basis y^a s, a_i <= D per slot.
 
     Products are rewritten to normal form exactly (intermediate terms are
@@ -448,18 +457,21 @@ class HeckeSequence(MultiplicativeSequence):
         self._partial_cache = {}
         self._push_cache = {}
 
-    def _build_basis(self, n):
-        D = self.trunc_degree
-        perms = all_permutations(n)
-        exps = sorted(product(range(D + 1), repeat=n), key=lambda a: (sum(a), a))
-        return [(a, p) for a in exps for p in perms]
+    def _slot_data(self, n):
+        return sorted(product(range(self.trunc_degree + 1), repeat=n),
+                      key=lambda a: (sum(a), a))
+
+    @property
+    def slot_unit(self):
+        return (1,) + (0,) * self.trunc_degree     # y^0
+
+    def _slot_generators(self, n):
+        # the y_i as labels: at D = 0 a slot tensor of e_1 would be zero
+        return [{(tuple(int(k == i) for k in range(n)), identity(n)): 1} for i in range(n)]
 
     def _label_ok(self, n, label):
         a, _ = label
         return all(x <= self.trunc_degree for x in a)
-
-    def one(self, n):
-        return {((0,) * n, identity(n)): 1}
 
     # -- the d_i calculus --------------------------------------------------
     def partial(self, n, i, perm):
@@ -536,20 +548,6 @@ class HeckeSequence(MultiplicativeSequence):
         # (c, rho) -> (a + c, rho q) is injective, so no two terms meet
         return {(tuple(x + y for x, y in zip(a, c)), compose(rho, q)): v
                 for (c, rho), v in self._push(n, p, b).items()}
-
-    def _mu_basis_label(self, m, n, la, lb):
-        (a, p), (b, q) = la, lb
-        return (a + b, block_sum(p, q))
-
-    def subalgebra_generators(self, comp):
-        n = sum(comp)
-        self.check_level(n)
-        zero = (0,) * n
-        gens = [{(zero, transposition(n, i)): 1} for i in young_positions(comp)]
-        for i in range(n):
-            e = tuple(1 if k == i else 0 for k in range(n))
-            gens.append({(e, identity(n)): 1})
-        return gens
 
 
 def bundled_sequence(seq_id, algebra=None, trunc_degree=3):

@@ -194,6 +194,23 @@ def test_hecke_check():
         ["(1,)", "(2,)", "(1, 1)", "(3,)", "(2, 1)", "(1, 2)", "(1, 1, 1)"])
 
 
+def test_hecke_at_truncation_degree_zero():
+    # D = 0 keeps only y^0 in the window, yet the y_i stay generators of
+    # every centralizer: without them C(1,1) would be all of Q[S_2], dim 2
+    code, doc = run_json("hecke-check", "--trunc-degree", "0", "--level-max", "3")
+    assert code == 0
+    r = doc["report"]
+    assert r["reduced"]["T"] == {"1": 1, "2": 0, "3": 0}
+    assert r["reduced"]["match"] and r["reduced"]["differential_zero"]
+    assert len(r["centralizers"]) == 7
+    assert all(v["dim"] == 1 and v["match"] for v in r["centralizers"].values())
+    code, doc = run_json("cohomology", "--sequence", "hecke", "--trunc-degree", "0",
+                         "--mode", "both", "--weight-max", "3")
+    assert code == 0
+    assert doc["report"]["H"] == {"1": 1, "2": 0, "3": 0}
+    assert doc["report"]["consistent"] is True
+
+
 def test_cubic_command():
     code, doc = run_json("cubic", "--n", "4")
     assert code == 0

@@ -16,6 +16,11 @@
   ``delta_vanishes_dually``);
 * ``homology.centralizer`` is the one place that knows how a centralizer is
   computed: no sequence class defines a method named after centralizers.
+* the slot plumbing is defined once: ``SlotPermutationSequence`` owns the
+  basis, unit, pairing and Young generators of the (slot data, permutation)
+  sequences, and neither skew nor Hecke redefines them.  Hecke declares no
+  label conjugation (t_i y_i t_i has correction terms), so it keeps the
+  solve route.
 * ``homology.py`` touches no private attribute of a sequence (no
   ``seq._name``): it multiplies through the declared ``commutators``,
   ``unit_pairing`` and ``mu``, never through ``_mul_basis_raw``.
@@ -66,6 +71,7 @@ from swcohom.sequences import (
     HeckeSequence,
     MultiplicativeSequence,
     SkewGroupSequence,
+    SlotPermutationSequence,
     SymmetricGroupSequence,
 )
 
@@ -153,6 +159,16 @@ def test_no_sequence_computes_its_own_centralizer():
             for name, member in vars(cls).items()
             if callable(member) and "centralizer" in name]
     assert not hits, hits
+
+
+def test_the_slot_plumbing_is_defined_once():
+    shared = {"_build_basis", "one", "_mu_basis_label", "subalgebra_generators"}
+    assert shared <= set(vars(SlotPermutationSequence))
+    for cls in (SkewGroupSequence, HeckeSequence):
+        assert issubclass(cls, SlotPermutationSequence)
+        assert not shared & set(vars(cls)), cls.__name__
+    hecke = HeckeSequence()
+    assert [hecke.label_conjugation(n, 1) for n in (2, 3)] == [None, None]
 
 
 def test_homology_does_not_import_sequences():

@@ -19,7 +19,6 @@ from swcohom.lierep import (
     current_invariants_dims,
     exterior_invariants_dims,
     perm_action,
-    perm_matrix,
     verify_wheel_action,
     wheel,
     wheel_vanishing_table,
@@ -133,7 +132,7 @@ def test_perm_matrix_follows_the_slot_rule(m, d):
             for k in range(m):
                 i[perm[k] - 1] = j[k]
             ent[(flat(i), flat(j))] = 1
-        P = perm_matrix(perm, d)
+        P = perm_action(m, {perm: 1}, d)
         assert (P.rows, P.cols, P.entries) == (d ** m, d ** m, ent), perm
 
 
@@ -180,7 +179,7 @@ def test_slot_actions_match_their_per_key_definitions(m, d):
         new, old = perm_action(m, u, d), _perm_action_per_matrix(m, u, d)
         assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries)
     for p in perms:
-        new, old = perm_matrix(p, d), _perm_matrix_by_rows(p, d)
+        new, old = perm_action(m, {p: 1}, d), _perm_matrix_by_rows(p, d)
         assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries)
 
 
@@ -197,10 +196,10 @@ def test_perm_action_is_algebra_map():
     d = 2
     for p in all_permutations(3):
         for q in all_permutations(3):
-            assert (perm_matrix(p, d).matmul(perm_matrix(q, d)).entries
-                    == perm_matrix(compose(p, q), d).entries)
+            assert (perm_action(3, {p: 1}, d).matmul(perm_action(3, {q: 1}, d)).entries
+                    == perm_action(3, {compose(p, q): 1}, d).entries)
     # t_1 on V(x)V is the swap matrix
-    t1 = perm_matrix(transposition(2, 1), 2)
+    t1 = perm_action(2, {transposition(2, 1): 1}, 2)
     assert (t1.rows, t1.cols) == (4, 4)
     assert t1.entries == {(0, 0): 1, (3, 3): 1, (1, 2): 1, (2, 1): 1}
     pid = perm_action(1, e_element(1), 2)
@@ -224,8 +223,8 @@ def test_x3_matches_half_commutator_action():
     N, den = alt2_wheel_raw(3, d)
     t1 = transposition(3, 1)
     t2 = transposition(3, 2)
-    comm = add_scaled(dict(perm_matrix(compose(t1, t2), d).entries),
-                      perm_matrix(compose(t2, t1), d).entries, -1)
+    comm = add_scaled(dict(perm_action(3, {compose(t1, t2): 1}, d).entries),
+                      perm_action(3, {compose(t2, t1): 1}, d).entries, -1)
     assert act_on_power(N, 3, d).entries == add_scaled({}, comm, den // 2)
 
 

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 
 from swcohom import ResourceLimitError, TruncationOverflowError
-from swcohom.combinat import Composition
+from swcohom.combinat import Composition, compositions
 from swcohom.linalg import add_scaled
 from swcohom.sequences import (
     CommutativeAlgebraSpec,
@@ -16,7 +16,14 @@ from swcohom.sequences import (
     SkewGroupSequence,
     SymmetricGroupSequence,
 )
-from swcohom.symgrp import all_permutations, compose, identity, inverse, transposition
+from swcohom.symgrp import (
+    all_permutations,
+    compose,
+    identity,
+    inverse,
+    transposition,
+    young_positions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -499,8 +506,21 @@ def _slotwise_product(algebra, la, lb):
 def test_skew_slot_tensors_equal_their_slotwise_definitions(algebra):
     # terms in lexicographic order of the multi-index, hence the item lists
     seq = SkewGroupSequence(algebra)
+    unit_ix = algebra.unit_basis_index()
     for n in range(1, 4):
+        assert seq.basis(n) == tuple((a, p) for a in product(range(algebra.dim), repeat=n)
+                                     for p in all_permutations(n))
         assert list(seq.one(n).items()) == list(_slotwise(algebra, n).items())
+        for comp in compositions(n):
+            # the hand-built generators: one(n) times each Young t_i, then
+            # every insertion of a basis vector other than the unit
+            gens = [{(a, compose(p, transposition(n, i))): c
+                     for (a, p), c in _slotwise(algebra, n).items()}
+                    for i in young_positions(comp)]
+            gens += [_slotwise(algebra, n, slot, k) for slot in range(n)
+                     for k in range(algebra.dim) if k != unit_ix]
+            assert ([list(g.items()) for g in seq.subalgebra_generators(comp)]
+                    == [list(g.items()) for g in gens]), comp
         for slot in range(n):
             for k in range(algebra.dim):
                 assert (list(seq._slot_insertion(n, slot, k).items())
@@ -510,6 +530,22 @@ def test_skew_slot_tensors_equal_their_slotwise_definitions(algebra):
                 for lb in seq.basis(n):
                     assert (list(seq._mul_basis_raw(n, la, lb).items())
                             == list(_slotwise_product(algebra, la, lb).items())), (la, lb)
+
+
+@pytest.mark.parametrize("D", range(4))
+def test_hecke_slot_plumbing_matches_its_hand_built_forms(D):
+    # the references: the sorted exponent window times S_n, the unit y^0, and
+    # the generators t_i and y_i as single labels
+    seq = HeckeSequence(trunc_degree=D)
+    for n in range(4):
+        zero, ident = (0,) * n, identity(n)
+        window = sorted(product(range(D + 1), repeat=n), key=lambda a: (sum(a), a))
+        assert seq.basis(n) == tuple((a, p) for a in window for p in all_permutations(n))
+        assert seq.one(n) == {(zero, ident): 1}
+        for comp in compositions(n) if n else ():
+            gens = [{(zero, transposition(n, i)): 1} for i in young_positions(comp)]
+            gens += [{(tuple(int(k == i) for k in range(n)), ident): 1} for i in range(n)]
+            assert seq.subalgebra_generators(comp) == gens, comp
 
 
 # -- commutators ----------------------------------------------------------------
