@@ -42,13 +42,10 @@ def to_binary(comp):
     return tuple(bits[:-1])
 
 
-def from_binary(bits, weight=None):
+def from_binary(bits):
     """Inverse of :func:`to_binary`; ``bits`` has weight ``len(bits) + 1``."""
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0/1: %r" % (bits,))
-    if weight is not None and weight != len(bits) + 1:
-        raise ValueError("weight %d does not match bit vector of weight %d"
-                         % (weight, len(bits) + 1))
     parts = []
     run = 1
     for b in bits:

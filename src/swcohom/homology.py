@@ -13,9 +13,14 @@ with differential induced by a -> mu(1 (x) a) + (-1)^(w+1) mu(a (x) 1).
 Every collapse used here is recomputed, not assumed: the truncated full
 complex, the horizontal complexes and the reduced complex are all built
 explicitly and compared by the test suite.
+
+A centralizer and a vertex of the cube of an S_n-module are both fixed
+spaces, and ``fixed_part`` builds both: it averages over orbits when the
+group permutes basis indices, else it solves with ``annihilated``, the one
+place where a kernel is solved.
 """
 
-from functools import reduce
+from functools import partial, reduce
 from math import factorial, lcm, prod
 
 from . import CrossCheckError, ResourceLimitError
@@ -155,79 +160,82 @@ def random_module(n, rng, max_dim=8):
 def centralizer(seq, comp):
     """C(lambda): elements of A_|lambda| commuting with the image subalgebra.
 
-    C(1^n) solves the commutant equations on all of A_n, once per level.  A
-    coarser lambda only adds Young generators t_i, which normalise the image
-    of 1^n, so C(lambda) is the part of C(1^n) that S_lambda fixes: the image
-    of its averaging operator when every t_i permutes basis labels
-    (``seq.label_conjugation``), else the t_i's commutant inside C(1^n).
-    The test suite compares both with the full-algebra commutant.
+    C(1^n) is the part of A_n that every generator's commutator annihilates,
+    solved once per level.  A coarser lambda only adds Young generators t_i,
+    which normalise the image of 1^n, so C(lambda) is the ``fixed_part`` of
+    C(1^n) under them: averaged when every t_i permutes basis labels
+    (``seq.label_conjugation``), else solved for the t_i's commutators.
+    The test suite compares both with the solve on all of A_n.
     """
     cache = seq.centralizer_cache
     out = cache.get(comp)
     if out is None:
         n = sum(comp)
-        top_comp = Composition((1,) * n)
-        perms = [seq.label_conjugation(n, i) for i in young_positions(comp)]
-        gens = seq.subalgebra_generators(comp)
-        if not perms:
-            out = commutant(seq, n, gens, Subspace.full(seq.dim(n)))
-        elif None in perms:
-            # the generators that 1^n lacks: the Young generators of comp
-            top_gens = seq.subalgebra_generators(top_comp)
-            young = [g for g in gens if g not in top_gens]
-            out = commutant(seq, n, young, centralizer(seq, top_comp))
+        top = Composition((1,) * n)
+        positions = young_positions(comp)
+        if not positions:
+            out = annihilated(Subspace.full(seq.dim(n)), [
+                partial(seq.commutators, n, g) for g in seq.subalgebra_generators(comp)])
         else:
-            out = _average(centralizer(seq, top_comp), perms)
+            def young():
+                # the generators that 1^n lacks: the Young generators of comp
+                top_gens = seq.subalgebra_generators(top)
+                return [partial(seq.commutators, n, g)
+                        for g in seq.subalgebra_generators(comp) if g not in top_gens]
+            out = fixed_part(centralizer(seq, top),
+                             [seq.label_conjugation(n, i) for i in positions], young)
         cache[comp] = out
     return out
 
 
-def commutant(seq, n, gens, space):
-    """The elements of ``space`` (a Subspace of A_n) commuting with every g in ``gens``.
+def fixed_part(space, perms, maps):
+    """The part of ``space`` (a Subspace) that a group fixes: the image of the
+    average over ``perms`` when each is an index permutation, else the vectors
+    that every map of ``maps()`` kills.  ``maps`` is called on that branch only."""
+    if None in perms:
+        return annihilated(space, maps())
+    return _average(space, perms)
 
-    Each row comes from ``seq.commutators``: [g, b_k] once per generator and
-    basis index k that the rows of ``space`` touch.  The commutators are
-    accumulated in the untruncated label space: a coefficient that falls
-    outside the representable window is still a linear constraint on a,
-    never an error.
+
+def annihilated(space, maps):
+    """The vectors of ``space`` (a Subspace) that every map in ``maps`` kills:
+    the one place a kernel is solved.
+
+    A map is a callable ``indices -> {index: image of that unit vector}``
+    (any mapping from at least those indices), asked once for the indices
+    the rows of ``space`` touch; ``partial(seq.commutators, n, g)`` is one.
+    An image is a sparse dict on any keys: one equation per map and key.
+    Commutators keep labels outside the representable window, so such a
+    coefficient is still a linear constraint, never an error.
     """
-    if not gens:
+    if not maps:
         return space
     basis = [row for row, _ in space.integral_rows()]
-    ker = kernel_basis(SparseMatrix.from_row_dicts(
-        _commutator_rows(seq, n, gens, basis), len(basis)))
+    touched = {k for vec in basis for k in vec}
+    rows = {}
+    for mi, f in enumerate(maps):
+        # the images of one map live only while its rows are built
+        images = f(touched)
+        for j, vec in enumerate(basis):
+            if len(vec) == 1:
+                # a primitive integer row with one entry is a unit vector
+                acc = images[next(iter(vec))]
+            else:
+                acc = {}
+                for k, c in vec.items():
+                    add_scaled(acc, images[k], c)
+            for l, x in acc.items():
+                rows.setdefault((mi, l), {})[j] = x
+    ker = kernel_basis(SparseMatrix.from_row_dicts(list(rows.values()), len(basis)))
     if space.dim == space.ambient_dim:
         # the rows of a full space are the unit vectors: coordinates are vectors
         return ker
     # kernel vectors are coordinates in space's integral rows; take them back
-    # to A_n (integral kernel rows span the same combinations)
+    # row by row (integral kernel rows span the same combinations)
     out = Subspace(space.ambient_dim)
     for coeffs, _ in ker.integral_rows():
         out.insert(combination(basis, coeffs))
     return out
-
-
-def _commutator_rows(seq, n, gens, basis):
-    """The equations [g, a] = 0 on the coordinates of a in the vectors
-    ``basis``: one row {position in basis: coefficient} per generator and label.
-
-    The brackets of one generator live only while its rows are built, so
-    none is held through the elimination."""
-    touched = {k for vec in basis for k in vec}
-    rows = {}
-    for gi, g in enumerate(gens):
-        brackets = seq.commutators(n, g, touched)
-        for j, vec in enumerate(basis):
-            if len(vec) == 1:
-                # a primitive integer row with one entry is a unit vector
-                acc = brackets[next(iter(vec))]
-            else:
-                acc = {}
-                for k, c in vec.items():
-                    add_scaled(acc, brackets[k], c)
-            for l, x in acc.items():
-                rows.setdefault((gi, l), {})[j] = x
-    return list(rows.values())
 
 
 def _orbits(dim, perms):
@@ -258,7 +266,7 @@ def _average(space, perms):
     ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints.
 
     On the full space the image is spanned by the orbit indicators (the
-    averages of the unit vectors), as in ``cubic_invariants_diagram``."""
+    averages of the unit vectors)."""
     if space.dim == space.ambient_dim:
         return _orbit_sums(space.ambient_dim, perms)
     orbit_of = {k: orbit for orbit in _orbits(space.ambient_dim, perms) for k in orbit}
@@ -307,34 +315,29 @@ def _as_permutation(T):
 
 def cubic_invariants_diagram(module):
     """The cubic diagram {composition: Subspace} of ``module``: the vertex of a
-    composition of n is the joint fixed space of its Young generators.
+    composition of n is the ``fixed_part`` of Q^dim under its Young generators.
 
-    This mirrors ``centralizer``: average when every t_i permutes labels,
-    else solve.  When every Young generator of a vertex is a permutation
-    matrix, its fixed space is spanned by the indicator vectors of the orbits
-    of the group they generate (the image of the averaging operator), taken
-    straight from ``_orbits``; otherwise it is ``kernel_basis`` of the stacked
-    t_i - 1.  Both give the same basis row for row: RREF is unique, and an
-    orbit headed by its least index is already an RREF row with pivot value 1,
-    adopted without elimination (``Subspace.from_indicators``).  A vertex
-    without Young generators has only singleton orbits, so it is the full
-    space.  That each vertex lies inside its refinements (coarser vertex =>
-    smaller subspace) is proven once, by ``cubic_complex``.
+    When each of them is a permutation matrix, the vertex is spanned by the
+    indicators of the orbits of the group they generate, adopted without
+    elimination; otherwise it is solved for the maps t_i - 1.  Both give the
+    same basis row for row, because RREF is unique.  A vertex without Young
+    generators is the full space.  That each vertex lies inside its
+    refinements (coarser vertex => smaller subspace) is proven once, by
+    ``cubic_complex``.
     """
-    n, dim, perms = module.n, module.dim, module.perms
-    # only the kernel branch below subtracts the identity
-    diagonal = SparseMatrix.identity(dim).entries if None in perms else None
+    full = Subspace.full(module.dim)
     vertex = {}
-    for comp in compositions(n):
+    for comp in compositions(module.n):
         positions = young_positions(comp)
-        if all(perms[i - 1] is not None for i in positions):
-            vertex[comp] = _orbit_sums(dim, [perms[i - 1] for i in positions])
-        else:
-            mats = [SparseMatrix(dim, dim,
-                                 add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
-                    for i in positions]
-            vertex[comp] = kernel_basis(SparseMatrix.vstack(mats))
+        vertex[comp] = fixed_part(full, [module.perms[i - 1] for i in positions],
+                                  lambda: [_minus_one(module.gens[i - 1]) for i in positions])
     return vertex
+
+
+def _minus_one(T):
+    """The map t - 1 of the square matrix ``T``, for ``annihilated``."""
+    cols = T.col_dicts()
+    return lambda indices: {k: add_scaled(dict(cols[k]), {k: 1}, -1) for k in indices}
 
 
 def centralizer_diagram(seq, w):
@@ -406,14 +409,14 @@ def top_quotient(module):
     exactly when every edge is bichromatic (a fixed point t_i x = x is an odd
     loop).  The dimension, that of the dual, is the number of such components,
     counted by one search per component, as in ``_orbits``.  Any other module
-    is ranked: dim M minus the rank of the stacked 1 + t_i.
+    is ranked: dim M minus the rank of the 1 + t_i side by side, taken as the
+    rank of its transpose, whose rows are their columns.
     """
     dim, perms = module.dim, module.perms
     if None in perms:
-        diagonal = SparseMatrix.identity(dim).entries
-        blocks = [SparseMatrix(dim, dim, add_scaled(dict(T.entries), diagonal))
-                  for T in module.gens]
-        return dim - rank(reduce(SparseMatrix.hstack, blocks))
+        return dim - rank(SparseMatrix.from_row_dicts(
+            [add_scaled(col, {k: 1}) for T in module.gens for k, col in enumerate(T.col_dicts())],
+            dim))
     colour, count = [None] * dim, 0
     for start in range(dim):
         if colour[start] is None:
@@ -627,19 +630,13 @@ def reduced_complex(seq, max_weight):
 
 
 def first_cohomology_direct(seq):
-    """H^1 = {a central in A_1 with mu(a,1) + mu(1,a) central in A_2}."""
-    z1 = centralizer(seq, Composition((1,)))
+    """H^1 = {a in C(1) with mu(a, 1) + mu(1, a) in C(2)}: its dimension and
+    a basis of it, as elements of A_1."""
     z2 = centralizer(seq, Composition((2,)))
-    cols = {}
-    basis_els = []
-    for j, vec in enumerate(z1.basis()):
-        el = seq.vec_to_element(1, vec)
-        basis_els.append(el)
-        s = add_scaled(seq.mu(1, 1, el, seq.one(1)), seq.mu(1, 1, seq.one(1), el))
-        residue = z2.reduce(seq.element_to_vec(2, s))
-        cols.update(((i, j), c) for i, c in residue.items())
-    ker = kernel_basis(SparseMatrix(seq.dim(2), z1.dim, cols))
-    return ker.dim, [combination(basis_els, coeffs) for coeffs in ker.basis()]
+    left, right = (seq.unit_pairing(1, 1, side) for side in ("left", "right"))
+    h1 = annihilated(centralizer(seq, Composition((1,))), [lambda indices: {
+        k: z2.reduce(add_scaled(dict(left[k]), right[k])) for k in indices}])
+    return h1.dim, [seq.vec_to_element(1, vec) for vec in h1.basis()]
 
 
 # ---------------------------------------------------------------------------

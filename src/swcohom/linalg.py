@@ -140,10 +140,6 @@ class SparseMatrix:
             out[j][i] = v
         return out
 
-    def transpose(self):
-        return SparseMatrix._adopt(self.cols, self.rows,
-                                   {(j, i): v for (i, j), v in self.entries.items()})
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -156,28 +152,6 @@ class SparseMatrix:
 
     def is_zero(self):
         return not self.entries
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        ent = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            ent[(i, j + self.cols)] = v
-        return SparseMatrix._adopt(self.rows, self.cols + other.cols, ent)
-
-    @classmethod
-    def vstack(cls, mats):
-        """The matrices of ``mats`` (equal column counts) stacked top to bottom."""
-        cols = mats[0].cols
-        ent = {}
-        off = 0
-        for m in mats:
-            if m.cols != cols:
-                raise ValueError("column mismatch in vstack")
-            for (i, j), v in m.entries.items():
-                ent[(i + off, j)] = v
-            off += m.rows
-        return cls._adopt(off, cols, ent)
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))

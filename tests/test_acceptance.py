@@ -244,7 +244,7 @@ def test_criterion_9_infrastructure():
                for i in range(r) for j in range(c) if rng.random() < 0.5}
         M = SparseMatrix(r, c, ent)
         if not rank(M) == Subspace.from_vectors(M.row_dicts(), M.cols).dim \
-                == rank(M.transpose()):
+                == rank(SparseMatrix.from_row_dicts(M.col_dicts(), M.rows)):
             ok = False
 
     assert _verdict(9, "infrastructure properties", ok, t0)

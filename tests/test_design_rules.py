@@ -45,8 +45,13 @@
 * a subspace is its echelon form: every subspace ``linalg`` returns is an
   ``Echelon`` filled by its own ``insert`` (a ``QuotientSpace`` is the
   subspace of its coset representatives), and none holds another
-  ``Echelon`` but a quotient's U.  ``commutant`` takes its kernel back to
+  ``Echelon`` but a quotient's U.  ``annihilated`` takes its kernel back to
   A_n row by row, without a matrix product.
+* one solve: ``homology.annihilated`` is the one caller of ``kernel_basis``
+  in the package, and ``SparseMatrix`` has no ``vstack``, ``hstack`` or
+  ``transpose`` to stack a system with.  ``fixed_part`` alone decides
+  between averaging and solving: ``centralizer`` and
+  ``cubic_invariants_diagram`` both call it, and neither averages itself.
 """
 
 import ast
@@ -339,3 +344,37 @@ def test_a_composition_is_its_parts_tuple():
     for bad in ((), (2, 0), (1.5,)):
         with pytest.raises(ValueError):
             Composition(bad)
+
+
+# -- one solve -------------------------------------------------------------------
+
+
+def _called(node):
+    """The names called anywhere inside ``node``, as functions or methods."""
+    return {getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+            for c in ast.walk(node) if isinstance(c, ast.Call)}
+
+
+def _units(tree):
+    """(name, node) of each top-level function and method of ``tree``; any
+    other top-level statement is named ``<module>``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield "%s.%s" % (node.name, getattr(item, "name", "<class>")), item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        else:
+            yield "<module>", node
+
+
+def test_one_solve():
+    units = {(path.stem, name): node for path in SOURCES
+             for name, node in _units(ast.parse(path.read_text(encoding="utf-8")))}
+    solvers = {unit for unit, node in units.items() if "kernel_basis" in _called(node)}
+    assert solvers == {("homology", "annihilated")}, sorted(solvers)
+    assert not {"vstack", "hstack", "transpose"} & set(vars(SparseMatrix))
+    for name in ("centralizer", "cubic_invariants_diagram"):
+        called = _called(units[("homology", name)])
+        assert "fixed_part" in called, name
+        assert not {"_average", "_orbit_sums"} & called, name

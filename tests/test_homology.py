@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,8 +23,8 @@ from swcohom.linalg import (
 )
 from swcohom.homology import (
     SnModule,
+    annihilated,
     centralizer,
-    commutant,
     cubic_cohomology,
     cubic_complex,
     cubic_invariants_diagram,
@@ -77,7 +77,8 @@ def test_centralizer_two_routes_agree(request, name, max_n):
     for n in range(1, max_n + 1):
         full = Subspace.full(seq.dim(n))
         for comp in compositions(n):
-            reference = commutant(seq, n, seq.subalgebra_generators(comp), full)
+            reference = annihilated(full, [partial(seq.commutators, n, g)
+                                           for g in seq.subalgebra_generators(comp)])
             assert centralizer(seq, comp) == reference, comp
 
 
@@ -87,18 +88,18 @@ def test_full_algebra_commutant_solved_once_per_level(monkeypatch):
     import swcohom.homology as homology
 
     solved = []
-    inner = homology.commutant
+    inner = homology.annihilated
 
-    def counting(seq, n, gens, space):
-        if space.dim == seq.dim(n):
-            solved.append(n)
-        return inner(seq, n, gens, space)
+    def counting(space, maps):
+        if space.dim == space.ambient_dim:
+            solved.append(space.dim)
+        return inner(space, maps)
 
-    monkeypatch.setattr(homology, "commutant", counting)
+    monkeypatch.setattr(homology, "annihilated", counting)
     seq = SkewGroupSequence(CommutativeAlgebraSpec.quadratic(2))
     reduced_complex(seq, 4)
     deformation_complex_truncated(seq, 4)
-    assert solved == [1, 2, 3, 4]
+    assert solved == [seq.dim(n) for n in (1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("name", ["sym", "skew", "hecke"])
@@ -252,11 +253,11 @@ def test_top_quotient_examples():
 
 
 def _top_quotient_by_rank(module):
-    # the reference: dim M minus the rank of the stacked images of 1 + t_i
+    # the reference: dim M minus the rank of the 1 + t_i side by side
     diagonal = SparseMatrix.identity(module.dim).entries
-    blocks = [SparseMatrix(module.dim, module.dim, add_scaled(dict(T.entries), diagonal))
-              for T in module.gens]
-    return module.dim - (rank(reduce(SparseMatrix.hstack, blocks)) if blocks else 0)
+    ent = {(i, b * module.dim + j): v for b, T in enumerate(module.gens)
+           for (i, j), v in add_scaled(dict(T.entries), diagonal).items()}
+    return module.dim - rank(SparseMatrix(module.dim, module.dim * len(module.gens), ent))
 
 
 def _swap_module():
@@ -386,11 +387,10 @@ def test_cubic_acyclicity_random_modules():
 def _kernel_vertex(module, comp):
     # the solve route: the kernel of the stacked t_i - 1 over comp's Young generators
     diagonal = SparseMatrix.identity(module.dim).entries
-    mats = [SparseMatrix(module.dim, module.dim,
-                         add_scaled(dict(module.gens[i - 1].entries), diagonal, -1))
-            for i in young_positions(comp)]
-    return kernel_basis(SparseMatrix.vstack(mats) if mats
-                        else SparseMatrix(0, module.dim))
+    positions = young_positions(comp)
+    ent = {(b * module.dim + i, j): v for b, p in enumerate(positions)
+           for (i, j), v in add_scaled(dict(module.gens[p - 1].entries), diagonal, -1).items()}
+    return kernel_basis(SparseMatrix(module.dim * len(positions), module.dim, ent))
 
 
 @pytest.mark.parametrize("module", [
@@ -399,6 +399,11 @@ def _kernel_vertex(module, comp):
     SnModule.regular(4),
     SnModule.natural(3).tensor(SnModule.natural(3)),
     SnModule.natural(4).direct_sum(SnModule.trivial(4)),
+    # no permutation modules: their vertices take the solve branch
+    SnModule.sign(3),
+    SnModule.natural(3).direct_sum(SnModule.sign(3)),
+    random_module(4, random.Random(5)),
+    random_module(4, random.Random(9)),
 ], ids=lambda m: "%s-%d" % (m.name, m.n))
 def test_orbit_vertices_match_the_kernel_route(module):
     diagram = cubic_invariants_diagram(module)
@@ -813,6 +818,22 @@ def test_first_cohomology_direct(sym, skew, hecke):
     # agreement with the reduced complex at weight 1
     assert reduced_complex(sym, 1).h_dims[1] == 1
     assert reduced_complex(skew, 1).h_dims[1] == 2
+
+
+@pytest.mark.parametrize("name, dim", [("sym", 1), ("skew", 2), ("hecke", 4)])
+def test_first_cohomology_direct_basis_meets_its_definition(request, name, dim):
+    # H^1 = {a in C(1) with mu(a, 1) + mu(1, a) in C(2)}, whatever basis is returned
+    seq = request.getfixturevalue(name)
+    count, basis = first_cohomology_direct(seq)
+    assert count == len(basis) == dim
+    z1, z2 = centralizer(seq, Composition((1,))), centralizer(seq, Composition((2,)))
+    one = seq.one(1)
+    vecs = [seq.element_to_vec(1, a) for a in basis]
+    for a, vec in zip(basis, vecs):
+        assert z1.contains(vec)
+        s = add_scaled(seq.mu(1, 1, a, one), seq.mu(1, 1, one, a))
+        assert z2.contains(seq.element_to_vec(2, s))
+    assert Subspace.from_vectors(vecs, seq.dim(1)).dim == dim
 
 
 def test_cup_products_symmetric(sym):

@@ -374,8 +374,8 @@ def test_current_invariants_refuse_a_wide_wedge_before_any_kernel(monkeypatch):
     def boom(*args):
         raise AssertionError("kernel solved before the guard")
 
-    # the wedge solve is one rank; the kernel is still patched for the other routes
-    monkeypatch.setattr(lierep, "kernel_basis", boom)
+    # the wedge solve is one rank; the kernel solve is still patched for the other routes
+    monkeypatch.setattr(lierep, "annihilated", boom)
     monkeypatch.setattr(lierep, "rank", boom)
     # gl(3) (x) span{1, x, x^2} is 27-dim; its 6th wedge power has 296 010 vectors
     with pytest.raises(ResourceLimitError, match="exterior power of dim 296010"):
