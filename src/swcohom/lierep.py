@@ -115,18 +115,6 @@ def check_tensor_size(m, d):
         raise ResourceLimitError("tensor of %d entries exceeds the guard" % d ** (2 * m))
 
 
-def wheel(m, d):
-    """Cyclic trace tensor in gl(V)^(x)m.
-
-    Keys alternate (v_1, w_1, ..., v_m, w_m); the entry pattern is
-    w_k = v_{k+1} cyclically, i.e. sum_a E_{a1 a2} (x) ... (x) E_{am a1}.
-    Each chain a gives its own key, so every entry is 1.
-    """
-    check_tensor_size(m, d)
-    return {tuple(x for k in range(m) for x in (a[k], a[(k + 1) % m])): 1
-            for a in product(range(d), repeat=m)}
-
-
 def alt2_wheel_raw(m, d):
     """(N, m!) with x_m = N / m!; N is an exact integer tensor."""
     signed = [(p, sign(p)) for p in all_permutations(m)]
@@ -145,7 +133,7 @@ def _wheel_key_counts(m, d):
     pairs K and alternates to sign(q) alt(K), supported on K's reorderings alone."""
     check_tensor_size(m, d)
     counts = {}
-    for a in product(range(d), repeat=m):    # the chains of ``wheel``
+    for a in product(range(d), repeat=m):    # the chains E_{a1 a2} ... E_{am a1}
         pairs = list(zip(a, a[1:] + a[:1]))
         if len(set(pairs)) == m:
             order = sorted(range(1, m + 1), key=lambda k: pairs[k - 1])
@@ -187,20 +175,6 @@ def perm_action(m, u, d):
             rows = [r + x * w for r in rows for x in range(d)]
         add_scaled(ent, dict.fromkeys(zip(rows, range(len(rows))), c))
     return SparseMatrix(d ** m, d ** m, ent)
-
-
-def ad_transform(X, T):
-    """Diagonal ad-action of the d x d ``SparseMatrix`` X on a gl(V)^(x)m tensor."""
-    cols, rows = X.col_dicts(), X.row_dicts()
-    out = {}
-    for key, c in T.items():
-        for v in range(0, len(key), 2):
-            # X acting on the V leg, -X^T on the V* leg
-            for r, x in cols[key[v]].items():
-                add_scaled(out, {key[:v] + (r,) + key[v + 1:]: x}, c)
-            for r, x in rows[key[v + 1]].items():
-                add_scaled(out, {key[:v + 1] + (r,) + key[v + 2:]: x}, -c)
-    return out
 
 
 def verify_wheel_action(m, d):

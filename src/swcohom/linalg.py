@@ -764,15 +764,6 @@ class StructureConstantSpec:
         extra = {f: [_parsed(x) for x in doc[f]] for f in cls.vectors}
         return cls(doc["dim"], table, name=doc.get("name"), **extra)
 
-    def to_json(self):
-        doc = {
-            "dim": self.dim,
-            "name": self.name,
-            "table": [[[str(x) for x in row] for row in block] for block in self.table],
-        }
-        doc.update((f, [str(x) for x in getattr(self, f)]) for f in self.vectors)
-        return doc
-
 
 def _parsed(text):
     """A rational string or number as an ``int`` when integral, else a ``Fraction``."""

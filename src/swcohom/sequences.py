@@ -7,7 +7,8 @@ that are unital algebra maps and associative across levels.  Bundled here:
 * ``SymmetricGroupSequence``  - A_n = Q[S_n], mu = block placement;
 * ``SkewGroupSequence``       - A_n = A^(x)n * S_n for a commutative A;
 * ``HeckeSequence``           - degree-truncated degenerate affine Hecke
-  algebras with generators t_i, y_j and the relation y_i t_i - t_i y_{i+1} = 1.
+  algebras with generators t_i, y_j and the relation y_i t_i - t_i y_{i+1} = 1;
+  t_j passes a monomial by a divided difference, and d_i is read off the product.
 
 An element of level n is a sparse dict {basis label: coefficient} with no
 stored zeros; its level is the explicit argument of every operation on it
@@ -391,29 +392,32 @@ class SkewGroupSequence(SlotPermutationSequence):
         """[g, b] per basis index, computed directly for a slot insertion.
 
         A slot insertion g = {(a, id): 1}, with a the unit index in every slot
-        but s, multiplies one slot: g (b, q) multiplies slot s of b, and
-        (b, q) g slot q(s), both through the table row of e_(a_s).  Any other
-        g (several terms, as when the unit is no basis vector, a coefficient
-        other than 1, or a non-identity permutation) takes the default route.
+        but s and e = a_s, multiplies one slot: g (b, q) multiplies slot s of b
+        by e_e on the left (the row table[e][x]), and (b, q) g slot q(s) on the
+        right (the column table[x][e]).  Any other g (several terms, as when the
+        unit is no basis vector, a coefficient other than 1, or a non-identity
+        permutation) takes the default route.
         """
         insertion = self._insertion_slot(n, g)
         if insertion is None:
             return super().commutators(n, g, indices)
-        s, row = insertion
+        s, e = insertion
+        table = self.algebra.table
+        row, column = table[e], [table[x][e] for x in range(self.algebra.dim)]
 
-        def times_row(b, q, l):
-            """(b, q) with slot l multiplied by the inserted basis vector."""
-            return {(b[:l] + (m,) + b[l + 1:], q): x for m, x in enumerate(row[b[l]]) if x}
+        def times(b, q, l, entries):
+            """(b, q) with slot l replaced by the coordinates entries[b_l]."""
+            return {(b[:l] + (m,) + b[l + 1:], q): x for m, x in enumerate(entries[b[l]]) if x}
 
         labels = self.basis(n)
         out = {}
         for k in indices:
             b, q = labels[k]
-            out[k] = add_scaled(times_row(b, q, s), times_row(b, q, q[s] - 1), -1)
+            out[k] = add_scaled(times(b, q, s, row), times(b, q, q[s] - 1, column), -1)
         return out
 
     def _insertion_slot(self, n, g):
-        """(s, table row) when ``g`` is the insertion of a basis vector into
+        """(s, e) when ``g`` is the insertion of the basis vector e_e into
         slot s, else None."""
         unit_ix = self.algebra.unit_basis_index()
         if unit_ix is None or len(g) != 1:
@@ -422,7 +426,7 @@ class SkewGroupSequence(SlotPermutationSequence):
         slots = [l for l, i in enumerate(a) if i != unit_ix]
         if c != 1 or p != identity(n) or len(slots) != 1:
             return None
-        return slots[0], self.algebra.table[a[slots[0]]]
+        return slots[0], a[slots[0]]
 
     def conjugate_label(self, label, i):
         """(a, p) -> (t_i a, t_i p t_i), whatever the unit of A; t_i a swaps
@@ -445,8 +449,10 @@ class HeckeSequence(SlotPermutationSequence):
 
     Products are rewritten to normal form exactly (intermediate terms are
     unbounded); a surviving term with some exponent beyond D raises
-    ``TruncationOverflowError``.  The commutation calculus
-    d_i(s) = y_i s - s y_{s^-1(i)} is exposed via :meth:`partial`.
+    ``TruncationOverflowError``.  One rule rewrites: the Bernstein-Lusztig
+    relation t_j f = (t_j.f) t_j + (f - t_j.f) / (y_j - y_{j+1}) for a
+    polynomial f in the y.  The commutation calculus
+    d_i(s) = y_i s - s y_{s^-1(i)} is read off the product by :meth:`partial`.
     """
 
     seq_id = "hecke"
@@ -454,7 +460,6 @@ class HeckeSequence(SlotPermutationSequence):
     def __init__(self, trunc_degree=3, level_cap=3):
         super().__init__(level_cap)
         self.trunc_degree = trunc_degree
-        self._partial_cache = {}
         self._push_cache = {}
 
     def _slot_data(self, n):
@@ -473,73 +478,47 @@ class HeckeSequence(SlotPermutationSequence):
         a, _ = label
         return all(x <= self.trunc_degree for x in a)
 
-    # -- the d_i calculus --------------------------------------------------
     def partial(self, n, i, perm):
         """d_i(s) = y_i s - s y_{s^-1(i)} as an element of Q[S_n].
 
-        Computed by the twisted Leibniz rule on a reduced word; always a
+        Read off the product: with k = s^-1(i), the normal form of s y_k is
+        y_i s - d_i(s), so d_i(s) is minus its y-free part.  Always a
         group-algebra element of length strictly below l(s).
         """
         if not (1 <= i <= n):
             raise ValueError("index %d out of range" % i)
-        key = (n, i, perm)
-        hit = self._partial_cache.get(key)
-        if hit is not None:
-            return hit
-        if perm == identity(n):
-            out = {}
-        else:
-            j = self._left_descent(perm)
-            tj = transposition(n, j)
-            rest = compose(tj, perm)
-            # d_i(t_j rest) = d_i(t_j) rest + t_j d_{t_j(i)}(rest)
-            out = {}
-            base = self._partial_of_t(i, j)
-            if base:
-                out[rest] = base
-            ti = i + 1 if i == j else (i - 1 if i == j + 1 else i)
-            add_scaled(out, {compose(tj, q): c for q, c in self.partial(n, ti, rest).items()})
-        self._partial_cache[key] = out
-        return out
-
-    @staticmethod
-    def _partial_of_t(i, j):
-        if i == j:
-            return 1
-        if i == j + 1:
-            return -1
-        return 0
-
-    @staticmethod
-    def _left_descent(perm):
-        inv = inverse(perm)
-        for j in range(1, len(perm)):
-            if inv[j - 1] > inv[j]:
-                return j
-        raise AssertionError("non-identity permutation has a left descent")
+        k = inverse(perm)[i - 1]
+        e_k = tuple(int(l == k) for l in range(1, n + 1))
+        return {rho: -v for (c, rho), v in self._push(n, perm, e_k).items() if not any(c)}
 
     def _push(self, n, perm, b):
         """Normal form of s y^b as {(exps, permutation): int}.
 
-        Uses s y_j = y_{s(j)} s - d_{s(j)}(s) one variable at a time; every
-        rewriting coefficient is +-1, so nothing divides.  Exponents in the
-        output may exceed the truncation window.
+        Recursion over a reduced word of s: for a left descent t_j of s, t_j
+        passes each term v y^c rho of (t_j s) y^b as y^(t_j c) t_j plus the
+        divided difference (y^c - y^(t_j c)) / (y_j - y_{j+1}), which for
+        x = c_j > y = c_{j+1} is the sum of y_j^(y+k) y_{j+1}^(x-1-k) over
+        k < x - y (minus that, x and y swapped, when x < y): nothing divides.
+        Exponents in the output may exceed the truncation window.
         """
         key = (n, perm, b)
         hit = self._push_cache.get(key)
         if hit is not None:
             return hit
-        if not any(b):
+        if perm == identity(n):
             out = {(b, perm): 1}
         else:
-            j = next(k for k, x in enumerate(b) if x) + 1
-            b2 = tuple(x - 1 if k == j - 1 else x for k, x in enumerate(b))
-            sj = perm[j - 1]
-            # raising the exponent of y_sj is injective on labels
-            out = {(tuple(x + 1 if k == sj - 1 else x for k, x in enumerate(c)), rho): v
-                   for (c, rho), v in self._push(n, perm, b2).items()}
-            for tau, d in self.partial(n, sj, perm).items():
-                add_scaled(out, self._push(n, tau, b2), -d)
+            inv = inverse(perm)
+            j = next(j for j in range(1, n) if inv[j] < inv[j - 1])   # j + 1 left of j
+            tj = transposition(n, j)
+            out = {}
+            for (c, rho), v in self._push(n, compose(tj, perm), b).items():
+                head, (x, y), tail = c[:j - 1], c[j - 1:j + 1], c[j + 1:]
+                lo, hi = sorted((x, y))
+                terms = {(head + (y, x) + tail, compose(tj, rho)): v}
+                terms.update(((head + (lo + k, hi - 1 - k) + tail, rho), v if x > y else -v)
+                             for k in range(hi - lo))
+                add_scaled(out, terms)
         self._push_cache[key] = out
         return out
 

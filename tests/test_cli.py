@@ -156,15 +156,13 @@ def _all_int(spec):
     return all(type(x) is int for x in values)
 
 
-def test_spec_json_roundtrip_keeps_integral_constants_int(tmp_path):
+def test_spec_json_roundtrip_keeps_integral_constants_int(tmp_path, write_spec):
     # a parsed table must not turn integers into Fractions: elimination over
     # it would then run Fraction arithmetic on integers
     alg = CommutativeAlgebraSpec.quadratic(2)
     lie = LieAlgebraSpec.gl(2)
     for spec, name in ((alg, "alg.json"), (lie, "lie.json")):
-        path = tmp_path / name
-        path.write_text(json.dumps(spec.to_json()))
-        back = type(spec).from_json(str(path))
+        back = type(spec).from_json(write_spec(spec, name))
         assert back.table == spec.table and _all_int(spec) and _all_int(back)
     argv = ("cohomology", "--sequence", "skew", "--mode", "both", "--weight-max", "4")
     assert run_json(*argv, "--algebra", str(tmp_path / "alg.json")) == run_json(*argv)
@@ -375,13 +373,12 @@ def test_bad_structure_constant_file_is_a_usage_error(command, flag, doc, tmp_pa
     (("gl", "--lie", "LIE", "--dim", "3"), "not allowed with argument"),
     (("cohomology", "--mode", "full", "--representatives"), "--representatives needs"),
 ], ids=["gl-dim-then-lie", "gl-lie-then-dim", "full-representatives"])
-def test_contradictory_options_are_a_usage_error(argv, message, tmp_path, capsys):
+def test_contradictory_options_are_a_usage_error(argv, message, write_spec, capsys):
     from swcohom.lierep import LieAlgebraSpec
 
-    path = tmp_path / "sl2.json"
-    path.write_text(json.dumps(LieAlgebraSpec.sl2().to_json()))
+    path = write_spec(LieAlgebraSpec.sl2(), "sl2.json")
     with pytest.raises(SystemExit) as exc:
-        run_cli(*(str(path) if a == "LIE" else a for a in argv))
+        run_cli(*(path if a == "LIE" else a for a in argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -413,18 +410,17 @@ def test_seed_and_backend_embedded():
     assert other["report"] == doc["report"]
 
 
-def test_algebra_loaded_from_json(tmp_path):
+def test_algebra_loaded_from_json(write_spec):
     from swcohom.sequences import CommutativeAlgebraSpec
 
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(CommutativeAlgebraSpec.quadratic(3).to_json()))
+    path = write_spec(CommutativeAlgebraSpec.quadratic(3), "alg.json")
     code, doc = run_json("cohomology", "--sequence", "skew",
-                         "--algebra", str(path), "--weight-max", "2")
+                         "--algebra", path, "--weight-max", "2")
     assert code == 0
     assert doc["report"]["H"]["1"] == 2
 
 
-def test_gl_refuses_a_wide_exterior_power_before_any_kernel(tmp_path, monkeypatch, capsys):
+def test_gl_refuses_a_wide_exterior_power_before_any_kernel(write_spec, monkeypatch, capsys):
     import swcohom.lierep as lierep
 
     def boom(*args):
@@ -433,20 +429,18 @@ def test_gl_refuses_a_wide_exterior_power_before_any_kernel(tmp_path, monkeypatc
     # the wedge solve is one rank; the kernel solve is still patched for the other routes
     monkeypatch.setattr(lierep, "annihilated", boom)
     monkeypatch.setattr(lierep, "rank", boom)
-    path = tmp_path / "abelian25.json"
-    path.write_text(json.dumps(lierep.LieAlgebraSpec.abelian(25).to_json()))
-    code, out = run_cli("gl", "--lie", str(path))
+    path = write_spec(lierep.LieAlgebraSpec.abelian(25), "abelian25.json")
+    code, out = run_cli("gl", "--lie", path)
     assert code == 3 and out == ""
     assert capsys.readouterr().err == \
         "resource guard: exterior power of dim %d exceeds the guard\n" % comb(25, 12)
 
 
-def test_lie_algebra_loaded_from_json(tmp_path):
+def test_lie_algebra_loaded_from_json(write_spec):
     from swcohom.lierep import LieAlgebraSpec
 
-    path = tmp_path / "sl2.json"
-    path.write_text(json.dumps(LieAlgebraSpec.sl2().to_json()))
-    code, doc = run_json("gl", "--lie", str(path), "--degree-max", "3")
+    path = write_spec(LieAlgebraSpec.sl2(), "sl2.json")
+    code, doc = run_json("gl", "--lie", path, "--degree-max", "3")
     assert code == 0
     assert doc["report"]["invariant_dims"] == [1, 0, 0, 1]
 
@@ -456,3 +450,15 @@ def test_pretty_format_smoke():
                         "symmetric", "--weight-max", "3", "--representatives")
     assert code == 0
     assert "schema: swcohom/1" in out
+
+
+def test_readme_cli_examples_run():
+    # every ``swcohom ...`` line of the first code block under README's ``## CLI``
+    # (the next block loads ``--algebra``/``--lie`` files), run in process
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples = [line.split()[1:] for line in block.splitlines() if line.startswith("swcohom ")]
+    assert len(examples) >= 10, examples
+    for argv in examples:
+        code, doc = run_json(*argv)
+        assert code == 0 and doc["schema"] == "swcohom/1", argv

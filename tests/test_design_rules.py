@@ -52,6 +52,10 @@
   ``transpose`` to stack a system with.  ``fixed_part`` alone decides
   between averaging and solving: ``centralizer`` and
   ``cubic_invariants_diagram`` both call it, and neither averages itself.
+* one Hecke rule: ``HeckeSequence._push`` rewrites s y^b by letting each t_j
+  of a reduced word pass a monomial (a divided difference), and ``partial``
+  reads d_i off that product: it calls ``_push``, not itself.  ``_push_cache``
+  is Hecke's one cache; there is no ``_partial_cache`` or ``_partial_of_t``.
 """
 
 import ast
@@ -378,3 +382,17 @@ def test_one_solve():
         called = _called(units[("homology", name)])
         assert "fixed_part" in called, name
         assert not {"_average", "_orbit_sums"} & called, name
+
+
+# -- one Hecke rule ---------------------------------------------------------------
+
+
+def test_one_hecke_rule():
+    hecke = HeckeSequence()
+    assert not {"_partial_cache", "_partial_of_t"} & (set(vars(HeckeSequence)) | set(vars(hecke)))
+    shared = set(vars(MultiplicativeSequence(1)))
+    assert {name for name in vars(hecke) if name.endswith("_cache")} - shared == {"_push_cache"}
+    path = next(p for p in SOURCES if p.name == "sequences.py")
+    units = dict(_units(ast.parse(path.read_text(encoding="utf-8"))))
+    called = _called(units["HeckeSequence.partial"])
+    assert "_push" in called and "partial" not in called, sorted(called)

@@ -1,4 +1,3 @@
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
@@ -12,7 +11,6 @@ from swcohom.linalg import SparseMatrix, add_scaled, kernel_basis
 from swcohom.lierep import (
     LieAlgebraSpec,
     act_on_power,
-    ad_transform,
     alt2_wheel_raw,
     check_tensor_size,
     cohomology_of_rep_category_graded,
@@ -20,7 +18,6 @@ from swcohom.lierep import (
     exterior_invariants_dims,
     perm_action,
     verify_wheel_action,
-    wheel,
     wheel_vanishing_table,
 )
 from swcohom.symgrp import all_permutations, compose, e_element, sign, transposition
@@ -57,11 +54,9 @@ def _brackets(dim, upper):
     return table
 
 
-def test_lie_spec_json_roundtrip(tmp_path):
+def test_lie_spec_json_roundtrip(write_spec):
     g = LieAlgebraSpec.sl2()
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(g.to_json()))
-    h = LieAlgebraSpec.from_json(str(path))
+    h = LieAlgebraSpec.from_json(write_spec(g, "g.json"))
     assert h.table == g.table and h.dim == g.dim
 
 
@@ -70,6 +65,16 @@ def test_centres():
     assert LieAlgebraSpec.gl(2).center().dim == 1
     assert LieAlgebraSpec.sl2().center().dim == 0
     assert LieAlgebraSpec.abelian(3).center().dim == 3
+
+
+def wheel(m, d):
+    """Cyclic trace tensor sum_a E_{a1 a2} (x) ... (x) E_{am a1} in gl(V)^(x)m.
+
+    Keys alternate (v_1, w_1, ..., v_m, w_m) with w_k = v_{k+1} cyclically;
+    each chain a gives its own key, so every entry is 1.
+    """
+    return {tuple(x for k in range(m) for x in (a[k], a[(k + 1) % m])): 1
+            for a in product(range(d), repeat=m)}
 
 
 def test_wheel_m1_is_identity():
@@ -226,6 +231,20 @@ def test_x3_matches_half_commutator_action():
     comm = add_scaled(dict(perm_action(3, {compose(t1, t2): 1}, d).entries),
                       perm_action(3, {compose(t2, t1): 1}, d).entries, -1)
     assert act_on_power(N, 3, d).entries == add_scaled({}, comm, den // 2)
+
+
+def ad_transform(X, T):
+    """Diagonal ad-action of the d x d ``SparseMatrix`` X on a gl(V)^(x)m tensor."""
+    cols, rows = X.col_dicts(), X.row_dicts()
+    out = {}
+    for key, c in T.items():
+        for v in range(0, len(key), 2):
+            # X acting on the V leg, -X^T on the V* leg
+            for r, x in cols[key[v]].items():
+                add_scaled(out, {key[:v] + (r,) + key[v + 1:]: x}, c)
+            for r, x in rows[key[v + 1]].items():
+                add_scaled(out, {key[:v + 1] + (r,) + key[v + 2:]: x}, -c)
+    return out
 
 
 def test_x_ad_invariance():

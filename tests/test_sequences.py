@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -108,12 +107,9 @@ def test_algebra_spec_validation():
         CommutativeAlgebraSpec(2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (0, 1))
 
 
-def test_algebra_spec_json_roundtrip(tmp_path):
+def test_algebra_spec_json_roundtrip(write_spec):
     a = CommutativeAlgebraSpec.quadratic(5)
-    doc = a.to_json()
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(doc))
-    b = CommutativeAlgebraSpec.from_json(str(path))
+    b = CommutativeAlgebraSpec.from_json(write_spec(a, "alg.json"))
     assert b.table == a.table and b.unit == a.unit and b.dim == a.dim
 
 
@@ -182,6 +178,18 @@ def test_hecke_partial_base_cases(hecke):
     assert hecke.partial(3, 2, t1) == {identity(3): Fraction(-1)}
     assert hecke.partial(3, 3, t1) == {}
     assert hecke.partial(3, 1, t2) == {}
+    for bad in (0, 4):
+        with pytest.raises(ValueError):
+            hecke.partial(3, bad, t1)
+    # everywhere on S_3, d_i(s) is its definition y_i s - s y_{s^-1(i)}, with
+    # both products taken through ``multiply``
+    zero = (0, 0, 0)
+    for s in all_permutations(3):
+        for i in range(1, 4):
+            y_i, y_k = generator(3, "y", i), generator(3, "y", inverse(s)[i - 1])
+            want = add_scaled(hecke.multiply(3, y_i, {(zero, s): 1}),
+                              hecke.multiply(3, {(zero, s): 1}, y_k), -1)
+            assert {(zero, q): c for q, c in hecke.partial(3, i, s).items()} == want, (s, i)
 
 
 def test_hecke_twisted_leibniz_exhaustive(hecke):
@@ -557,6 +565,31 @@ def _cubic_field():
              [(0, 1, 0), (0, 0, 1), (1, 1, 0)],
              [(0, 0, 1), (1, 1, 0), (0, 1, 1)]]
     return CommutativeAlgebraSpec(3, table, (1, 0, 0), name="Q[x]/(x^3-x-1)")
+
+
+class _UpperTriangular(CommutativeAlgebraSpec):
+    """A spec whose table need not commute: its laws are not checked."""
+
+    def _validate(self):
+        pass
+
+
+def test_skew_commutators_multiply_on_the_right_by_the_column():
+    # the upper-triangular T_2 on 1, e12, e22: e12 e22 = e12 but e22 e12 = 0, so
+    # (b, q) g must take slot q(s) times e_e from the column table[x][e]
+    table = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+             [(0, 1, 0), (0, 0, 0), (0, 1, 0)],
+             [(0, 0, 1), (0, 0, 0), (0, 0, 1)]]
+    seq = SkewGroupSequence(_UpperTriangular(3, table, (1, 0, 0), name="T_2"))
+    checked = 0
+    for n in (2, 3):
+        indices = range(seq.dim(n))
+        for g in seq.subalgebra_generators(Composition((1,) * n)):
+            assert seq._insertion_slot(n, g) is not None, (n, g)
+            assert seq.commutators(n, g, indices) == \
+                MultiplicativeSequence.commutators(seq, n, g, indices), (n, g)
+            checked += 1
+    assert checked == 10
 
 
 @pytest.mark.parametrize("algebra, direct, top", [
