@@ -103,15 +103,15 @@ def distinct_odd_partition_series(N):
     """Coefficients s_0..s_N of prod_{m odd}(1 + t^m).
 
     s_n counts partitions of n into distinct odd parts.  Computed both by
-    the polynomial product and by direct enumeration; the two must agree.
+    the polynomial product and by Euler's 1 + t^m = (1 - t^2m) / (1 - t^m);
+    the two must agree.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    by_product = _series_by_product(N)
-    by_count = [_count_distinct_odd(n) for n in range(N + 1)]
-    if by_product != by_count:
+    by_product, by_euler = _series_by_product(N), _series_by_euler(N)
+    if by_product != by_euler:
         raise AssertionError("partition series routes disagree: %r vs %r"
-                             % (by_product, by_count))
+                             % (by_product, by_euler))
     return by_product
 
 
@@ -126,18 +126,13 @@ def _series_by_product(N):
     return coeffs
 
 
-def _count_distinct_odd(n):
-    # enumerate partitions of n into strictly decreasing odd parts
-    def count(rem, max_part):
-        if rem == 0:
-            return 1
-        total = 0
-        p = min(max_part, rem)
-        if p % 2 == 0:
-            p -= 1
-        while p >= 1:
-            total += count(rem - p, p - 2)
-            p -= 2
-        return total
-
-    return count(n, n)
+def _series_by_euler(N):
+    # 1 / prod_{m odd}(1 - t^m), times prod_{m odd}(1 - t^2m)
+    coeffs = [1] + [0] * N
+    for m in range(1, N + 1, 2):
+        for n in range(m, N + 1):
+            coeffs[n] += coeffs[n - m]
+    for m in range(2, N + 1, 4):
+        for n in range(N, m - 1, -1):
+            coeffs[n] -= coeffs[n - m]
+    return coeffs

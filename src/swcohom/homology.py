@@ -239,26 +239,26 @@ def annihilated(space, maps):
 
 
 def _orbits(dim, perms):
-    """Orbits on range(dim) of the group the index permutations ``perms`` generate.
+    """Orbits on range(dim) of the group the index permutations ``perms``
+    generate, as the arrays (pos, heads, sizes) of ``Subspace.from_positions``.
 
-    Each orbit is a list headed by its least index, and the orbits come in
-    order of that index: an orbit is discovered from the least index not yet
-    visited, so it holds no smaller one.
+    An orbit is discovered from the least index not yet visited, so it holds
+    no smaller one, and the orbits come in order of that index, their head.
     """
-    seen = [False] * dim
-    out = []
+    pos, heads, sizes = [None] * dim, [], []     # None: not yet visited
     for start in range(dim):
-        if not seen[start]:
-            seen[start] = True
+        if pos[start] is None:
+            pos[start] = j = len(heads)
             orbit = [start]
             for k in orbit:
                 for perm in perms:
                     q = perm[k]
-                    if not seen[q]:
-                        seen[q] = True
+                    if pos[q] is None:
+                        pos[q] = j
                         orbit.append(q)
-            out.append(orbit)
-    return out
+            heads.append(start)
+            sizes.append(len(orbit))
+    return pos, heads, sizes
 
 
 def _average(space, perms):
@@ -269,12 +269,13 @@ def _average(space, perms):
     averages of the unit vectors)."""
     if space.dim == space.ambient_dim:
         return _orbit_sums(space.ambient_dim, perms)
-    orbit_of = {k: orbit for orbit in _orbits(space.ambient_dim, perms) for k in orbit}
+    pos, heads, sizes = _orbits(space.ambient_dim, perms)
+    members = list(Subspace.from_positions(pos, heads, sizes).rows.values())
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
     for vec, _ in space.integral_rows():
-        sums = {}   # orbit representative -> coefficient sum over the orbit
+        sums = {}   # orbit position -> coefficient sum over the orbit
         for k, c in vec.items():
-            r = orbit_of[k][0]
+            r = pos[k]
             s = sums.get(r, 0) + c
             if s:
                 sums[r] = s
@@ -282,18 +283,17 @@ def _average(space, perms):
                 sums.pop(r, None)
         key = frozenset(sums.items())
         if key not in vectors:
-            scale = lcm(*(len(orbit_of[r]) for r in sums))
-            vectors[key] = {k: c * (scale // len(orbit_of[r]))
-                            for r, c in sums.items() for k in orbit_of[r]}
+            scale = lcm(*(sizes[r] for r in sums))
+            vectors[key] = {k: c * (scale // sizes[r]) for r, c in sums.items() for k in members[r]}
     return Subspace.from_vectors(vectors.values(), space.ambient_dim)
 
 
 def _orbit_sums(dim, perms):
     """The fixed space in Q^dim of the group the index permutations ``perms``
     generate: the span of its orbit indicators.  Each is already an RREF row
-    (headed by its least index, with value 1), so the rows are adopted by
-    ``Subspace.from_indicators``, not eliminated."""
-    return Subspace.from_indicators(_orbits(dim, perms), dim)
+    (headed by its least index, with value 1), so the arrays of ``_orbits``
+    are adopted by ``Subspace.from_positions``, not eliminated."""
+    return Subspace.from_positions(*_orbits(dim, perms))
 
 
 def _as_permutation(T):

@@ -21,11 +21,11 @@ with one entry left is pivoted first, with no arithmetic, and otherwise the
 pivots are Markowitz-style.  Echelon bases (kernels, images, subspace
 arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
-each headed by its least index (orbit sums, unit vectors), are adopted by
-``Subspace.from_indicators`` without elimination.  Such a space keeps one
-{index: head} map in place of a column index and answers ``contains`` and
-``coords_of`` by lookup in one pass over the vector, until an insert adds a
-row and builds the column index from the map.
+each headed by its least index (orbit sums, unit vectors), are adopted
+without elimination as flat index arrays (``Subspace.from_positions``): per
+index the position of its support, and per support its head and size.  Such
+a space keeps no dict rows; ``contains``, ``coords_of`` and ``image_coords``
+read the arrays, and an accepted insert turns it into an ordinary echelon.
 
 A subspace is its echelon form: ``Subspace`` is an ``Echelon`` that knows
 its ambient dimension and answers membership (``contains``, ``coords_of``),
@@ -42,11 +42,12 @@ small algebras given by a multiplication table.
 """
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter, eq
+from operator import attrgetter
 
 from . import CrossCheckError
 
@@ -167,47 +168,48 @@ class Echelon:
     form (RREF), and ``basis`` builds exactly that, with a ``Fraction`` only
     where the pivot value does not divide.  A column index keeps
     back-substitution proportional to actual fill.  A space adopted from
-    indicators (``Subspace.from_indicators``) holds an {index: head} map in
-    its place, and its first accepted ``insert`` builds the column index from
-    that map and drops the map.  The sorted pivot list and the pivot ->
-    position map are built on first use and dropped by every accepted
-    ``insert``.
+    indicators holds index arrays in place of both, builds its 0/1 rows on
+    each read of ``rows``, and keeps them from its first accepted ``insert``
+    on.  The sorted pivot list is built on first use and dropped by every
+    accepted ``insert``.
     """
 
-    __slots__ = ("rows", "_uses", "_heads", "_pivots", "_positions")
+    __slots__ = ("_rows", "_uses", "_pos", "_sizes", "_pivots")
 
     def __init__(self):
-        self.rows = {}          # pivot col -> primitive integer row dict
+        self._rows = {}         # pivot col -> primitive integer row dict
         self._uses = {}         # col -> set of pivot cols whose rows touch it
-        self._heads = None      # adopted indicators only: index -> head, for _uses
-        self._pivots = None     # sorted pivot cols, cached
-        self._positions = None  # pivot col -> index in the sorted pivots, cached
+        self._pos = None        # adopted only: index -> its support's position, or -1
+        self._sizes = None      # adopted only: support sizes in pivot order
+        self._pivots = None     # sorted pivot cols, cached (adopted: the heads)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows if self._pos is None else self._pivots)
+
+    @property
+    def rows(self):
+        """{pivot col: primitive integer row dict} (shared; do not mutate),
+        built afresh on each read for a space adopted from indicators."""
+        pos = self._pos
+        if pos is None:
+            return self._rows
+        out = [{} for _ in self._pivots]
+        for k, p in enumerate(pos):
+            if p >= 0:
+                out[p][k] = 1
+        return dict(zip(self._pivots, out))
 
     @property
     def pivots(self):
         """Pivot columns in increasing order (shared; do not mutate)."""
         if self._pivots is None:
-            self._pivots = sorted(self.rows)
+            self._pivots = sorted(self._rows)
         return self._pivots
-
-    @property
-    def positions(self):
-        """{pivot col: position of its row in ``pivots``} (shared; do not mutate)."""
-        if self._positions is None:
-            self._positions = {p: k for k, p in enumerate(self.pivots)}
-        return self._positions
 
     def basis(self):
         """The RREF rows in pivot order, as new dicts."""
-        out = []
-        for p in self.pivots:
-            row = self.rows[p]
-            out.append(dict(row) if row[p] == 1 else divided(row, row[p]))
-        return out
+        return [dict(row) if d == 1 else divided(row, d) for row, d in self.integral_rows()]
 
     def integral_rows(self):
         """The basis as (row, d) pairs in pivot order, ``basis()[k] == row / d``:
@@ -233,7 +235,7 @@ class Echelon:
         (g = 1 for a non-integral a); at e = 1 that is the plain update
         w -= a row.
         """
-        rows = self.rows
+        rows = self._rows if self._pos is None else self.rows
         s = 1
         for c in list(w):
             if c in rows:
@@ -276,10 +278,11 @@ class Echelon:
             if g != 1:
                 row = {c: x // g for c, x in row.items()}
             d = row[piv]
-        if self._heads is not None:
-            self._uses = {k: {h} for k, h in self._heads.items()}
-            self._heads = None
-        rows, uses = self.rows, self._uses
+        if self._pos is not None:
+            self._rows = self.rows
+            self._uses = {k: {h} for h, r in self._rows.items() for k in r}
+            self._pos = self._sizes = None
+        rows, uses = self._rows, self._uses
         # clear the new pivot column from existing rows: orow := d orow - a row,
         # both scaled down by g = gcd(a, d), then orow's content divided out
         for other in list(uses.get(piv, ())):
@@ -310,7 +313,7 @@ class Echelon:
                     for c in orow:
                         orow[c] //= g
         rows[piv] = row
-        self._pivots = self._positions = None
+        self._pivots = None
         for c in row:
             uses.setdefault(c, set()).add(piv)
         return piv
@@ -338,25 +341,28 @@ class Subspace(Echelon):
     @classmethod
     def from_indicators(cls, supports, ambient_dim):
         """The span of the 0/1 indicator vectors of ``supports``: pairwise
-        disjoint index lists, each headed by its least index.
-
-        Such an indicator is already a fraction-free RREF row with pivot value
-        1 (no other row meets its head), so the rows are adopted as they are,
-        without elimination, with an {index: head} map in place of the column
-        index.  Raises ValueError on an overlap, a head that is not the least
-        index of its support, or an index outside ``range(ambient_dim)``.
+        disjoint index lists, each headed by its least index, adopted by
+        ``from_positions``.  Raises ValueError on an overlap, a head that is
+        not the least index of its support, or an index outside the space.
         """
-        out = cls(ambient_dim)
-        rows, heads = out.rows, {}
-        for support in supports:
-            head = support[0]
+        pos, supports = [-1] * ambient_dim, sorted(supports)
+        for j, support in enumerate(supports):
             for k in support:
-                if not 0 <= head <= k < ambient_dim or k in heads:
+                if not 0 <= support[0] <= k < ambient_dim or pos[k] != -1:
                     raise ValueError("support %r: index %d repeated, below the head or "
                                      "outside ambient %d" % (support, k, ambient_dim))
-                heads[k] = head
-            rows[head] = dict.fromkeys(support, 1)
-        out._uses, out._heads = None, heads
+                pos[k] = j
+        return cls.from_positions(pos, [s[0] for s in supports], list(map(len, supports)))
+
+    @classmethod
+    def from_positions(cls, pos, heads, sizes):
+        """The span in Q^len(pos) of the 0/1 indicators of disjoint supports,
+        adopted unchecked: such an indicator is already an RREF row with pivot
+        value 1 at its head.  ``pos[k]`` is the position of k's support or -1,
+        and ``heads`` (increasing) and ``sizes`` list the supports' least
+        indices and sizes."""
+        out = cls(len(pos))
+        out._pos, out._pivots, out._sizes = pos, heads, sizes
         return out
 
     @classmethod
@@ -365,11 +371,12 @@ class Subspace(Echelon):
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.from_indicators([[i] for i in range(ambient_dim)], ambient_dim)
+        indices = list(range(ambient_dim))
+        return cls.from_positions(indices, indices, [1] * ambient_dim)
 
     def contains(self, vec):
-        if self._heads is not None:
-            return self._looked_up(vec) is not None
+        if self._pos is not None:
+            return self._looked_up(compress(vec.items(), vec.values()), vec.get) is not None
         return not self._residue(vec)[0]
 
     def coords_of(self, vec):
@@ -379,38 +386,34 @@ class Subspace(Echelon):
         not a member.  In RREF the coefficient along the row with pivot p is
         simply vec[p], so an ``int`` entry stays an ``int``.
         """
-        if self._heads is not None:
-            coords = self._looked_up(vec)
+        if self._pos is not None:
+            coords = self._looked_up(compress(vec.items(), vec.values()), vec.get)
             if coords is None:
                 raise ValueError("vector not in subspace")
             return coords
         if self._residue(vec)[0]:
             raise ValueError("vector not in subspace")
-        positions = self.positions
-        return {positions[c]: v for c, v in vec.items() if v and c in positions}
+        pivots, rows = self.pivots, self._rows
+        return {bisect_left(pivots, c): v for c, v in vec.items() if v and c in rows}
 
-    def _looked_up(self, vec):
-        """``coords_of`` of a space adopted from indicators, in one pass over
-        ``vec``; None if ``vec`` is not a member.
-
-        Each nonzero entry's head must hold the same value, so the entries lie
-        in the supports whose heads they meet and are constant on each; those
-        supports' sizes must add up to the number of nonzero entries, so
-        every index of each is present.
-        """
-        heads, rows, positions = self._heads, self.rows, self.positions
-        coords = {}
-        missing = 0     # support sizes met so far minus nonzero entries seen
-        for c, x in vec.items():
-            if x:
-                h = heads.get(c)
-                if h is None or vec.get(h) != x:
-                    return None
-                missing -= 1
-                if h == c:
-                    missing += len(rows[c])
-                    coords[positions[c]] = x
-        return coords if not missing else None
+    def _looked_up(self, entries, label_at):
+        """{support position: label} if the (index, label) pairs ``entries``
+        (distinct indices; ``label_at`` gives the label at any index) carry one
+        label on each support of this adopted space that they meet, and cover
+        it; else None.  One pass: the head of each index's support must carry
+        its label, and the sizes of the supports met at their heads must add up
+        to the number of indices."""
+        pos, heads, sizes = self._pos, self._pivots, self._sizes
+        n, found, missing = len(pos), {}, 0
+        for c, x in entries:
+            p = pos[c] if 0 <= c < n else -1
+            if p < 0 or label_at(heads[p]) != x:
+                return None
+            missing -= 1
+            if heads[p] == c:
+                missing += sizes[p]
+                found[p] = x
+        return None if missing else found
 
     def image_coords(self, source, index_map, offset, sign):
         """``coords_of`` the image under ``index_map`` (per basis index, or None
@@ -418,27 +421,27 @@ class Subspace(Echelon):
         order, with positions moved up by ``offset`` and values times ``sign``;
         ValueError if one is not a member.  Between spaces adopted from
         indicators, under a map sending indices injectively to indices with
-        coefficient 1, one lookup proves the block: each image index's head is
-        the image of an index of the same source support (so a target support
-        meets one source support only), and the sizes of the target supports
-        met add up to the number of images (so each is covered)."""
-        heads, owner = self._heads, source._heads   # owner: image index -> source head
-        if heads is not None and owner is not None and index_map is not None:
-            terms = list(map(index_map.__getitem__, owner))
-            owner = dict(zip(chain.from_iterable(terms), owner.values()))
-            if set(map(len, terms)) != {1} or len(owner) != len(terms) \
-                    or set(chain.from_iterable(map(dict.values, terms))) != {1}:
-                owner = None    # several terms, a coefficient other than 1, or not injective
-        if heads is not None and owner is not None:
-            met = list(map(heads.get, owner))
-            hits = list(compress(owner, map(eq, owner, met)))   # the target heads met
-            if list(map(owner.get, met)) != list(owner.values()) \
-                    or sum(map(len, map(self.rows.__getitem__, hits))) != len(owner):
-                raise ValueError("vector not in subspace")
-            coords, positions = {p: {} for p in source.pivots}, self.positions
-            for h in hits:
-                coords[owner[h]][offset + positions[h]] = sign
-            return list(coords.values())
+        coefficient 1, one ``_looked_up`` proves the block, labelling each
+        image index by the position of the source support it comes from."""
+        owner = source._pos
+        if self._pos is not None and owner is not None:
+            entries = compress(enumerate(owner), map((-1).__lt__, owner))
+            label_at = owner.__getitem__
+            if index_map is not None:
+                terms = [index_map[k] for k, _ in entries]
+                images = dict(zip(chain.from_iterable(terms), filter((-1).__lt__, owner)))
+                entries, label_at = images.items(), images.get
+                if set(map(len, terms)) != {1} or len(images) != len(terms) \
+                        or set(chain.from_iterable(map(dict.values, terms))) != {1}:
+                    entries = None  # several terms, a coefficient other than 1, or not injective
+            if entries is not None:
+                found = self._looked_up(entries, label_at)
+                if found is None:
+                    raise ValueError("vector not in subspace")
+                coords = [{} for _ in source.pivots]
+                for p, j in found.items():
+                    coords[j][offset + p] = sign
+                return coords
         out = []
         for vec, d in source.integral_rows():
             coords = self.coords_of(vec if index_map is None else combination(index_map, vec))

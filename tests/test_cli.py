@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
@@ -33,6 +34,15 @@ def test_series_row():
     assert doc["report"]["series"] == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     code, doc = run_json("series", "0")
     assert code == 0 and doc["report"]["series"] == [1]
+
+
+def test_series_ends_for_large_degrees():
+    # both routes are polynomial products, so the cross-check enumerates nothing
+    start = time.perf_counter()
+    code, doc = run_json("series", "500")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    series = doc["report"]["series"]
+    assert len(series) == 501 and series[:13] == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
 
 def test_series_check_reduced():

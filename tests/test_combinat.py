@@ -118,10 +118,20 @@ def test_series_against_known_values():
 
 
 def test_series_routes_agree_up_to_40():
-    # the function cross-checks enumeration against the product internally
+    # the function cross-checks Euler's route against the product internally
     s = distinct_odd_partition_series(40)
     assert len(s) == 41
     assert s[40] == sum(1 for _ in _dop(40))
+
+
+def test_series_routes_that_disagree_are_refused(monkeypatch):
+    import swcohom.combinat as combinat
+
+    euler = combinat._series_by_euler
+    monkeypatch.setattr(combinat, "_series_by_euler",
+                        lambda N: euler(N)[:-1] + [euler(N)[-1] + 1])
+    with pytest.raises(AssertionError, match="^partition series routes disagree"):
+        distinct_odd_partition_series(20)
 
 
 def _dop(n, max_part=None):

@@ -505,6 +505,21 @@ def test_each_face_membership_is_tested_once(monkeypatch):
                                 for _, mu in subdivisions(lam))
 
 
+def test_the_cube_of_orbit_spaces_keeps_no_dict_rows():
+    # every vertex of S_5's regular cube is adopted as index arrays, and
+    # proving every face by lookup neither keeps nor converts a row
+    diagram = cubic_invariants_diagram(SnModule.regular(5))
+    cubic_complex(diagram)
+    assert all(space._pos is not None and not space._rows for space in diagram.values())
+
+
+def test_the_regular_7_cube_is_acyclic_below_the_top():
+    # n = 7, one above the CLI's cap: 64 orbit-space vertices in Q^5040
+    module = SnModule.regular(7)
+    dims = cubic_cohomology(cubic_invariants_diagram(module))
+    assert dims == {**dict.fromkeys(range(6), 0), 6: 1} and top_quotient(module) == 1
+
+
 def test_face_divides_the_image_of_an_integral_row():
     import swcohom.homology as homology
 

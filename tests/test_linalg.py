@@ -353,32 +353,61 @@ def test_coords_positions_shift_after_insert():
 
 
 def _regular4_orbit_partitions():
+    """The orbits of each Young subgroup of S_4 on its regular rep, and the
+    index maps of S_4's generators t_1, t_2, t_3."""
     import swcohom.homology as homology
 
     module = SnModule.regular(4)
     perms = [homology._as_permutation(T) for T in module.gens]
-    return [homology._orbits(module.dim, [perms[i - 1] for i in young_positions(comp)])
-            for comp in compositions(4)], module.dim
+    partitions = []
+    for comp in compositions(4):
+        pos, heads, _ = homology._orbits(module.dim, [perms[i - 1] for i in young_positions(comp)])
+        partitions.append([[k for k, p in enumerate(pos) if p == j] for j in range(len(heads))])
+    return partitions, [[{q: 1} for q in perm] for perm in perms], module.dim
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_from_indicators_adopts_what_elimination_builds():
-    partitions, dim = _regular4_orbit_partitions()
+    partitions, maps, dim = _regular4_orbit_partitions()
     assert len(partitions) == 8 and any(len(orbit) > 1 for orbit in partitions[0])
-    for orbits in partitions:
+    full, faces = Subspace.full(dim), []
+    # every orbit partition, and every other orbit of each: a partial cover
+    for orbits in partitions + [orbits[::2] for orbits in partitions]:
         adopted = Subspace.from_indicators(orbits, dim)
         built = Subspace.from_vectors([{k: 1 for k in orbit} for orbit in orbits], dim)
         assert adopted.pivots == built.pivots
         assert adopted.integral_rows() == built.integral_rows()
+        assert adopted.basis() == built.basis()
         member = {k: j + 1 for j, orbit in enumerate(orbits) for k in orbit}
         assert adopted.coords_of(member) == built.coords_of(member)
-        # a later insert clears its pivot from the adopted rows through the
-        # column index it builds from the head map, so both stay equal row by
+        # faces into the space from itself and from Q^dim, by lookup between
+        # adopted spaces and row by row otherwise, under the identity and
+        # t_1..t_3: a t_i of the Young subgroup maps each orbit onto itself,
+        # another one may map an orbit out of the space
+        for source, index_map in [(s, m) for s in (adopted, built, full) for m in [None] + maps]:
+            block = _outcome(lambda: adopted.image_coords(source, index_map, 2, -1))
+            assert block == _outcome(lambda: built.image_coords(source, index_map, 2, -1))
+            faces.append(block == "vector not in subspace")
+        # a refused insert keeps the arrays; an accepted one clears its pivot
+        # from the 0/1 rows it keeps from then on, so both stay equal row by
         # row, and membership moves to elimination with the same answers
+        assert adopted.insert(member) is built.insert(member) is None and adopted._pos is not None
         for orbit in orbits:
             if len(orbit) > 1:
                 assert adopted.insert({orbit[-1]: 1}) == built.insert({orbit[-1]: 1})
+        uncovered = min(set(range(dim)).difference(*orbits), default=None)
+        if uncovered is not None:
+            assert adopted.insert({uncovered: 1}) == built.insert({uncovered: 1}) == uncovered
         assert adopted.integral_rows() == built.integral_rows()
+        assert adopted.basis() == built.basis()
         assert adopted.coords_of(member) == built.coords_of(member)
+    assert set(faces) == {True, False}
     assert Subspace.from_indicators([[i] for i in range(5)], 5) == Subspace.full(5)
     assert Subspace.from_indicators([], 3).dim == 0
 
@@ -391,7 +420,8 @@ def _membership_probes(orbits, dim):
               for k in orbit}   # orbit 0 has coefficient 0: stored zeros
     probes = [({}, True), (member, True),
               ({dim: 1}, False), ({**member, dim: 1}, False), ({**member, dim: 0}, True)]
-    probes += [({k: 1}, False) for k in range(dim) if k not in covered][:1]
+    uncovered = [k for k in range(dim) if k not in covered]
+    probes += [({k: 1}, False) for k in uncovered[:1]]
     for orbit in orbits:
         indicator = dict.fromkeys(orbit, 3)
         probes.append((indicator, True))
@@ -401,6 +431,8 @@ def _membership_probes(orbits, dim):
                 ({**indicator, orbit[-1]: 0}, False),           # a stored zero inside
                 ({k: 3 for k in orbit[:-1]}, False),            # one index missing
                 ({k: 3 for k in orbit[1:]}, False),             # the head missing
+                # the head, with indices off every support in place of the rest
+                ({orbit[0]: 3, **dict.fromkeys(uncovered[:len(orbit) - 1], 3)}, False),
             ]
     return probes
 
@@ -408,7 +440,7 @@ def _membership_probes(orbits, dim):
 def test_lookup_membership_agrees_with_elimination():
     # every orbit partition, every other orbit of each (so some indices lie
     # off every support), and Subspace.full
-    partitions, dim = _regular4_orbit_partitions()
+    partitions, _, dim = _regular4_orbit_partitions()
     cases = [(Subspace.from_indicators(orbits, dim), orbits, dim)
              for orbits in partitions + [orbits[::2] for orbits in partitions]]
     cases.append((Subspace.full(5), [[i] for i in range(5)], 5))
