@@ -13,42 +13,40 @@ contradict each other and cross-checks that would compare nothing); 3
 resource-guard refusal; 4 cross-check failure, either raised inside a
 computation (nothing is printed) or a report whose own check is false (the
 report is printed).
+
+Every process compiles what it imports, so this module loads no layer of
+the package at import: each ``cmd_*`` handler imports the names it calls
+when it runs, and the ``--algebra``/``--lie`` types import their spec class
+only when the option is given.  One module ``__getattr__`` (PEP 562) still
+resolves ``cli.reduced_complex`` and ``cli.centralizer`` to their layer's
+current binding, because ``perfbench/traced.py``'s wrapping check reads
+those two names off this module.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
-from math import comb
+from importlib import import_module
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError, __version__
-from .combinat import compositions, distinct_odd_partition_series
-from .homology import (
-    SnModule,
-    centralizer,
-    cubic_cohomology,
-    cubic_invariants_diagram,
-    deformation_cohomology_truncated,
-    horizontal_cohomology,
-    reduced_complex,
-    relative_cube_dims,
-    top_quotient,
-)
-from .lierep import (
-    LieAlgebraSpec,
-    check_tensor_size,
-    exterior_invariants_dims,
-    perm_action,
-    verify_wheel_action,
-    wheel_vanishing_table,
-)
-from .sequences import CommutativeAlgebraSpec, bundled_sequence
-from .symgrp import e_element
+
+# perfbench/traced.py rebinds every function in its layer, then reads these
+# two names off this module to check the wrapping; the handlers hold no layer
+# name, so __getattr__ returns the layer's current binding
+_TRACED_NAMES = {"reduced_complex": "homology", "centralizer": "homology"}
+
+
+def __getattr__(name):
+    if name not in _TRACED_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _TRACED_NAMES[name], __package__), name)
 
 
 def _sequence_from_args(args):
-    return bundled_sequence(args.sequence, algebra=args.algebra,
-                            trunc_degree=args.trunc_degree)
+    from .sequences import bundled_sequence
+
+    trunc_degree = args.trunc_degree if args.trunc_degree is not None else 3
+    return bundled_sequence(args.sequence, algebra=args.algebra, trunc_degree=trunc_degree)
 
 
 def _envelope(args, command, payload):
@@ -120,10 +118,15 @@ def _vector_report(seq, w, vec):
 
 
 def cmd_series(args):
+    from .combinat import distinct_odd_partition_series
+
     series = distinct_odd_partition_series(args.max_degree)
     payload = {"series": series}
     ok = True
     if args.check_reduced:
+        from .homology import reduced_complex
+        from .sequences import bundled_sequence
+
         seq = bundled_sequence("symmetric")
         data = reduced_complex(seq, args.check_reduced)
         payload["reduced"] = {str(w): data.h_dims[w] for w in range(1, args.check_reduced + 1)}
@@ -135,6 +138,8 @@ def cmd_series(args):
 
 
 def cmd_cohomology(args):
+    from .homology import deformation_cohomology_truncated, reduced_complex
+
     seq = _sequence_from_args(args)
     payload = {"sequence": args.sequence}
     ok = True
@@ -161,6 +166,8 @@ def cmd_cohomology(args):
 
 
 def cmd_horizontal(args):
+    from .homology import horizontal_cohomology
+
     seq = _sequence_from_args(args)
     dims = horizontal_cohomology(seq, args.weight)
     top_only = all(v == 0 for d, v in dims.items() if d != args.weight)
@@ -170,6 +177,9 @@ def cmd_horizontal(args):
 
 
 def cmd_cubic(args):
+    from .homology import (SnModule, cubic_cohomology, cubic_invariants_diagram,
+                           relative_cube_dims, top_quotient)
+
     counts, expected, agree = relative_cube_dims(args.n)
     payload = {
         "n": args.n,
@@ -192,6 +202,10 @@ def cmd_cubic(args):
 
 
 def cmd_gl(args):
+    from .lierep import (LieAlgebraSpec, check_tensor_size, exterior_invariants_dims,
+                         perm_action, verify_wheel_action, wheel_vanishing_table)
+    from .symgrp import e_element
+
     if args.lie:
         g = args.lie
         d = None
@@ -232,6 +246,12 @@ def cmd_gl(args):
 
 
 def cmd_hecke_check(args):
+    from math import comb
+
+    from .combinat import compositions
+    from .homology import centralizer, reduced_complex
+    from .sequences import bundled_sequence
+
     seq = bundled_sequence("hecke", trunc_degree=args.trunc_degree)
     D = args.trunc_degree
     payload = {"trunc_degree": D, "level_max": args.level_max}
@@ -264,6 +284,13 @@ def cmd_hecke_check(args):
 
 
 def cmd_selftest(args):
+    from fractions import Fraction
+
+    from .combinat import distinct_odd_partition_series
+    from .homology import reduced_complex, relative_cube_dims
+    from .lierep import LieAlgebraSpec, exterior_invariants_dims, verify_wheel_action
+    from .sequences import bundled_sequence
+
     checks = {}
     series = distinct_odd_partition_series(12)
     checks["series_head"] = series == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
@@ -299,13 +326,16 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _spec_file(spec_cls):
-    """argparse type: a JSON structure-constant file, loaded and validated.
+def _spec_file(layer, spec):
+    """argparse type: a JSON structure-constant file, loaded and validated by
+    the class ``spec`` of ``layer``, which is imported only when the option
+    is given.
 
     A missing, unreadable or malformed file, or a table that fails
     validation, is a usage error naming the file.
     """
     def load(path):
+        spec_cls = getattr(import_module("." + layer, __package__), spec)
         try:
             return spec_cls.from_json(path)
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -334,9 +364,12 @@ def build_parser():
     sequence = argparse.ArgumentParser(add_help=False)
     sequence.add_argument("--sequence", choices=("symmetric", "skew", "hecke"),
                           default="symmetric")
-    sequence.add_argument("--algebra", type=_spec_file(CommutativeAlgebraSpec),
-                          help="JSON file with commutative algebra structure constants")
-    sequence.add_argument("--trunc-degree", type=_nonnegative_int, default=3)
+    sequence.add_argument("--algebra", type=_spec_file("sequences", "CommutativeAlgebraSpec"),
+                          help="JSON file with commutative algebra structure constants "
+                          "(skew only)")
+    # no default, so that a value given with another sequence is refused
+    sequence.add_argument("--trunc-degree", type=_nonnegative_int, default=None,
+                          help="Hecke truncation degree (default 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="distinct-odd-parts partition series",
@@ -370,7 +403,7 @@ def build_parser():
     algebra = p.add_mutually_exclusive_group()
     algebra.add_argument("--dim", type=_positive_int, default=None,
                          help="gl(dim) with its wheel identities (default 2)")
-    algebra.add_argument("--lie", type=_spec_file(LieAlgebraSpec),
+    algebra.add_argument("--lie", type=_spec_file("lierep", "LieAlgebraSpec"),
                          help="JSON file with Lie algebra structure constants")
     p.add_argument("--degree-max", type=_nonnegative_int, default=None)
     p.set_defaults(func=cmd_gl)
@@ -397,6 +430,13 @@ def main(argv=None):
     if args.command == "cohomology" and args.mode == "both" and args.weight_max < 2:
         parser.error("cohomology --mode both needs --weight-max 2 or more: the "
                      "truncated full complex is final only below its top weight")
+    if args.command in ("cohomology", "horizontal"):
+        if args.algebra is not None and args.sequence != "skew":
+            parser.error("--algebra needs --sequence skew: only the skew sequence "
+                         "has a coefficient algebra")
+        if args.trunc_degree is not None and args.sequence != "hecke":
+            parser.error("--trunc-degree needs --sequence hecke: only the Hecke "
+                         "sequence is truncated")
     if args.command == "series" and args.check_reduced and args.max_degree < 1:
         parser.error("series --check-reduced needs max_degree 1 or more: the "
                      "reduced complex starts at weight 1")

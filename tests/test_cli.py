@@ -257,28 +257,43 @@ def test_resource_guard_exit_code():
 
 
 def test_gl_refuses_an_oversized_tensor_before_any_work(monkeypatch, capsys):
-    import swcohom.cli as cli
+    import swcohom.lierep as lierep
 
     def boom(*args):
         raise AssertionError("gl(4) built before the guard")
 
-    # cli imports these names from lierep, so patch the ones it looks up
-    monkeypatch.setattr(cli, "exterior_invariants_dims", boom)
-    monkeypatch.setattr(cli.LieAlgebraSpec, "gl", boom)
+    # cmd_gl imports these names from lierep when it runs, so it sees the patches
+    monkeypatch.setattr(lierep, "exterior_invariants_dims", boom)
+    monkeypatch.setattr(lierep.LieAlgebraSpec, "gl", boom)
     code, out = run_cli("gl", "--dim", "4")
     assert code == 3 and out == ""
     assert capsys.readouterr().err == \
         "resource guard: tensor of %d entries exceeds the guard\n" % 4 ** 12
 
 
-def test_importing_the_cli_does_not_import_numpy():
-    # nor dataclasses, which pulls in inspect: both cost every process
+LAYERS = ("combinat", "linalg", "symgrp", "sequences", "homology", "lierep")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, LAYERS),
+    (["series", "5"], ("linalg", "symgrp", "sequences", "homology", "lierep")),
+    (["cubic", "--n", "2"], ("sequences", "lierep")),
+    (["gl", "--dim", "1"], ("sequences",)),
+    (["cohomology", "--weight-max", "2"], ("lierep",)),
+], ids=["import", "series", "cubic", "gl", "cohomology"])
+def test_importing_the_cli_does_not_import_numpy(argv, absent):
+    # every process compiles what it imports: importing the CLI loads no layer,
+    # and a subcommand only the layers it runs; nor numpy or dataclasses (which
+    # pulls in inspect) at all
     import swcohom
 
     src = str(Path(swcohom.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, %r); import swcohom.cli; "
-            "loaded = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]; "
-            "assert not loaded, loaded" % src)
+    run = "" if argv is None else "swcohom.cli.main(%r); " % (argv,)
+    code = ("import sys; sys.path.insert(0, %r); import swcohom.cli; %s"
+            "layers = ['swcohom.' + m for m in %r]; "
+            "loaded = [m for m in ['numpy', 'dataclasses', 'inspect'] + layers "
+            "if m in sys.modules]; "
+            "assert not loaded, loaded" % (src, run, absent))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -298,14 +313,14 @@ def test_cross_check_exit_code(monkeypatch):
 
 
 def test_cube_containment_failure_exits_4(monkeypatch, capsys):
-    import swcohom.cli as cli
+    import swcohom.homology as homology
     from swcohom.linalg import Subspace
 
     # C(2) = Q^2 does not lie inside its refinement C(1, 1) = span{e_0}, an
     # eliminated target or one adopted from indicators (refused by lookup)
     for target in (Subspace.from_vectors([{0: 1}], 2), Subspace.from_indicators([[0]], 2)):
         bad = {(2,): Subspace.full(2), (1, 1): target}
-        monkeypatch.setattr(cli, "cubic_invariants_diagram", lambda module: bad)
+        monkeypatch.setattr(homology, "cubic_invariants_diagram", lambda module: bad)
         code, out = run_cli("cubic", "--n", "2")
         assert code == 4 and out == ""
         assert capsys.readouterr().err == \
@@ -382,13 +397,21 @@ def test_bad_structure_constant_file_is_a_usage_error(command, flag, doc, tmp_pa
     (("gl", "--dim", "2", "--lie", "LIE"), "not allowed with argument"),
     (("gl", "--lie", "LIE", "--dim", "3"), "not allowed with argument"),
     (("cohomology", "--mode", "full", "--representatives"), "--representatives needs"),
-], ids=["gl-dim-then-lie", "gl-lie-then-dim", "full-representatives"])
+    # a report that ignores an option would read as if the option had applied
+    (("cohomology", "--sequence", "hecke", "--algebra", "ALG"), "--algebra needs"),
+    (("horizontal", "--algebra", "ALG"), "--algebra needs"),
+    (("cohomology", "--sequence", "symmetric", "--trunc-degree", "3"),
+     "--trunc-degree needs"),
+    (("horizontal", "--sequence", "skew", "--trunc-degree", "2"), "--trunc-degree needs"),
+], ids=["gl-dim-then-lie", "gl-lie-then-dim", "full-representatives", "hecke-algebra",
+        "symmetric-algebra", "symmetric-trunc-degree", "skew-trunc-degree"])
 def test_contradictory_options_are_a_usage_error(argv, message, write_spec, capsys):
     from swcohom.lierep import LieAlgebraSpec
 
-    path = write_spec(LieAlgebraSpec.sl2(), "sl2.json")
+    files = {"LIE": write_spec(LieAlgebraSpec.sl2(), "sl2.json"),
+             "ALG": write_spec(CommutativeAlgebraSpec.quadratic(2), "alg.json")}
     with pytest.raises(SystemExit) as exc:
-        run_cli(*(path if a == "LIE" else a for a in argv))
+        run_cli(*(files.get(a, a) for a in argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

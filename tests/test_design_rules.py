@@ -3,6 +3,9 @@
 * no module imports a private name (``_name``; dunders such as
   ``__version__`` are fine) from another module of the package: shared
   helpers are public where they live;
+* only ``cli`` imports inside a function body: it defers each layer to the
+  subcommands that run it, and every other module binds its names at
+  import, which ``perfbench/traced.py``'s rebinding relies on;
 * no module reads a private attribute (``X._name``) that it does not
   define itself: what another module's objects share is public, such as
   ``SparseMatrix.permutation``.  A method's ``self._name`` may reach a
@@ -95,6 +98,16 @@ def test_no_private_imports_across_modules(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if re.match(r"_[a-z]", alias.name)]
     assert not private, private
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    hits = ["line %d" % inner.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not hits, hits
 
 
 def _foreign_private_attributes(source):
