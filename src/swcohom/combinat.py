@@ -16,6 +16,8 @@ centralizer counts by it).
 from functools import lru_cache
 from itertools import product
 
+from . import CrossCheckError
+
 
 class Composition(tuple):
     """Ordered tuple of positive integers; doubles as a cube vertex."""
@@ -104,14 +106,14 @@ def distinct_odd_partition_series(N):
 
     s_n counts partitions of n into distinct odd parts.  Computed both by
     the polynomial product and by Euler's 1 + t^m = (1 - t^2m) / (1 - t^m);
-    the two must agree.
+    CrossCheckError if the two disagree.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     by_product, by_euler = _series_by_product(N), _series_by_euler(N)
     if by_product != by_euler:
-        raise AssertionError("partition series routes disagree: %r vs %r"
-                             % (by_product, by_euler))
+        raise CrossCheckError("partition series routes disagree: %r vs %r"
+                              % (by_product, by_euler))
     return by_product
 
 

@@ -24,8 +24,11 @@ Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted
 without elimination as flat index arrays (``Subspace.from_positions``): per
 index the position of its support, and per support its head and size.  Such
-a space keeps no dict rows; ``contains``, ``coords_of`` and ``image_coords``
-read the arrays, and an accepted insert turns it into an ordinary echelon.
+a space keeps no dict rows, and an accepted insert turns it into an ordinary
+echelon.  A single vector (``contains``, ``coords_of``) and the small image of
+a face's index map are looked up entry by entry in the arrays, and a block of
+``image_coords`` between two such spaces under the identity is proven by one
+comparison of label arrays; every other block goes row by row.
 
 A subspace is its echelon form: ``Subspace`` is an ``Echelon`` that knows
 its ambient dimension and answers membership (``contains``, ``coords_of``),
@@ -339,22 +342,6 @@ class Subspace(Echelon):
         return out
 
     @classmethod
-    def from_indicators(cls, supports, ambient_dim):
-        """The span of the 0/1 indicator vectors of ``supports``: pairwise
-        disjoint index lists, each headed by its least index, adopted by
-        ``from_positions``.  Raises ValueError on an overlap, a head that is
-        not the least index of its support, or an index outside the space.
-        """
-        pos, supports = [-1] * ambient_dim, sorted(supports)
-        for j, support in enumerate(supports):
-            for k in support:
-                if not 0 <= support[0] <= k < ambient_dim or pos[k] != -1:
-                    raise ValueError("support %r: index %d repeated, below the head or "
-                                     "outside ambient %d" % (support, k, ambient_dim))
-                pos[k] = j
-        return cls.from_positions(pos, [s[0] for s in supports], list(map(len, supports)))
-
-    @classmethod
     def from_positions(cls, pos, heads, sizes):
         """The span in Q^len(pos) of the 0/1 indicators of disjoint supports,
         adopted unchecked: such an indicator is already an RREF row with pivot
@@ -402,7 +389,8 @@ class Subspace(Echelon):
         label on each support of this adopted space that they meet, and cover
         it; else None.  One pass: the head of each index's support must carry
         its label, and the sizes of the supports met at their heads must add up
-        to the number of indices."""
+        to the number of indices.  It serves a single sparse vector and the
+        small image of a face's index map, not a block under the identity."""
         pos, heads, sizes = self._pos, self._pivots, self._sizes
         n, found, missing = len(pos), {}, 0
         for c, x in entries:
@@ -420,33 +408,51 @@ class Subspace(Echelon):
         for the identity) of each basis row of the Subspace ``source``, in pivot
         order, with positions moved up by ``offset`` and values times ``sign``;
         ValueError if one is not a member.  Between spaces adopted from
-        indicators, under a map sending indices injectively to indices with
-        coefficient 1, one ``_looked_up`` proves the block, labelling each
-        image index by the position of the source support it comes from."""
-        owner = source._pos
-        if self._pos is not None and owner is not None:
-            entries = compress(enumerate(owner), map((-1).__lt__, owner))
-            label_at = owner.__getitem__
-            if index_map is not None:
-                terms = [index_map[k] for k, _ in entries]
-                images = dict(zip(chain.from_iterable(terms), filter((-1).__lt__, owner)))
-                entries, label_at = images.items(), images.get
-                if set(map(len, terms)) != {1} or len(images) != len(terms) \
-                        or set(chain.from_iterable(map(dict.values, terms))) != {1}:
-                    entries = None  # several terms, a coefficient other than 1, or not injective
-            if entries is not None:
-                found = self._looked_up(entries, label_at)
-                if found is None:
-                    raise ValueError("vector not in subspace")
-                coords = [{} for _ in source.pivots]
-                for p, j in found.items():
-                    coords[j][offset + p] = sign
-                return coords
+        indicators ``_proven_block`` proves the whole block at once; every
+        other block goes row by row through ``coords_of``."""
+        found = self._proven_block(source, index_map)
+        if found is not None:
+            coords = [{} for _ in source.pivots]
+            for p, j in found:
+                coords[j][offset + p] = sign
+            return coords
         out = []
         for vec, d in source.integral_rows():
             coords = self.coords_of(vec if index_map is None else combination(index_map, vec))
             out.append({offset + r: sign * c for r, c in divided(coords, d).items()})
         return out
+
+    def _proven_block(self, source, index_map):
+        """(p, j) for each support p of this space that the image of row j of
+        ``source`` under ``index_map`` covers with coefficient 1; ValueError if
+        an image leaves this space.  None unless both spaces are adopted from
+        indicators and the map is the identity on one ambient, or sends indices
+        injectively to indices with coefficient 1.  Labelled by the source
+        support it comes from, each image index must carry the label of its
+        support's head, and each support an image meets must be covered.  Under
+        the identity one comparison of arrays tests every index at once (one
+        off every support carries -1); a face's index map has a small image,
+        which ``_looked_up`` tests index by index."""
+        pos, owner = self._pos, source._pos
+        if pos is None or owner is None:
+            return None
+        if index_map is None:
+            if len(owner) != len(pos):
+                return None
+            head_label = list(map(owner.__getitem__, self._pivots))
+            head_label.append(-1)   # the label of every index off the supports
+            if list(map(head_label.__getitem__, pos)) != owner:
+                raise ValueError("vector not in subspace")
+            return compress(enumerate(head_label), map((-1).__lt__, head_label))
+        terms = [index_map[k] for k, _ in compress(enumerate(owner), map((-1).__lt__, owner))]
+        images = dict(zip(chain.from_iterable(terms), filter((-1).__lt__, owner)))
+        if set(map(len, terms)) != {1} or len(images) != len(terms) \
+                or set(chain.from_iterable(map(dict.values, terms))) != {1}:
+            return None     # several terms, a coefficient other than 1, or not injective
+        found = self._looked_up(images.items(), images.get)
+        if found is None:
+            raise ValueError("vector not in subspace")
+        return found.items()
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row, _ in other.integral_rows())

@@ -1,13 +1,33 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 The package reads structure-constant specs from JSON (``from_json``, the
 CLI's ``--algebra`` and ``--lie``) but never writes one, so the writer lives
-here with the tests that need spec files.
+here with the tests that need spec files.  The package adopts orbit spaces
+through the unchecked ``Subspace.from_positions``; the tests build such
+spaces from their supports with ``from_indicators``, which checks them.
 """
 
 import json
 
 import pytest
+
+from swcohom.linalg import Subspace
+
+
+def from_indicators(supports, ambient_dim):
+    """The span of the 0/1 indicator vectors of ``supports`` in Q^ambient_dim:
+    pairwise disjoint index lists, each headed by its least index, adopted by
+    ``Subspace.from_positions``.  Raises ValueError on an overlap, a head that
+    is not the least index of its support, or an index outside the space.
+    """
+    pos, supports = [-1] * ambient_dim, sorted(supports)
+    for j, support in enumerate(supports):
+        for k in support:
+            if not 0 <= support[0] <= k < ambient_dim or pos[k] != -1:
+                raise ValueError("support %r: index %d repeated, below the head or "
+                                 "outside ambient %d" % (support, k, ambient_dim))
+            pos[k] = j
+    return Subspace.from_positions(pos, [s[0] for s in supports], list(map(len, supports)))
 
 
 def spec_document(spec):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import from_indicators
 from swcohom import CrossCheckError
 from swcohom.cli import main
 from swcohom.lierep import LieAlgebraSpec
@@ -43,6 +44,20 @@ def test_series_ends_for_large_degrees():
     assert code == 0 and time.perf_counter() - start < 1.0
     series = doc["report"]["series"]
     assert len(series) == 501 and series[:13] == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+
+
+def test_series_routes_that_disagree_exit_4(monkeypatch, capsys):
+    # a disagreement of the product and Euler routes is a cross-check failure
+    import swcohom.combinat as combinat
+
+    euler = combinat._series_by_euler
+    monkeypatch.setattr(combinat, "_series_by_euler",
+                        lambda N: euler(N)[:-1] + [euler(N)[-1] + 1])
+    code, out = run_cli("series", "20")
+    assert code == 4 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cross-check failure: partition series routes disagree: ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_series_check_reduced():
@@ -317,8 +332,9 @@ def test_cube_containment_failure_exits_4(monkeypatch, capsys):
     from swcohom.linalg import Subspace
 
     # C(2) = Q^2 does not lie inside its refinement C(1, 1) = span{e_0}, an
-    # eliminated target or one adopted from indicators (refused by lookup)
-    for target in (Subspace.from_vectors([{0: 1}], 2), Subspace.from_indicators([[0]], 2)):
+    # eliminated target or one adopted from indicators (refused by one array
+    # comparison)
+    for target in (Subspace.from_vectors([{0: 1}], 2), from_indicators([[0]], 2)):
         bad = {(2,): Subspace.full(2), (1, 1): target}
         monkeypatch.setattr(homology, "cubic_invariants_diagram", lambda module: bad)
         code, out = run_cli("cubic", "--n", "2")

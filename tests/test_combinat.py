@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from swcohom import CrossCheckError
 from swcohom.combinat import (
     Composition,
     compositions,
@@ -130,7 +131,7 @@ def test_series_routes_that_disagree_are_refused(monkeypatch):
     euler = combinat._series_by_euler
     monkeypatch.setattr(combinat, "_series_by_euler",
                         lambda N: euler(N)[:-1] + [euler(N)[-1] + 1])
-    with pytest.raises(AssertionError, match="^partition series routes disagree"):
+    with pytest.raises(CrossCheckError, match="^partition series routes disagree"):
         distinct_odd_partition_series(20)
 
 

@@ -67,6 +67,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import from_indicators
 from swcohom.combinat import Composition, compositions
 from swcohom.linalg import (
     CochainComplex,
@@ -248,7 +249,7 @@ def test_a_subspace_is_its_echelon_form(monkeypatch):
 
     M = SparseMatrix(2, 4, {(0, 0): 2, (0, 1): 1, (1, 2): 3, (1, 3): -1})
     U = Subspace.from_vectors([{0: 2, 1: 1}, {2: 1}], 4)
-    W = Subspace.from_indicators([[1, 3], [2]], 4)
+    W = from_indicators([[1, 3], [2]], 4)
     spaces = [U, W, Subspace.full(4), Subspace.zero(4), kernel_basis(M),
               subspace_sum(U, W), subspace_intersect(U, W),
               QuotientSpace(Subspace.full(4), U)]

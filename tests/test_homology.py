@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import from_indicators
 from swcohom import CrossCheckError, ResourceLimitError
 from swcohom.combinat import Composition, compositions, subdivisions, union
 from swcohom.linalg import (
@@ -472,10 +473,10 @@ def test_containment_failure_names_both_vertices(monkeypatch):
 
     # C(2) = Q^2 does not lie inside C(1, 1) = span{e_0}, whether that target
     # was eliminated (one residue per face of e_0 and e_1) or adopted from
-    # indicators (found by lookup, with no residue)
+    # indicators (found by one array comparison, with no residue)
     residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
     for target, eliminations in ((Subspace.from_vectors([{0: 1}], 2), 2),
-                                 (Subspace.from_indicators([[0]], 2), 0)):
+                                 (from_indicators([[0]], 2), 0)):
         residues.clear()
         diagram = {(2,): Subspace.full(2), (1, 1): target}
         with pytest.raises(CrossCheckError,
@@ -511,6 +512,30 @@ def test_the_cube_of_orbit_spaces_keeps_no_dict_rows():
     diagram = cubic_invariants_diagram(SnModule.regular(5))
     cubic_complex(diagram)
     assert all(space._pos is not None and not space._rows for space in diagram.values())
+
+
+def _eliminated(space):
+    """``space`` rebuilt by elimination from its basis: no index arrays."""
+    return Subspace.from_vectors(space.basis(), space.ambient_dim)
+
+
+def test_adopted_vertices_assemble_the_differentials_of_eliminated_ones():
+    # every face entry, not only the dimensions: the identity faces of S_5's
+    # regular cube and the unit_pairing faces of the truncated complex, once
+    # between the adopted vertices and once between eliminated copies of them
+    diagram = cubic_invariants_diagram(SnModule.regular(5))
+    assert all(space._pos is not None for space in diagram.values())
+    copies = {comp: _eliminated(space) for comp, space in diagram.items()}
+    assert not any(space._pos is not None for space in copies.values())
+    assert cubic_complex(diagram).columns == cubic_complex(copies).columns
+
+    seq = SymmetricGroupSequence()
+    adopted = deformation_complex_truncated(seq, 4)
+    assert all(space._pos is not None for space in seq.centralizer_cache.values())
+    copied = SymmetricGroupSequence()
+    copied.centralizer_cache = {comp: _eliminated(space)
+                                for comp, space in seq.centralizer_cache.items()}
+    assert adopted.columns == deformation_complex_truncated(copied, 4).columns
 
 
 def test_the_regular_7_cube_is_acyclic_below_the_top():
@@ -607,8 +632,8 @@ def _one_face(source, target, index_map):
 def test_an_orbit_face_that_leaves_its_target_is_refused(source, target, index_map):
     import swcohom.homology as homology
 
-    face = _one_face(Subspace.from_indicators(source, 3),
-                     Subspace.from_indicators(target, 3), index_map)
+    face = _one_face(from_indicators(source, 3),
+                     from_indicators(target, 3), index_map)
     with pytest.raises(CrossCheckError, match=r"^face 's' -> 't' leaves its target$"):
         homology._face_complex(*face)
     with pytest.raises(ValueError, match="^vector not in subspace$"):
@@ -628,8 +653,8 @@ def test_other_orbit_faces_take_the_per_row_route(monkeypatch, source, target, i
     import swcohom.homology as homology
     import swcohom.linalg as linalg
 
-    face = _one_face(Subspace.from_indicators(source, 3),
-                     Subspace.from_indicators(target, 4), index_map)
+    face = _one_face(from_indicators(source, 3),
+                     from_indicators(target, 4), index_map)
     coords = _count_calls(monkeypatch, linalg.Subspace, "coords_of")
     cx = homology._face_complex(*face)
     assert len(coords) == len(source)

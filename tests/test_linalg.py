@@ -4,6 +4,7 @@ from functools import reduce
 
 import pytest
 
+from conftest import from_indicators
 from swcohom.homology import (
     SnModule,
     centralizer,
@@ -379,17 +380,17 @@ def test_from_indicators_adopts_what_elimination_builds():
     full, faces = Subspace.full(dim), []
     # every orbit partition, and every other orbit of each: a partial cover
     for orbits in partitions + [orbits[::2] for orbits in partitions]:
-        adopted = Subspace.from_indicators(orbits, dim)
+        adopted = from_indicators(orbits, dim)
         built = Subspace.from_vectors([{k: 1 for k in orbit} for orbit in orbits], dim)
         assert adopted.pivots == built.pivots
         assert adopted.integral_rows() == built.integral_rows()
         assert adopted.basis() == built.basis()
         member = {k: j + 1 for j, orbit in enumerate(orbits) for k in orbit}
         assert adopted.coords_of(member) == built.coords_of(member)
-        # faces into the space from itself and from Q^dim, by lookup between
-        # adopted spaces and row by row otherwise, under the identity and
-        # t_1..t_3: a t_i of the Young subgroup maps each orbit onto itself,
-        # another one may map an orbit out of the space
+        # faces into the space from itself and from Q^dim, under the identity
+        # (one array comparison between adopted spaces) and t_1..t_3 (a
+        # lookup), row by row otherwise: a t_i of the Young subgroup maps
+        # each orbit onto itself, another one may map an orbit out of the space
         for source, index_map in [(s, m) for s in (adopted, built, full) for m in [None] + maps]:
             block = _outcome(lambda: adopted.image_coords(source, index_map, 2, -1))
             assert block == _outcome(lambda: built.image_coords(source, index_map, 2, -1))
@@ -408,8 +409,49 @@ def test_from_indicators_adopts_what_elimination_builds():
         assert adopted.basis() == built.basis()
         assert adopted.coords_of(member) == built.coords_of(member)
     assert set(faces) == {True, False}
-    assert Subspace.from_indicators([[i] for i in range(5)], 5) == Subspace.full(5)
-    assert Subspace.from_indicators([], 3).dim == 0
+    assert from_indicators([[i] for i in range(5)], 5) == Subspace.full(5)
+    assert from_indicators([], 3).dim == 0
+
+
+_NOT_IN = "vector not in subspace"
+
+
+@pytest.mark.parametrize("source, target, index_map, block", [
+    # a two-term image: e0 -> f0 + f1, onto a target orbit, or off the partial
+    # target span{f0 + f1}, where f2 and f3 lie in no support
+    (([[0], [1, 2]], 3), ([[0, 1], [2, 3]], 4), [{0: 1, 1: 1}, {2: 1}, {3: 1}],
+     [{2: -1}, {3: -1}]),
+    (([[0], [1, 2]], 3), ([[0, 1]], 4), [{0: 1, 1: 1}, {2: 1}, {3: 1}], _NOT_IN),
+    # a coefficient other than 1
+    (([[0], [1]], 2), ([[0], [1]], 2), [{0: 2}, {1: 1}], [{2: -2}, {3: -1}]),
+    (([[0], [1]], 2), ([[0], [1]], 2), [{0: -1}, {1: 1}], [{2: 1}, {3: -1}]),
+    # two source indices sent to one target index
+    (([[0, 1], [2]], 3), ([[0], [1]], 2), [{0: 1}, {0: 1}, {1: 1}], [{2: -2}, {3: -1}]),
+    (([[0], [1]], 2), ([[0]], 2), [{0: 1}, {0: 1}], [{2: -1}, {2: -1}]),
+    (([[0], [1]], 2), ([[0, 1]], 2), [{0: 1}, {0: 1}], _NOT_IN),
+    # a target index past the ambient dimension, from a covered source index
+    # or from one that lies in no source support
+    (([[0], [1]], 2), ([[0], [1]], 2), [{0: 1}, {2: 1}], _NOT_IN),
+    (([[0]], 2), ([[1]], 2), [{1: 1}, {2: 1}], [{2: -1}]),
+    # the identity between ambients of other dimensions
+    (([[0], [1]], 2), ([[0], [1], [2]], 3), None, [{2: -1}, {3: -1}]),
+    (([[0], [1]], 2), ([[0], [1, 2]], 3), None, _NOT_IN),
+    (([[0], [3]], 4), ([[0], [1], [2]], 3), None, _NOT_IN),
+    (([[0]], 4), ([[0], [1, 2]], 3), None, [{2: -1}]),
+], ids=["two-terms", "two-terms-partial", "coefficient-2", "coefficient-minus-1",
+        "not-injective", "not-injective-partial", "not-injective-leaves", "out-of-range",
+        "out-of-range-uncovered", "identity-smaller-source", "identity-smaller-source-leaves",
+        "identity-larger-source-leaves", "identity-larger-source-partial"])
+def test_blocks_the_array_proof_refuses_agree_with_elimination(source, target, index_map,
+                                                               block):
+    # every index map the one array comparison must refuse: the adopted target
+    # and the eliminated one give the same block, or the same ValueError
+    source = from_indicators(*source)
+    supports, dim = target
+    adopted = from_indicators(supports, dim)
+    built = Subspace.from_vectors([dict.fromkeys(support, 1) for support in supports], dim)
+    for space in (adopted, built):
+        assert _outcome(lambda: space.image_coords(source, index_map, 2, -1)) == block
 
 
 def _membership_probes(orbits, dim):
@@ -441,7 +483,7 @@ def test_lookup_membership_agrees_with_elimination():
     # every orbit partition, every other orbit of each (so some indices lie
     # off every support), and Subspace.full
     partitions, _, dim = _regular4_orbit_partitions()
-    cases = [(Subspace.from_indicators(orbits, dim), orbits, dim)
+    cases = [(from_indicators(orbits, dim), orbits, dim)
              for orbits in partitions + [orbits[::2] for orbits in partitions]]
     cases.append((Subspace.full(5), [[i] for i in range(5)], 5))
     for adopted, orbits, ambient in cases:
@@ -468,7 +510,7 @@ def test_lookup_membership_agrees_with_elimination():
 ], ids=["overlap", "repeat", "head-not-least", "out-of-range", "negative"])
 def test_from_indicators_rejects_what_is_not_an_rref(supports):
     with pytest.raises(ValueError):
-        Subspace.from_indicators(supports, 3)
+        from_indicators(supports, 3)
 
 
 def test_sum_intersect_trivial_and_complementary():
