@@ -240,25 +240,32 @@ def annihilated(space, maps):
 
 def _orbits(dim, perms):
     """Orbits on range(dim) of the group the index permutations ``perms``
-    generate, as the arrays (pos, heads, sizes) of ``Subspace.from_positions``.
+    generate: the arrays (pos, heads, sizes) of ``Subspace.from_positions``,
+    and per orbit whether it is signed, 2-coloured with every edge
+    x -- perm[x] bichromatic (a fixed point is an odd loop, so it is not).
 
     An orbit is discovered from the least index not yet visited, so it holds
     no smaller one, and the orbits come in order of that index, their head.
+    Each index is coloured opposite to the one it is first reached from.
     """
-    pos, heads, sizes = [None] * dim, [], []     # None: not yet visited
+    pos, colour, heads, sizes, signed = [None] * dim, [0] * dim, [], [], []
     for start in range(dim):
-        if pos[start] is None:
+        if pos[start] is None:      # None: not yet visited
             pos[start] = j = len(heads)
-            orbit = [start]
+            orbit, bichromatic = [start], True
             for k in orbit:
+                other = 1 - colour[k]
                 for perm in perms:
                     q = perm[k]
                     if pos[q] is None:
-                        pos[q] = j
+                        pos[q], colour[q] = j, other
                         orbit.append(q)
+                    elif colour[q] != other:
+                        bichromatic = False
             heads.append(start)
             sizes.append(len(orbit))
-    return pos, heads, sizes
+            signed.append(bichromatic)
+    return pos, heads, sizes, signed
 
 
 def _average(space, perms):
@@ -266,11 +273,14 @@ def _average(space, perms):
     ``perms`` generate; per vector, scaled by an ``lcm`` so ints stay ints.
 
     On the full space the image is spanned by the orbit indicators (the
-    averages of the unit vectors)."""
+    averages of the unit vectors).  Each is already an RREF row (headed by
+    its least index, with value 1), so the arrays of ``_orbits`` are adopted
+    by ``Subspace.from_positions``, not eliminated."""
+    pos, heads, sizes, _ = _orbits(space.ambient_dim, perms)
+    orbit_sums = Subspace.from_positions(pos, heads, sizes)
     if space.dim == space.ambient_dim:
-        return _orbit_sums(space.ambient_dim, perms)
-    pos, heads, sizes = _orbits(space.ambient_dim, perms)
-    members = list(Subspace.from_positions(pos, heads, sizes).rows.values())
+        return orbit_sums
+    members = list(orbit_sums.rows.values())
     vectors = {}    # keyed by orbit sums, so a repeated average is built once
     for vec, _ in space.integral_rows():
         sums = {}   # orbit position -> coefficient sum over the orbit
@@ -286,14 +296,6 @@ def _average(space, perms):
             scale = lcm(*(sizes[r] for r in sums))
             vectors[key] = {k: c * (scale // sizes[r]) for r, c in sums.items() for k in members[r]}
     return Subspace.from_vectors(vectors.values(), space.ambient_dim)
-
-
-def _orbit_sums(dim, perms):
-    """The fixed space in Q^dim of the group the index permutations ``perms``
-    generate: the span of its orbit indicators.  Each is already an RREF row
-    (headed by its least index, with value 1), so the arrays of ``_orbits``
-    are adopted by ``Subspace.from_positions``, not eliminated."""
-    return Subspace.from_positions(*_orbits(dim, perms))
 
 
 def _as_permutation(T):
@@ -404,34 +406,19 @@ def top_quotient(module):
     """dim M / sum_i (1 + t_i) M, computed directly, not from the cube.
 
     A permutation module needs no rank.  A functional kills every e_x +
-    e_(t_i x) exactly when it flips sign along each edge x -- t_i x, so on a
-    component of that graph it is +-c by a 2-colouring, and c can be nonzero
-    exactly when every edge is bichromatic (a fixed point t_i x = x is an odd
-    loop).  The dimension, that of the dual, is the number of such components,
-    counted by one search per component, as in ``_orbits``.  Any other module
-    is ranked: dim M minus the rank of the 1 + t_i side by side, taken as the
-    rank of its transpose, whose rows are their columns.
+    e_(t_i x) exactly when it flips sign along each edge x -- t_i x, so on an
+    orbit it is +-c by a 2-colouring, and c can be nonzero exactly when the
+    orbit is signed (``_orbits``).  The dimension, that of the dual, is the
+    number of signed orbits.  Any other module is ranked: dim M minus the
+    rank of the 1 + t_i side by side, taken as the rank of its transpose,
+    whose rows are their columns.
     """
     dim, perms = module.dim, module.perms
     if None in perms:
         return dim - rank(SparseMatrix.from_row_dicts(
             [add_scaled(col, {k: 1}) for T in module.gens for k, col in enumerate(T.col_dicts())],
             dim))
-    colour, count = [None] * dim, 0
-    for start in range(dim):
-        if colour[start] is None:
-            colour[start], orbit, bichromatic = 0, [start], True
-            for k in orbit:
-                other = 1 - colour[k]
-                for perm in perms:
-                    q = perm[k]
-                    if colour[q] is None:
-                        colour[q] = other
-                        orbit.append(q)
-                    elif colour[q] != other:
-                        bichromatic = False
-            count += bichromatic
-    return count
+    return sum(_orbits(dim, perms)[3])
 
 
 # ---------------------------------------------------------------------------

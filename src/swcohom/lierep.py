@@ -47,7 +47,7 @@ class LieAlgebraSpec(StructureConstantSpec):
         for i, j in product(range(d), repeat=2):
             if self.table[i][j] != tuple(-x for x in self.table[j][i]):
                 raise ValueError("bracket is not antisymmetric")
-        br = [[{k: c for k, c in enumerate(row) if c} for row in block] for block in self.table]
+        br = self.products
         for i, j, k in product(range(d), repeat=3):
             out = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

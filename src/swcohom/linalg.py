@@ -632,10 +632,16 @@ def subspace_intersect(U, W):
 
 
 class QuotientSpace(Subspace):
-    """Quotient V/U, held as the Subspace of its coset representatives.
+    """Quotient V/U, held as the Subspace of its coset representatives: the
+    RREF of the residues of V modulo U, which are V's own rows at the pivots
+    that U lacks.
 
-    The representatives are the residues of V's basis modulo U,
-    re-echelonised; ``coords_of`` expresses a vector's class in their basis.
+    As U lies in V, every pivot of U is a pivot of V, and a vector x of V is
+    sum_p (x[p] / d_p) row_p over V's pivots p, d_p the pivot values.  So the
+    residues, the vectors of V that vanish at U's pivots, are exactly the span
+    of V's rows at the other pivots.  Those rows are already in RREF, so
+    ``insert`` eliminates nothing on them.  ``coords_of`` expresses a
+    vector's class in their basis.
     """
 
     __slots__ = ("U",)
@@ -645,10 +651,10 @@ class QuotientSpace(Subspace):
             raise ValueError("U is not contained in V")
         super().__init__(V.ambient_dim)
         self.U = U
-        for row, _ in V.integral_rows():
-            res, _ = U._residue(row)
-            if res:
-                self.insert(res)
+        held = set(U.pivots)
+        for p, (row, _) in zip(V.pivots, V.integral_rows()):
+            if p not in held:
+                self.insert(row)
 
     def coords_of(self, vec):
         """Sparse coordinates {position: int or Fraction} of [vec] in ``basis()``.
@@ -727,8 +733,10 @@ class CochainComplex:
 class StructureConstantSpec:
     """Finite-dimensional algebra over Q given by its structure constants.
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j.  A subclass checks
-    its own laws in ``_validate``, which runs at construction, and lists in
+    ``table[i][j]`` holds the coordinates of e_i * e_j, and ``products[i][j]``
+    the same product as a sparse vector {k: c}, the one form a product is
+    taken in.  A subclass checks its own laws on ``products`` in
+    ``_validate``, which runs at construction, and lists in
     ``vectors`` the extra coordinate vectors it carries (such as a unit), so
     that they travel through JSON with the table.
     """
@@ -743,25 +751,9 @@ class StructureConstantSpec:
         if len(self.table) != dim or any(len(b) != dim for b in self.table) \
                 or any(len(r) != dim for b in self.table for r in b):
             raise ValueError("structure table must be dim^3")
+        self.products = [[{k: c for k, c in enumerate(row) if c} for row in block]
+                         for block in self.table]
         self._validate()
-
-    def _basis_vec(self, i):
-        return tuple(int(j == i) for j in range(self.dim))
-
-    def mul_coords(self, u, v):
-        """Coordinates of the product of two coordinate vectors."""
-        out = [0] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                coef = a * b
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] += coef * c
-        return tuple(out)
 
     @classmethod
     def from_json(cls, doc):

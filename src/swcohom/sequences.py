@@ -26,7 +26,7 @@ so every matrix downstream is reproducible bit for bit.
 from itertools import product
 
 from . import CrossCheckError, ResourceLimitError, TruncationOverflowError
-from .linalg import StructureConstantSpec, add_scaled
+from .linalg import StructureConstantSpec, add_scaled, combination
 from .symgrp import (
     SWEEP_CAP,
     all_permutations,
@@ -176,26 +176,14 @@ class MultiplicativeSequence:
 
     def unit_pairing(self, m, w, side):
         """The maps a -> mu(1_m (x) a) (``side`` "left") or a -> mu(a (x) 1_m)
-        ("right") from A_w to A_{m+w}, on basis indices.
-
-        Returns one sparse vector {index in A_{m+w}: coefficient} per basis
-        index of A_w, summed over every term of ``one(m)``.  Applying it to a
-        vector is the same as ``element_to_vec(mu(...))``, without building
-        elements.
-        """
+        ("right") from A_w to A_{m+w}, on basis indices: per basis element b
+        of A_w, ``mu`` of ``one(m)`` and b as a sparse vector {index in
+        A_{m+w}: coefficient}."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right', not %r" % (side,))
-        idx = self.index_of(m + w)
-        unit = self.one(m).items()
-        out = []
-        for lb in self.basis(w):
-            col = {}
-            for lu, c in unit:
-                label = (self._mu_basis_label(m, w, lu, lb) if side == "left"
-                         else self._mu_basis_label(w, m, lb, lu))
-                add_scaled(col, {idx[label]: c})
-            out.append(col)
-        return out
+        one = self.one(m)
+        return [self.element_to_vec(m + w, self.mu(m, w, one, {b: 1}) if side == "left"
+                                    else self.mu(w, m, {b: 1}, one)) for b in self.basis(w)]
 
     def subalgebra_generators(self, comp):
         raise NotImplementedError
@@ -324,22 +312,21 @@ class CommutativeAlgebraSpec(StructureConstantSpec):
         super().__init__(dim, table, name)
 
     def _validate(self):
-        d = self.dim
+        d, products = self.dim, self.products
         if len(self.unit) != d:
             raise ValueError("unit must have dim coordinates")
         for i in range(d):
             for j in range(i + 1, d):
                 if self.table[i][j] != self.table[j][i]:
                     raise ValueError("structure constants are not commutative")
+        # commutative, so (e_i e_j) e_k = sum_t c_ij^t e_k e_t and u e_i = sum_t u_t e_i e_t
+        for i, j, k in product(range(d), repeat=3):
+            if combination(products[k], products[i][j]) != combination(products[i],
+                                                                       products[j][k]):
+                raise ValueError("structure constants are not associative")
+        unit = {t: c for t, c in enumerate(self.unit) if c}
         for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = self.mul_coords(self.table[i][j], self._basis_vec(k))
-                    right = self.mul_coords(self._basis_vec(i), self.table[j][k])
-                    if left != right:
-                        raise ValueError("structure constants are not associative")
-        for i in range(d):
-            if self.mul_coords(self.unit, self._basis_vec(i)) != self._basis_vec(i):
+            if combination(products[i], unit) != {i: 1}:
                 raise ValueError("unit law fails")
 
     def unit_basis_index(self):

@@ -197,21 +197,13 @@ def signed_class_basis(n):
     return out
 
 
-def long_cycle(m):
-    """t_1 t_2 ... t_{m-1} = (1, 2, ..., m)."""
-    p = identity(m)
-    for i in range(1, m):
-        p = compose(p, transposition(m, i))
-    return p
-
-
 def e_element(m):
     """The distinguished element supported on the m-cycle class.
 
     Coefficients follow the sign-twist rule from the class representative
-    t_1...t_{m-1}; for even m the sweep finds an inconsistency and the
-    element is zero.
+    (1 2 ... m) = t_1...t_{m-1}; for even m the sweep finds an inconsistency
+    and the element is zero.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return signed_orbit_tuples(long_cycle(m)) or {}
+    return signed_orbit_tuples(class_representative(m, (m,))) or {}

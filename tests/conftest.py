@@ -5,6 +5,8 @@ CLI's ``--algebra`` and ``--lie``) but never writes one, so the writer lives
 here with the tests that need spec files.  The package adopts orbit spaces
 through the unchecked ``Subspace.from_positions``; the tests build such
 spaces from their supports with ``from_indicators``, which checks them.
+``quotient_by_residues`` keeps the route a quotient's representatives were
+once computed by, as the reference for ``QuotientSpace``.
 """
 
 import json
@@ -28,6 +30,15 @@ def from_indicators(supports, ambient_dim):
                                  "outside ambient %d" % (support, k, ambient_dim))
             pos[k] = j
     return Subspace.from_positions(pos, [s[0] for s in supports], list(map(len, supports)))
+
+
+def quotient_by_residues(V, U):
+    """The representatives of V/U by elimination: the RREF of the residues of
+    V's rows modulo U."""
+    out = Subspace(V.ambient_dim)
+    for row, _ in V.integral_rows():
+        out.insert(U.reduce(row))
+    return out
 
 
 def spec_document(spec):

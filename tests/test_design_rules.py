@@ -55,6 +55,11 @@
   ``transpose`` to stack a system with.  ``fixed_part`` alone decides
   between averaging and solving: ``centralizer`` and
   ``cubic_invariants_diagram`` both call it, and neither averages itself.
+* each fact is computed once: ``homology._orbits`` is the one orbit search
+  (no other unit of ``homology`` loops over ``perms``), and ``top_quotient``
+  counts the signed orbits it returns; ``unit_pairing`` is ``mu`` against
+  ``one(m)``, not a second loop over ``_mu_basis_label``; a ``QuotientSpace``
+  takes V's own rows, reducing nothing modulo U.
 * one Hecke rule: ``HeckeSequence._push`` rewrites s y^b by letting each t_j
   of a reduced word pass a monomial (a divided difference), and ``partial``
   reads d_i off that product: it calls ``_push``, not itself.  ``_push_cache``
@@ -386,16 +391,42 @@ def _units(tree):
             yield "<module>", node
 
 
+def _all_units():
+    """{(module, unit name): node} over every source file."""
+    return {(path.stem, name): node for path in SOURCES
+            for name, node in _units(ast.parse(path.read_text(encoding="utf-8")))}
+
+
 def test_one_solve():
-    units = {(path.stem, name): node for path in SOURCES
-             for name, node in _units(ast.parse(path.read_text(encoding="utf-8")))}
+    units = _all_units()
     solvers = {unit for unit, node in units.items() if "kernel_basis" in _called(node)}
     assert solvers == {("homology", "annihilated")}, sorted(solvers)
     assert not {"vstack", "hstack", "transpose"} & set(vars(SparseMatrix))
     for name in ("centralizer", "cubic_invariants_diagram"):
         called = _called(units[("homology", name)])
         assert "fixed_part" in called, name
-        assert not {"_average", "_orbit_sums"} & called, name
+        assert not {"_average", "_orbits"} & called, name
+
+
+# -- each fact computed once ------------------------------------------------------
+
+
+def _loops_over_perms(node):
+    return any(isinstance(n, (ast.For, ast.comprehension))
+               and getattr(n.target, "id", None) == "perm"
+               and getattr(n.iter, "id", None) == "perms" for n in ast.walk(node))
+
+
+def test_each_fact_is_computed_once():
+    units = _all_units()
+    assert "_orbits" in _called(units[("homology", "top_quotient")])
+    searches = {name for (stem, name), node in units.items()
+                if stem == "homology" and _loops_over_perms(node)}
+    assert searches == {"_orbits"}, sorted(searches)
+    called = _called(units[("sequences", "MultiplicativeSequence.unit_pairing")])
+    assert "mu" in called and "_mu_basis_label" not in called, sorted(called)
+    called = _called(units[("linalg", "QuotientSpace.__init__")])
+    assert not {"_residue", "reduce"} & called, sorted(called)
 
 
 # -- one Hecke rule ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import from_indicators
+from conftest import from_indicators, quotient_by_residues
 from swcohom import CrossCheckError, ResourceLimitError
 from swcohom.combinat import Composition, compositions, subdivisions, union
 from swcohom.linalg import (
@@ -32,6 +32,7 @@ from swcohom.homology import (
     deformation_cohomology_truncated,
     deformation_complex_truncated,
     first_cohomology_direct,
+    fixed_part,
     horizontal_cohomology,
     random_module,
     reduced_complex,
@@ -431,6 +432,80 @@ def test_as_permutation_accepts_only_permutation_matrices():
         assert homology._as_permutation(T) is None, T.entries
 
 
+def _minus_ones(module, positions):
+    """The maps t_i - 1 of ``annihilated`` for the generators at ``positions``."""
+    return [lambda indices, cols=module.gens[i - 1].col_dicts():
+            {k: add_scaled(dict(cols[k]), {k: 1}, -1) for k in indices} for i in positions]
+
+
+@pytest.mark.parametrize("module", [
+    SnModule.regular(3),
+    SnModule.natural(3).tensor(SnModule.natural(3)),
+    SnModule.natural(3).direct_sum(SnModule.sign(3)),
+    SnModule.regular(4),
+], ids=lambda m: "%s-%d" % (m.name, m.n))
+def test_annihilated_on_rows_of_several_entries_is_an_intersection(module):
+    # each kernel equation is the combination of a row's images, not one image
+    rng, n = random.Random(7), module.dim
+    maps = _minus_ones(module, range(1, module.n))
+    kernel = annihilated(Subspace.full(n), maps)
+    found = several = 0
+    for _ in range(6):
+        vectors = [{k: rng.randint(-2, 2) for k in range(n) if rng.random() < 0.5}
+                   for _ in range(rng.randint(1, n // 2))]
+        vectors.append(combination(kernel.basis(),
+                                   {j: rng.randint(1, 3) for j in range(kernel.dim)}))
+        space = Subspace.from_vectors(vectors, n)
+        assert space.dim < n
+        several += any(len(row) > 1 for row, _ in space.integral_rows())
+        solved = annihilated(space, maps)
+        assert solved.integral_rows() == subspace_intersect(space, kernel).integral_rows()
+        found += solved.dim
+    assert found and several
+
+
+def _closed(vectors, perms):
+    """``vectors`` and their images under the group the index permutations
+    ``perms`` generate: a spanning set of an invariant space."""
+    seen = {frozenset(v.items()) for v in vectors}
+    out = list(vectors)
+    for v in out:
+        for perm in perms:
+            w = {perm[k]: c for k, c in v.items()}
+            if frozenset(w.items()) not in seen:
+                seen.add(frozenset(w.items()))
+                out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("module", [SnModule.regular(3), SnModule.regular(4),
+                                    SnModule.natural(4).tensor(SnModule.natural(4))],
+                         ids=lambda m: "%s-%d" % (m.name, m.n))
+def test_averages_whose_orbit_sums_cancel_match_the_solve(module):
+    # on an invariant space the average and the kernel of the t_i - 1 agree;
+    # the rows e_0 - e_k of the augmentation ideal sum to zero on 0's orbit
+    import swcohom.homology as homology
+
+    rng, n, cancelled = random.Random(3), module.dim, 0
+    perms = [homology._as_permutation(T) for T in module.gens]
+    augmentation = Subspace.from_vectors([{0: 1, k: -1} for k in range(1, n)], n)
+    for comp in compositions(module.n):
+        positions = young_positions(comp)
+        young = [perms[i - 1] for i in positions]
+        pos = homology._orbits(n, young)[0]
+        drawn = [{k: rng.randint(-1, 1) for k in range(n) if rng.random() < 0.3} for _ in range(2)]
+        for space in (augmentation, Subspace.from_vectors(_closed(drawn, perms), n)):
+            for row, _ in space.integral_rows():
+                sums = Counter()
+                for k, c in row.items():
+                    sums[pos[k]] += c
+                cancelled += 0 in sums.values()
+            averaged = fixed_part(space, young, lambda: [])
+            solved = annihilated(space, _minus_ones(module, positions))
+            assert averaged.integral_rows() == solved.integral_rows(), comp
+    assert cancelled
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
@@ -780,7 +855,7 @@ def test_reduced_hecke(hecke):
 
 class _StubSequence:
     """T_1 = span{2 e0 + e1} and T_2 = Q^3 / span{e2}, with unit pairings
-    e0 -> e0, e1 -> e1 on the left and e0 -> e1, e1 -> e2 on the right."""
+    e_k -> e_k on the left and e_k -> e_(k+1) on the right, A_w = Q^(w+1)."""
 
     matrix_cap = 2
     seq_id = "stub"
@@ -796,18 +871,42 @@ class _StubSequence:
         return n + 1
 
     def unit_pairing(self, m, w, side):
-        return [{0: 1}, {1: 1}] if side == "left" else [{1: 1}, {2: 1}]
+        return [{k + (side == "right"): 1} for k in range(w + 1)]
 
     def delta_vanishes_dually(self, w):
         return False
+
+
+class _CosetStub(_StubSequence):
+    """One weight more: T_3 = Q^4 / span{e3}.  U_2 = span{e2} goes to
+    e2 - e3 (the right face has sign -1), which is not in U_3."""
+
+    matrix_cap = 3
+
+    def __init__(self):
+        super().__init__()
+        self.centralizer_cache.update({
+            (1, 1, 1): Subspace.full(4),
+            (2, 1): Subspace.from_vectors([{3: 1}], 4),
+            (1, 2): Subspace.from_vectors([{3: 1}], 4),
+        })
+
+
+def test_the_reduced_differential_is_refused_where_it_leaves_the_cosets():
+    with pytest.raises(CrossCheckError, match="not well-defined on cosets at weight 2$"):
+        reduced_complex(_CosetStub(), 2)
 
 
 def test_reduced_differential_nonzero_on_a_stub():
     # delta(2 e0 + e1) = (2 e0 + e1) + (2 e1 + e2) = 2 e0 + 3 e1 mod e2, and the
     # source row is twice the RREF basis row: a missing / d would read 2, 3,
     # a wrong right-face sign 1, -1/2
-    data = reduced_complex(_StubSequence(), 1)
+    stub = _StubSequence()
+    data = reduced_complex(stub, 1)
     assert data.t_dims == {1: 1, 2: 2}
+    for w, quotient in data.quotients.items():
+        V = stub.centralizer_cache[(1,) * w]
+        assert quotient.integral_rows() == quotient_by_residues(V, quotient.U).integral_rows()
     assert data.h_dims == {1: 0}
     assert data.diff_status[1] == "matrix"
     assert data.diffs[1].entries == {(0, 0): 1, (1, 0): Fraction(3, 2)}

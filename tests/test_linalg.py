@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import from_indicators
+from conftest import from_indicators, quotient_by_residues
 from swcohom.homology import (
     SnModule,
     centralizer,
@@ -21,6 +21,7 @@ from swcohom.linalg import (
     Subspace,
     _pivot_rows,
     add_scaled,
+    combination,
     kernel_basis,
     rank,
     subspace_intersect,
@@ -362,7 +363,8 @@ def _regular4_orbit_partitions():
     perms = [homology._as_permutation(T) for T in module.gens]
     partitions = []
     for comp in compositions(4):
-        pos, heads, _ = homology._orbits(module.dim, [perms[i - 1] for i in young_positions(comp)])
+        pos, heads, *_ = homology._orbits(module.dim,
+                                          [perms[i - 1] for i in young_positions(comp)])
         partitions.append([[k for k, p in enumerate(pos) if p == j] for j in range(len(heads))])
     return partitions, [[{q: 1} for q in perm] for perm in perms], module.dim
 
@@ -590,6 +592,60 @@ def test_quotient_space_reps():
         assert [{k: Fraction(x, d) for k, x in row.items()} for row, d in rows] \
             == quot.basis()
     assert [d for _, d in q2.integral_rows()] == [2]
+
+
+def _quotient_inputs():
+    """(V, U) pairs with U in V: random ones, some pivot values other than 1;
+    V adopted (``Subspace.full`` and the orbit spaces of S_4's Young
+    subgroups on its regular rep), U eliminated or adopted."""
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        V = Subspace.from_vectors([{j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.6}
+                                   for _ in range(rng.randint(0, n))], n)
+        basis = V.basis()
+        U = Subspace.from_vectors(
+            [combination(basis, {i: rng.randint(-2, 2) for i in range(len(basis))})
+             for _ in range(rng.randint(0, len(basis)))], n)
+        pairs.append((V, U))
+        pairs.append((Subspace.full(n), V))
+    partitions, _, dim = _regular4_orbit_partitions()
+    for orbits in partitions:
+        V = from_indicators(orbits, dim)
+        pairs.append((V, from_indicators(orbits[::2], dim)))
+        pairs.append((V, Subspace.from_vectors(
+            [{k: 1 for orbit in orbits[j:j + 2] for k in orbit} for j in range(len(orbits) - 1)],
+            dim)))
+        pairs.append((Subspace.full(dim), V))
+    return pairs
+
+
+def test_quotient_takes_the_rows_of_V_the_residues_would_give(monkeypatch):
+    residues, inserts = [], []
+    residue, insert = Echelon._residue, Echelon.insert
+
+    def counting_residue(self, vec):
+        residues.append(self)
+        return residue(self, vec)
+
+    def counting_insert(self, vec):
+        inserts.append(self)
+        return insert(self, vec)
+
+    pairs = _quotient_inputs()
+    expected = [quotient_by_residues(V, U).integral_rows() for V, U in pairs]
+    assert any(d != 1 for rows in expected for _, d in rows)
+    monkeypatch.setattr(Echelon, "_residue", counting_residue)
+    monkeypatch.setattr(Echelon, "insert", counting_insert)
+    for (V, U), rows in zip(pairs, expected):
+        del residues[:], inserts[:]
+        q = QuotientSpace(V, U)
+        assert q.integral_rows() == rows
+        # only the containment guard reduces, and only modulo V; each row of V
+        # at a pivot U lacks is inserted once, and no other row
+        assert all(space is V for space in residues)
+        assert inserts == [q] * (V.dim - U.dim)
 
 
 def test_cochain_complex_basics():

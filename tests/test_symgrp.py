@@ -15,7 +15,6 @@ from swcohom.symgrp import (
     has_distinct_odd_type,
     identity,
     inverse,
-    long_cycle,
     partitions,
     sign,
     signed_class_basis,
@@ -67,7 +66,13 @@ def test_group_laws():
     p = compose(t1, t2)
     assert compose(p, inverse(p)) == identity(3)
     assert sign(p) == 1 and sign(t1) == -1
-    assert sign(long_cycle(4)) == -1  # 4-cycle is odd
+    # t_1 t_2 ... t_(m-1) = (1 2 ... m), the class representative of an m-cycle
+    for m in range(1, 6):
+        p = identity(m)
+        for i in range(1, m):
+            p = compose(p, t(m, i))
+        assert p == class_representative(m, (m,)) == tuple(range(2, m + 1)) + (1,)
+    assert sign(class_representative(4, (4,))) == -1  # 4-cycle is odd
     assert inversions(t1) == 1
     with pytest.raises(ValueError):
         transposition(3, 3)
