@@ -212,11 +212,10 @@ def cmd_gl(args):
     else:
         d = args.dim if args.dim is not None else 2
         max_m = min(2 * d + 1, 6)
-        # refuse before any work: guard every wheel tensor built below (the
-        # action checks m = 1, 3, 5 at d lie in this grid, or are 1 entry at d = 1)
-        for dd in range(1, d + 1):
-            for m in range(1, max_m + 1):
-                check_tensor_size(m, dd)
+        # refuse before any work: d^(2m) grows in d and m, so this bounds every
+        # wheel tensor built below (the action checks m = 1, 3, 5 at d lie in
+        # the grid for d >= 2, and every tensor has 1 entry at d = 1)
+        check_tensor_size(max_m, d)
         g = LieAlgebraSpec.gl(d)
     maxdeg = args.degree_max if args.degree_max is not None else g.dim
     dims = exterior_invariants_dims(g, maxdeg)

@@ -17,10 +17,13 @@ explicitly and compared by the test suite.
 A centralizer and a vertex of the cube of an S_n-module are both fixed
 spaces, and ``fixed_part`` builds both: it averages over orbits when the
 group permutes basis indices, else it solves with ``annihilated``, the one
-place where a kernel is solved.
+place where a kernel is solved.  ``cohomology_of_rep_category_graded`` runs
+the cube on the adjoint invariants of a Lie algebra's tensor powers, read
+off its bracket table; this module imports no ``lierep``.
 """
 
 from functools import partial, reduce
+from itertools import product
 from math import factorial, lcm, prod
 
 from . import CrossCheckError, ResourceLimitError
@@ -32,6 +35,7 @@ from .linalg import (
     Subspace,
     add_scaled,
     combination,
+    divided,
     kernel_basis,
     rank,
     subspace_sum,
@@ -419,6 +423,58 @@ def top_quotient(module):
             [add_scaled(col, {k: 1}) for T in module.gens for k, col in enumerate(T.col_dicts())],
             dim))
     return sum(_orbits(dim, perms)[3])
+
+
+def _flat_index(idx, base):
+    out = 0
+    for x in idx:
+        out = out * base + x
+    return out
+
+
+def cohomology_of_rep_category_graded(g, n):
+    """Top cubic cohomology of the S_n-module of adjoint invariants in g^(x)n.
+
+    ``g`` is a Lie algebra spec, read through ``g.dim`` and its bracket table
+    ``g.products`` alone.  Computed entirely through the cubic machinery,
+    independently of ``lierep.exterior_invariants_dims``; the two routes must
+    agree degreewise.  The top value is additionally cross-checked against
+    the direct quotient M / sum (1 + t_i) M.
+    """
+    dim = g.dim ** n
+    if dim > 100_000:
+        raise ResourceLimitError("g^(x)%d too large" % n)
+    maps = []
+    for bracket in g.products:    # bracket[j] = [e_xi, e_j], the columns of ad(e_xi)
+        images = {}     # flat index -> its image under ad(e_xi) on every slot
+        for idx in product(range(g.dim), repeat=n):
+            image = images[_flat_index(idx, g.dim)] = {}
+            for k in range(n):
+                add_scaled(image, {_flat_index(idx[:k] + (r,) + idx[k + 1:], g.dim): v
+                                   for r, v in bracket[idx[k]].items()})
+        maps.append(lambda _, images=images: images)
+    invariants = annihilated(Subspace.full(dim), maps)
+
+    if n == 1:
+        return invariants.dim
+    gens = []
+    for k in range(1, n):
+        swap = [0] * dim    # flat index -> flat index with slots k and k + 1 swapped
+        for idx in product(range(g.dim), repeat=n):
+            j = list(idx)
+            j[k - 1], j[k] = j[k], j[k - 1]
+            swap[_flat_index(idx, g.dim)] = _flat_index(j, g.dim)
+        mat_ent = {}
+        for col, (row, d) in enumerate(invariants.integral_rows()):
+            coords = invariants.coords_of({swap[i]: c for i, c in row.items()})
+            mat_ent.update(((r, col), c) for r, c in divided(coords, d).items())
+        gens.append(SparseMatrix(invariants.dim, invariants.dim, mat_ent))
+    module = SnModule(n, invariants.dim, gens, name="(g^%d)^g" % n)
+    top = cubic_cohomology(cubic_invariants_diagram(module))[n - 1]
+    independent = top_quotient(module)
+    if top != independent:
+        raise CrossCheckError("cubic top %d != direct quotient %d" % (top, independent))
+    return top
 
 
 # ---------------------------------------------------------------------------

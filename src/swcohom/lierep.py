@@ -14,9 +14,12 @@ legal in characteristic zero), applying one permutation simultaneously to
 the V and V* axes with a single sign.
 
 Tensors are sparse {index tuple: int} dicts and operators on V^(x)m are
-``SparseMatrix``es, the package's one representation; x_m is kept as an
-integer tensor over the known denominator m!, so every check is exact
-integer arithmetic.
+``SparseMatrix``es; x_m is kept as an integer tensor over the known
+denominator m!, so every check is exact integer arithmetic.  Every
+invariant dimension here is one rank of a derivation system on a wedge
+power, so this module needs only ``linalg`` and ``symgrp``; the cubic route
+to the same numbers, ``homology.cohomology_of_rep_category_graded``, sits
+with the cube code it runs.
 """
 
 from bisect import bisect_left
@@ -24,13 +27,10 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb, factorial
 
-from . import CrossCheckError, ResourceLimitError
-# kernel_basis is never called here (``annihilated`` solves), but
-# perfbench/harness_tests.py checks that the tracer wraps lierep.kernel_basis
-from .linalg import (SparseMatrix, StructureConstantSpec, Subspace, add_scaled, divided,
-                     kernel_basis, rank)
-from .homology import (SnModule, annihilated, cubic_cohomology, cubic_invariants_diagram,
-                       top_quotient)
+from . import ResourceLimitError
+# kernel_basis is never called here (no kernel is solved, only ranks taken),
+# but perfbench/harness_tests.py checks that the tracer wraps lierep.kernel_basis
+from .linalg import SparseMatrix, StructureConstantSpec, add_scaled, kernel_basis, rank
 from .symgrp import all_permutations, e_element, sign
 
 MAX_TENSOR_ENTRIES = 10 ** 7
@@ -55,20 +55,6 @@ class LieAlgebraSpec(StructureConstantSpec):
                     add_scaled(out, br[t][c], x)
             if out:
                 raise ValueError("Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
-
-    def ad_matrix(self, i):
-        """Matrix of ad(e_i) in the basis."""
-        ent = {}
-        for j in range(self.dim):
-            for k, c in enumerate(self.table[i][j]):
-                if c:
-                    ent[(k, j)] = c
-        return SparseMatrix(self.dim, self.dim, ent)
-
-    def center(self):
-        """z(g): the vectors that every ad(e_j) kills."""
-        return annihilated(Subspace.full(self.dim), [
-            lambda _, cols=self.ad_matrix(j).col_dicts(): cols for j in range(self.dim)])
 
     @classmethod
     def gl(cls, d):
@@ -139,13 +125,6 @@ def _wheel_key_counts(m, d):
             order = sorted(range(1, m + 1), key=lambda k: pairs[k - 1])
             add_scaled(counts, {tuple(pairs[k - 1] for k in order): sign(order)})
     return counts
-
-
-def _flat_index(idx, base):
-    out = 0
-    for x in idx:
-        out = out * base + x
-    return out
 
 
 def act_on_power(t, m, d):
@@ -270,7 +249,7 @@ def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
     D = x_degree_bound
     n = g.dim * (D + 1)     # xi (x) x^s has index s * dim + xi
     _check_wedge_size(n, maxdeg)
-    zdim = g.center().dim
+    zdim = exterior_invariants_dims(g, 1)[1]     # dim z(g), the degree-1 invariants
     dims, expected = [1], [1]
     for m in range(1, maxdeg + 1):
         s_max = m + 1 if check_extra_power else m
@@ -281,52 +260,3 @@ def current_invariants_dims(g, x_degree_bound, maxdeg, check_extra_power=False):
         dims.append(_wedge_invariants_dim(act, n, m))
         expected.append(comb(zdim * (D + 1), m))
     return dims, expected, dims == expected
-
-
-# ---------------------------------------------------------------------------
-# the cubic route to the invariants of tensor powers
-
-
-def cohomology_of_rep_category_graded(g, n):
-    """Top cubic cohomology of the S_n-module of adjoint invariants in g^(x)n.
-
-    Computed entirely through the cubic machinery, independently of
-    :func:`exterior_invariants_dims`; the two routes must agree degreewise.
-    The top value is additionally cross-checked against the direct quotient
-    M / sum (1 + t_i) M.
-    """
-    dim = g.dim ** n
-    if dim > 100_000:
-        raise ResourceLimitError("g^(x)%d too large" % n)
-    maps = []
-    for xi in range(g.dim):
-        cols_of_A = g.ad_matrix(xi).col_dicts()
-        images = {}     # flat index -> its image under ad(e_xi) on every slot
-        for idx in product(range(g.dim), repeat=n):
-            image = images[_flat_index(idx, g.dim)] = {}
-            for k in range(n):
-                add_scaled(image, {_flat_index(idx[:k] + (r,) + idx[k + 1:], g.dim): v
-                                   for r, v in cols_of_A[idx[k]].items()})
-        maps.append(lambda _, images=images: images)
-    invariants = annihilated(Subspace.full(dim), maps)
-
-    if n == 1:
-        return invariants.dim
-    gens = []
-    for k in range(1, n):
-        swap = [0] * dim    # flat index -> flat index with slots k and k + 1 swapped
-        for idx in product(range(g.dim), repeat=n):
-            j = list(idx)
-            j[k - 1], j[k] = j[k], j[k - 1]
-            swap[_flat_index(idx, g.dim)] = _flat_index(j, g.dim)
-        mat_ent = {}
-        for col, (row, d) in enumerate(invariants.integral_rows()):
-            coords = invariants.coords_of({swap[i]: c for i, c in row.items()})
-            mat_ent.update(((r, col), c) for r, c in divided(coords, d).items())
-        gens.append(SparseMatrix(invariants.dim, invariants.dim, mat_ent))
-    module = SnModule(n, invariants.dim, gens, name="(g^%d)^g" % n)
-    top = cubic_cohomology(cubic_invariants_diagram(module))[n - 1]
-    independent = top_quotient(module)
-    if top != independent:
-        raise CrossCheckError("cubic top %d != direct quotient %d" % (top, independent))
-    return top

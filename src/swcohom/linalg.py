@@ -13,12 +13,15 @@ inputs to ``insert`` and ``rank`` are cleared to integers on entry through
 their ``denominator``; a residue or a zero test takes them as they come.
 
 Vectors are dicts {index: coefficient} with no stored zeros, and
-``add_scaled`` is the one place that adds a scaled sparse vector into
-another.  Matrices store a sparse {(row, col): coefficient} map, and
-coordinates in a subspace basis are sparse too.  Nothing is randomised:
-``rank`` is one sparse elimination over Q with no back-substitution: a row
-with one entry left is pivoted first, with no arithmetic, and otherwise the
-pivots are Markowitz-style.  Echelon bases (kernels, images, subspace
+``add_scaled`` adds a scaled sparse vector into another.  Four hot loops
+accumulate inline instead: the row updates of ``Echelon.insert`` and
+``_pivot_rows``, which also keep a column index, the ``d.d`` check of
+``CochainComplex``, which keeps zeros until its one test, and the orbit
+sums of ``homology._average``.  Matrices store a sparse {(row, col):
+coefficient} map, and coordinates in a subspace basis are sparse too.
+Nothing is randomised: ``rank`` is one sparse elimination over Q with no
+back-substitution: a row with one entry left is pivoted first, with no
+arithmetic, and otherwise the pivots are Markowitz-style.  Echelon bases (kernels, images, subspace
 arithmetic) are kept in full (fraction-free) RREF by ``Echelon``.
 Rows that are already in that form, the 0/1 indicators of disjoint supports
 each headed by its least index (orbit sums, unit vectors), are adopted

@@ -270,9 +270,6 @@ class SymmetricGroupSequence(MultiplicativeSequence):
 
     def reduced_dim_above_cap(self, w):
         """dim T_w for Q[S_w] is the number of sign-twisted class functions."""
-        if w > SWEEP_CAP:
-            raise ResourceLimitError("class sweep of S_%d exceeds the guard (n <= %d)"
-                                     % (w, SWEEP_CAP))
         return signed_class_dim(w)
 
     def delta_vanishes_dually(self, w):

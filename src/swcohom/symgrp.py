@@ -170,14 +170,15 @@ def signed_class_dim(n):
     """dim of the space of sign-twisted class functions on S_n.
 
     Up to ``SWEEP_CAP`` this is established by the signed orbit sweep of each
-    class itself; beyond it, refuse.
+    class itself; beyond it, refuse (ResourceLimitError).
     """
+    if n > SWEEP_CAP:
+        raise ResourceLimitError("class sweep of S_%d exceeds the guard (n <= %d)"
+                                 % (n, SWEEP_CAP))
     if n == 0:
         return 1
-    if n <= SWEEP_CAP:
-        return sum(1 for ct in partitions(n)
-                   if signed_orbit_tuples(class_representative(n, ct)) is not None)
-    raise ResourceLimitError("signed_class_dim capped at n=%d" % SWEEP_CAP)
+    return sum(1 for ct in partitions(n)
+               if signed_orbit_tuples(class_representative(n, ct)) is not None)
 
 
 def signed_class_basis(n):

@@ -20,6 +20,7 @@ from swcohom.linalg import (
 from swcohom.homology import (
     SnModule,
     centralizer,
+    cohomology_of_rep_category_graded,
     first_cohomology_direct,
     cubic_cohomology,
     cubic_invariants_diagram,
@@ -31,7 +32,6 @@ from swcohom.homology import (
 )
 from swcohom.lierep import (
     LieAlgebraSpec,
-    cohomology_of_rep_category_graded,
     exterior_invariants_dims,
     perm_action,
     verify_wheel_action,

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -280,37 +281,63 @@ def test_gl_refuses_an_oversized_tensor_before_any_work(monkeypatch, capsys):
     # cmd_gl imports these names from lierep when it runs, so it sees the patches
     monkeypatch.setattr(lierep, "exterior_invariants_dims", boom)
     monkeypatch.setattr(lierep.LieAlgebraSpec, "gl", boom)
-    code, out = run_cli("gl", "--dim", "4")
-    assert code == 3 and out == ""
-    assert capsys.readouterr().err == \
-        "resource guard: tensor of %d entries exceeds the guard\n" % 4 ** 12
+    # one guard on the largest wheel tensor, d^(2 * 6), names its size
+    for d in (4, 5):
+        code, out = run_cli("gl", "--dim", str(d))
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == \
+            "resource guard: tensor of %d entries exceeds the guard\n" % d ** 12
 
 
-LAYERS = ("combinat", "linalg", "symgrp", "sequences", "homology", "lierep")
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# one input per row of README's Start-up table, keyed by its first cell
+STARTUP_INPUTS = {
+    "series": ["series", "5"],
+    "series --check-reduced": ["series", "3", "--check-reduced", "2"],
+    "cohomology, horizontal, hecke-check": ["cohomology", "--weight-max", "2"],
+    "cubic": ["cubic", "--n", "2"],
+    "gl": ["gl", "--dim", "1"],
+    "selftest": ["selftest"],
+}
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (None, LAYERS),
-    (["series", "5"], ("linalg", "symgrp", "sequences", "homology", "lierep")),
-    (["cubic", "--n", "2"], ("sequences", "lierep")),
-    (["gl", "--dim", "1"], ("sequences",)),
-    (["cohomology", "--weight-max", "2"], ("lierep",)),
-], ids=["import", "series", "cubic", "gl", "cohomology"])
-def test_importing_the_cli_does_not_import_numpy(argv, absent):
+def _startup_table():
+    """{first cell without backticks: set of layers} of README's Start-up table."""
+    section = README.read_text(encoding="utf-8").split("\n### Start-up\n", 1)[1]
+    table = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            table[cells[1].strip().replace("`", "")] = set(re.findall(r"`(\w+)`", cells[2]))
+    return table
+
+
+def test_the_startup_table_has_one_input_per_row():
+    assert set(_startup_table()) == set(STARTUP_INPUTS)
+
+
+@pytest.mark.parametrize("row", [None, "series", "series --check-reduced", "cubic", "gl",
+                                 "cohomology, horizontal, hecke-check", "selftest"],
+                         ids=["import", "series", "series-check-reduced", "cubic", "gl",
+                              "cohomology", "selftest"])
+def test_importing_the_cli_does_not_import_numpy(row):
     # every process compiles what it imports: importing the CLI loads no layer,
-    # and a subcommand only the layers it runs; nor numpy or dataclasses (which
-    # pulls in inspect) at all
+    # and a subcommand exactly the layers its README Start-up row names; nor
+    # numpy or dataclasses (which pulls in inspect) at all
     import swcohom
 
     src = str(Path(swcohom.__file__).resolve().parent.parent)
-    run = "" if argv is None else "swcohom.cli.main(%r); " % (argv,)
-    code = ("import sys; sys.path.insert(0, %r); import swcohom.cli; %s"
-            "layers = ['swcohom.' + m for m in %r]; "
-            "loaded = [m for m in ['numpy', 'dataclasses', 'inspect'] + layers "
-            "if m in sys.modules]; "
-            "assert not loaded, loaded" % (src, run, absent))
+    run = "pass" if row is None else "swcohom.cli.main(%r)" % (STARTUP_INPUTS[row],)
+    code = ("import io, json, sys; from contextlib import redirect_stdout; "
+            "sys.path.insert(0, %r); import swcohom.cli\n"
+            "with redirect_stdout(io.StringIO()): %s\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('swcohom.') "
+            "or m in ('numpy', 'dataclasses', 'inspect'))))" % (src, run))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    layers = set() if row is None else _startup_table()[row]
+    assert json.loads(done.stdout) == sorted("swcohom." + m for m in layers | {"cli"})
 
 
 def test_cross_check_exit_code(monkeypatch):
@@ -475,8 +502,7 @@ def test_gl_refuses_a_wide_exterior_power_before_any_kernel(write_spec, monkeypa
     def boom(*args):
         raise AssertionError("kernel solved before the guard")
 
-    # the wedge solve is one rank; the kernel solve is still patched for the other routes
-    monkeypatch.setattr(lierep, "annihilated", boom)
+    # the wedge solve is one rank
     monkeypatch.setattr(lierep, "rank", boom)
     path = write_spec(lierep.LieAlgebraSpec.abelian(25), "abelian25.json")
     code, out = run_cli("gl", "--lie", path)
@@ -504,7 +530,7 @@ def test_pretty_format_smoke():
 def test_readme_cli_examples_run():
     # every ``swcohom ...`` line of the first code block under README's ``## CLI``
     # (the next block loads ``--algebra``/``--lie`` files), run in process
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     examples = [line.split()[1:] for line in block.splitlines() if line.startswith("swcohom ")]
     assert len(examples) >= 10, examples

@@ -17,6 +17,9 @@
   sequence supports beyond the generic routes it declares itself
   (``matrix_cap``, ``conjugate_label``, ``reduced_dim_above_cap``,
   ``delta_vanishes_dually``);
+* the Lie side stands alone: ``lierep`` imports no layer of the package
+  but ``linalg`` and ``symgrp``, and ``homology`` imports no ``lierep``, so
+  ``gl`` loads no cube code and the cube commands load no Lie code.
 * ``homology.centralizer`` is the one place that knows how a centralizer is
   computed: no sequence class defines a method named after centralizers.
 * the slot plumbing is defined once: ``SlotPermutationSequence`` owns the
@@ -209,6 +212,30 @@ def test_homology_does_not_import_sequences():
                 and any(a.name.split(".")[-1] == "sequences" for a in node.names))]
     assert not hits, hits
     assert "SymmetricGroupSequence" not in path.read_text(encoding="utf-8")
+
+
+def _layers_imported(path):
+    """The modules of the package that the source at ``path`` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "swcohom":
+                    continue
+                module = module[len("swcohom."):]
+            # from the package itself, each imported name may be a module
+            out.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[-1] for a in node.names
+                       if a.name.split(".")[0] == "swcohom")
+    return out & {p.stem for p in SOURCES}
+
+
+def test_the_lie_side_imports_only_linalg_and_symgrp():
+    by_name = {p.stem: p for p in SOURCES}
+    assert _layers_imported(by_name["lierep"]) == {"linalg", "symgrp"}
+    assert "lierep" not in _layers_imported(by_name["homology"])
 
 
 def _names_a_sequence(node):

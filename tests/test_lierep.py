@@ -5,7 +5,8 @@ from math import comb, factorial
 
 import pytest
 
-from swcohom import ResourceLimitError
+from swcohom import CrossCheckError, ResourceLimitError
+from swcohom.homology import cohomology_of_rep_category_graded
 import swcohom.lierep as lierep
 from swcohom.linalg import SparseMatrix, add_scaled, kernel_basis
 from swcohom.lierep import (
@@ -13,7 +14,6 @@ from swcohom.lierep import (
     act_on_power,
     alt2_wheel_raw,
     check_tensor_size,
-    cohomology_of_rep_category_graded,
     current_invariants_dims,
     exterior_invariants_dims,
     perm_action,
@@ -61,10 +61,10 @@ def test_lie_spec_json_roundtrip(write_spec):
 
 
 def test_centres():
-    assert LieAlgebraSpec.gl(1).center().dim == 1
-    assert LieAlgebraSpec.gl(2).center().dim == 1
-    assert LieAlgebraSpec.sl2().center().dim == 0
-    assert LieAlgebraSpec.abelian(3).center().dim == 3
+    assert exterior_invariants_dims(LieAlgebraSpec.gl(1), 1)[1] == 1
+    assert exterior_invariants_dims(LieAlgebraSpec.gl(2), 1)[1] == 1
+    assert exterior_invariants_dims(LieAlgebraSpec.sl2(), 1)[1] == 0
+    assert exterior_invariants_dims(LieAlgebraSpec.abelian(3), 1)[1] == 3
 
 
 def wheel(m, d):
@@ -222,6 +222,26 @@ def test_wheel_action_identity():
             assert ratio == Fraction(1, 2)
 
 
+def test_wheel_action_mismatch_reports_the_measured_ratio(monkeypatch):
+    # a proportional mismatch names its ratio (1 here, for twice the action);
+    # any other mismatch names none
+    act = lierep.act_on_power
+
+    def doubled(t, m, d):
+        M = act(t, m, d)
+        return SparseMatrix(M.rows, M.cols, {ij: 2 * v for ij, v in M.entries.items()})
+
+    def dropped(t, m, d):
+        entries = dict(act(t, m, d).entries)
+        del entries[max(entries)]
+        return SparseMatrix(d ** m, d ** m, entries)
+
+    monkeypatch.setattr(lierep, "act_on_power", doubled)
+    assert verify_wheel_action(3, 2) == (False, Fraction(1))
+    monkeypatch.setattr(lierep, "act_on_power", dropped)
+    assert verify_wheel_action(3, 2) == (False, None)
+
+
 def test_x3_matches_half_commutator_action():
     # x_3 acts as (t1 t2 - t2 t1)/2 on V^(x)3, d = 2
     d = 2
@@ -362,7 +382,7 @@ def test_current_wedge_invariants_match_the_full_kernel(monkeypatch):
                          (LieAlgebraSpec.gl(1), 2, 3), (LieAlgebraSpec.gl(3), 0, 3)]:
         for extra in (False, True):
             current_invariants_dims(g, D, maxdeg, check_extra_power=extra)
-    assert len(seen) == 24 and all(seen)
+    assert len(seen) == 32 and all(seen)
 
 
 def test_current_invariants():
@@ -393,8 +413,7 @@ def test_current_invariants_refuse_a_wide_wedge_before_any_kernel(monkeypatch):
     def boom(*args):
         raise AssertionError("kernel solved before the guard")
 
-    # the wedge solve is one rank; the kernel solve is still patched for the other routes
-    monkeypatch.setattr(lierep, "annihilated", boom)
+    # the wedge solve is one rank
     monkeypatch.setattr(lierep, "rank", boom)
     # gl(3) (x) span{1, x, x^2} is 27-dim; its 6th wedge power has 296 010 vectors
     with pytest.raises(ResourceLimitError, match="exterior power of dim 296010"):
@@ -416,3 +435,27 @@ def test_rep_category_route_matches_direct():
         assert cohomology_of_rep_category_graded(g2, n) == direct[n], n
     g1 = LieAlgebraSpec.gl(1)
     assert cohomology_of_rep_category_graded(g1, 1) == 1
+
+
+class _UnreadBrackets:
+    """A 4-dim algebra whose bracket table must not be read."""
+
+    dim = 4
+
+    @property
+    def products(self):
+        raise AssertionError("brackets read before the guard")
+
+
+def test_rep_category_route_refuses_a_large_power_before_any_work():
+    # 4^9 = 262 144 basis vectors of g^(x)9
+    with pytest.raises(ResourceLimitError, match=r"^g\^\(x\)9 too large$"):
+        cohomology_of_rep_category_graded(_UnreadBrackets(), 9)
+
+
+def test_rep_category_route_checks_its_top_against_the_direct_quotient(monkeypatch):
+    import swcohom.homology as homology
+
+    monkeypatch.setattr(homology, "top_quotient", lambda module: -1)
+    with pytest.raises(CrossCheckError, match="^cubic top 1 != direct quotient -1$"):
+        cohomology_of_rep_category_graded(LieAlgebraSpec.gl(2), 3)

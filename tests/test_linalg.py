@@ -658,6 +658,16 @@ def test_cochain_complex_basics():
     assert cx.cohomology_dims() == {0: 2, 1: 3, 2: 1}
 
 
+def test_cochain_complex_rejects_a_bad_shape():
+    eye = SparseMatrix.identity(1).col_dicts()
+    with pytest.raises(ValueError, match="^need one differential per adjacent degree pair$"):
+        CochainComplex([1, 1, 1], [eye])
+    # a column too few, and a row index past the target's dimension
+    for dims, cols in (([2, 1], eye), ([1, 1], [{1: 1}])):
+        with pytest.raises(ValueError, match="^differential 0 is no 1x%d matrix$" % dims[0]):
+            CochainComplex(dims, [cols])
+
+
 def test_cochain_complex_rejects_nonzero_square():
     eye = SparseMatrix.identity(1)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from swcohom import ResourceLimitError, TruncationOverflowError
+from swcohom import CrossCheckError, ResourceLimitError, TruncationOverflowError
 from swcohom.combinat import Composition, compositions
 from swcohom.linalg import add_scaled
 from swcohom.sequences import (
@@ -296,6 +296,17 @@ def test_mu_is_algebra_map_on_pairs(seq):
         assert lhs == rhs
         checked += 1
     assert checked >= 20
+
+
+def test_dual_vanishing_refuses_a_function_that_is_not_sign_twisted(monkeypatch):
+    import swcohom.sequences as sequences
+
+    # the indicator of (1 3 2) on S_3 is no sign-twisted class function: it
+    # takes 1 at the shift of a = (2, 1), and 0 at a extended by a fixed point
+    monkeypatch.setattr(sequences, "signed_class_basis", lambda n: [{(1, 3, 2): 1}])
+    with pytest.raises(CrossCheckError,
+                       match="^reduced differential does not vanish dually at weight 2$"):
+        SymmetricGroupSequence().delta_vanishes_dually(2)
 
 
 def test_level_caps():

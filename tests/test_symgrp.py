@@ -113,6 +113,10 @@ def test_signed_class_dims_match_series():
     assert signed_class_dim(2) == 0
     assert signed_class_dim(3) == 1
     assert signed_class_dim(8) == 2
+    # above the sweep cap the count is refused with the message the CLI prints
+    with pytest.raises(ResourceLimitError,
+                       match=r"^class sweep of S_10 exceeds the guard \(n <= 9\)$"):
+        signed_class_dim(10)
 
 
 def test_distinct_odd_criterion_matches_sweep():
