@@ -107,8 +107,8 @@ class SnModule:
     def regular(cls, n):
         basis = all_permutations(n)
         index = {p: k for k, p in enumerate(basis)}
-        gens = [SparseMatrix.permutation([index[compose(transposition(n, i), p)] for p in basis])
-                for i in range(1, n)]
+        gens = [SparseMatrix.permutation([index[compose(t, p)] for p in basis])
+                for t in (transposition(n, i) for i in range(1, n))]
         return cls(n, len(basis), gens, "regular")
 
     def tensor(self, other):
@@ -374,32 +374,43 @@ def _face_complex(layout, space, faces):
     ``key`` as (sign, target key, index map or None for the identity); an
     index map is per basis index, as from ``seq.unit_pairing``.
 
-    Every face is proven to land in its target, in one block by
-    ``image_coords``; an image outside it raises CrossCheckError naming the
-    source and target keys.  Each source basis row gives one column: a face
-    writes its block in, and only a target met twice from one key adds in."""
+    Every face is proven to land in its target in one block; an image outside
+    it raises CrossCheckError naming the source and target keys.  A face that
+    ``face_labels`` proves, between spaces adopted from indicators, stays the
+    label list it proves, one source row per target support, and d_k sums
+    those with the columns of the other faces.  Those go through
+    ``image_coords``: each source basis row gives one column, a face writes
+    its block in, and only a target met twice from one key adds in."""
     offsets, dims = {}, []
     for keys in layout:
         dims.append(0)
         for key in keys:
             offsets[key] = dims[-1]
             dims[-1] += space(key).dim
-    columns = [[{} for _ in range(dim)] for dim in dims[:-1]]
-    for keys, cols in zip(layout, columns):
+    columns = [None] * (len(dims) - 1)     # a degree's columns, from its first column face
+    labelled = [[] for _ in columns]
+    for k, keys in enumerate(layout[:-1]):
         for key in keys:
-            source = space(key)
-            own, written = cols[offsets[key]:offsets[key] + source.dim], set()
+            source, first, written = space(key), offsets[key], set()
             for sign, target, index_map in faces(key):
+                into = space(target)
                 try:
-                    block = space(target).image_coords(source, index_map, offsets[target], sign)
+                    labels = into.face_labels(source, index_map)
+                    if labels is None:
+                        block = into.image_coords(source, index_map, offsets[target], sign)
                 except ValueError:
                     raise CrossCheckError("face %r -> %r leaves its target"
                                           % (key, target)) from None
+                if labels is not None:
+                    labelled[k].append((first, offsets[target], labels, sign))
+                    continue
+                if columns[k] is None:
+                    columns[k] = [{} for _ in range(dims[k])]
                 merge = add_scaled if target in written else dict.update
-                for col, coords in zip(own, block):
+                for col, coords in zip(columns[k][first:first + source.dim], block):
                     merge(col, coords)
                 written.add(target)
-    return CochainComplex(dims, columns)
+    return CochainComplex(dims, columns, labelled)
 
 
 def cubic_cohomology(diagram):

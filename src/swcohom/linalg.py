@@ -13,11 +13,12 @@ inputs to ``insert`` and ``rank`` are cleared to integers on entry through
 their ``denominator``; a residue or a zero test takes them as they come.
 
 Vectors are dicts {index: coefficient} with no stored zeros, and
-``add_scaled`` adds a scaled sparse vector into another.  Four hot loops
+``add_scaled`` adds a scaled sparse vector into another.  Hot loops
 accumulate inline instead: the row updates of ``Echelon.insert`` and
-``_pivot_rows``, which also keep a column index, the ``d.d`` check of
-``CochainComplex``, which keeps zeros until its one test, and the orbit
-sums of ``homology._average``.  Matrices store a sparse {(row, col):
+``_pivot_rows``, which also keep a column index, the ``d.d`` check on
+column vectors, which keeps zeros until its one test, the rows a
+``CochainComplex`` builds from its label faces, and the orbit sums of
+``homology._average``.  Matrices store a sparse {(row, col):
 coefficient} map, and coordinates in a subspace basis are sparse too.
 Nothing is randomised: ``rank`` is one sparse elimination over Q with no
 back-substitution: a row with one entry left is pivoted first, with no
@@ -29,9 +30,19 @@ without elimination as flat index arrays (``Subspace.from_positions``): per
 index the position of its support, and per support its head and size.  Such
 a space keeps no dict rows, and an accepted insert turns it into an ordinary
 echelon.  A single vector (``contains``, ``coords_of``) and the small image of
-a face's index map are looked up entry by entry in the arrays, and a block of
-``image_coords`` between two such spaces under the identity is proven by one
-comparison of label arrays; every other block goes row by row.
+a face's index map are looked up entry by entry in the arrays, and a face
+between two such spaces under the identity is proven by one comparison of
+label arrays.  ``face_labels`` returns such a proven face as it stands, one
+label per target support: the source row that covers it, or -1.
+``image_coords`` takes every other face row by row.
+
+A ``CochainComplex`` holds each differential as column vectors plus those
+label faces.  Its ``d.d = 0`` check composes the label lists of two
+degrees with C-level ``map`` and matches the sign-weighted composites as a
+multiset, summing their entries only where that fails; it multiplies
+columns only where a pair of degrees has a column face.  ``cohomology_dims``
+builds each differential's rows from both parts, and ``columns`` and
+``differentials`` are built on each read.
 
 A subspace is its echelon form: ``Subspace`` is an ``Echelon`` that knows
 its ambient dimension and answers membership (``contains``, ``coords_of``),
@@ -48,7 +59,7 @@ small algebras given by a multiplication table.
 """
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
@@ -173,18 +184,19 @@ class Echelon:
     a row divided by its pivot value is the row of the reduced row echelon
     form (RREF), and ``basis`` builds exactly that, with a ``Fraction`` only
     where the pivot value does not divide.  A column index keeps
-    back-substitution proportional to actual fill.  A space adopted from
-    indicators holds index arrays in place of both, builds its 0/1 rows on
-    each read of ``rows``, and keeps them from its first accepted ``insert``
-    on.  The sorted pivot list is built on first use and dropped by every
-    accepted ``insert``.
+    back-substitution proportional to actual fill; ``subspace_sum`` returns
+    its sum without one, and an accepted ``insert`` rebuilds it.  A space
+    adopted from indicators holds index arrays in place of both, builds its
+    0/1 rows on each read of ``rows``, and keeps them from its first accepted
+    ``insert`` on.  The sorted pivot list is built on first use and dropped
+    by every accepted ``insert``.
     """
 
     __slots__ = ("_rows", "_uses", "_pos", "_sizes", "_pivots")
 
     def __init__(self):
         self._rows = {}         # pivot col -> primitive integer row dict
-        self._uses = {}         # col -> set of pivot cols whose rows touch it
+        self._uses = {}         # col -> set of pivot cols whose rows touch it, or None
         self._pos = None        # adopted only: index -> its support's position, or -1
         self._sizes = None      # adopted only: support sizes in pivot order
         self._pivots = None     # sorted pivot cols, cached (adopted: the heads)
@@ -286,8 +298,12 @@ class Echelon:
             d = row[piv]
         if self._pos is not None:
             self._rows = self.rows
-            self._uses = {k: {h} for h, r in self._rows.items() for k in r}
-            self._pos = self._sizes = None
+            self._pos = self._sizes = self._uses = None
+        if self._uses is None:
+            self._uses = {}
+            for h, r in self._rows.items():
+                for c in r:
+                    self._uses.setdefault(c, set()).add(h)
         rows, uses = self._rows, self._uses
         # clear the new pivot column from existing rows: orow := d orow - a row,
         # both scaled down by g = gcd(a, d), then orow's content divided out
@@ -410,25 +426,19 @@ class Subspace(Echelon):
         """``coords_of`` the image under ``index_map`` (per basis index, or None
         for the identity) of each basis row of the Subspace ``source``, in pivot
         order, with positions moved up by ``offset`` and values times ``sign``;
-        ValueError if one is not a member.  Between spaces adopted from
-        indicators ``_proven_block`` proves the whole block at once; every
-        other block goes row by row through ``coords_of``."""
-        found = self._proven_block(source, index_map)
-        if found is not None:
-            coords = [{} for _ in source.pivots]
-            for p, j in found:
-                coords[j][offset + p] = sign
-            return coords
+        ValueError if one is not a member.  Row by row: a face that
+        ``face_labels`` proves is never asked for here."""
         out = []
         for vec, d in source.integral_rows():
             coords = self.coords_of(vec if index_map is None else combination(index_map, vec))
             out.append({offset + r: sign * c for r, c in divided(coords, d).items()})
         return out
 
-    def _proven_block(self, source, index_map):
-        """(p, j) for each support p of this space that the image of row j of
-        ``source`` under ``index_map`` covers with coefficient 1; ValueError if
-        an image leaves this space.  None unless both spaces are adopted from
+    def face_labels(self, source, index_map):
+        """The face from the Subspace ``source`` under ``index_map`` as a label
+        per support of this space: the row of ``source`` whose image covers it
+        with coefficient 1, or -1 where no image meets it; ValueError if an
+        image leaves this space.  None unless both spaces are adopted from
         indicators and the map is the identity on one ambient, or sends indices
         injectively to indices with coefficient 1.  Labelled by the source
         support it comes from, each image index must carry the label of its
@@ -442,11 +452,12 @@ class Subspace(Echelon):
         if index_map is None:
             if len(owner) != len(pos):
                 return None
-            head_label = list(map(owner.__getitem__, self._pivots))
-            head_label.append(-1)   # the label of every index off the supports
-            if list(map(head_label.__getitem__, pos)) != owner:
+            labels = list(map(owner.__getitem__, self._pivots))
+            labels.append(-1)   # the label of every index off the supports
+            if list(map(labels.__getitem__, pos)) != owner:
                 raise ValueError("vector not in subspace")
-            return compress(enumerate(head_label), map((-1).__lt__, head_label))
+            labels.pop()
+            return labels
         terms = [index_map[k] for k, _ in compress(enumerate(owner), map((-1).__lt__, owner))]
         images = dict(zip(chain.from_iterable(terms), filter((-1).__lt__, owner)))
         if set(map(len, terms)) != {1} or len(images) != len(terms) \
@@ -455,7 +466,10 @@ class Subspace(Echelon):
         found = self._looked_up(images.items(), images.get)
         if found is None:
             raise ValueError("vector not in subspace")
-        return found.items()
+        labels = [-1] * len(self._pivots)
+        for p, j in found.items():
+            labels[p] = j
+        return labels
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row, _ in other.integral_rows())
@@ -610,6 +624,7 @@ def subspace_sum(*spaces):
     for S in spaces:
         for row, _ in S.integral_rows():
             out.insert(row)
+    out._uses = None    # the column index: only ``insert`` reads it, and rebuilds it
     return out
 
 
@@ -672,28 +687,63 @@ class QuotientSpace(Subspace):
 
 
 class CochainComplex:
-    """Finite complex of coordinate spaces from degree 0, d.d = 0 enforced:
-    ``columns[k]`` lists the dims[k] zero-free column vectors of d_k: C^k ->
-    C^(k+1), and ``differentials`` builds each d_k as SparseMatrix on read."""
+    """Finite complex of coordinate spaces from degree 0, d.d = 0 enforced.
 
-    def __init__(self, dims, columns):
-        self.dims, self.columns = dims, columns = list(dims), list(columns)
-        if len(columns) != max(len(dims) - 1, 0):
+    d_k: C^k -> C^(k+1) is the sum of two parts.  ``columns[k]`` lists its
+    dims[k] zero-free column vectors, or is None where it has none.
+    ``faces[k]`` (none if ``faces`` is None) lists its label faces, each
+    (source offset, target offset, labels, sign): the entry at row target
+    offset + p and column source offset + labels[p] is ``sign`` for each p
+    with labels[p] != -1.  The ``d.d = 0`` check composes label faces that
+    meet block to block (see ``_labels_cancel``) and multiplies columns
+    everywhere else.  The ``columns`` and ``differentials`` (as
+    SparseMatrix) read back are built on each read, with the label faces
+    added in."""
+
+    def __init__(self, dims, columns, faces=None):
+        self.dims = dims = list(dims)
+        self._columns = columns = list(columns)
+        self._faces = faces = [[] for _ in columns] if faces is None else list(faces)
+        if len(columns) != max(len(dims) - 1, 0) or len(faces) != len(columns):
             raise ValueError("need one differential per adjacent degree pair")
-        for k, cols in enumerate(columns):
+        for k, (cols, labelled) in enumerate(zip(columns, faces)):
             rows = set(range(dims[k + 1]))
-            if len(cols) != dims[k] or not rows.issuperset(chain.from_iterable(cols)):
+            if cols is not None and (len(cols) != dims[k]
+                                     or not rows.issuperset(chain.from_iterable(cols))) \
+                    or any(so + max(labels, default=-1) >= dims[k] or to + len(labels) > len(rows)
+                           for so, to, labels, _ in labelled):
                 raise ValueError("differential %d is no %dx%d matrix" % (k, len(rows), dims[k]))
-        # every column of d_k must be killed by d_(k+1): sum_i v col_i(d_(k+1)) = 0
-        for k, (before, after) in enumerate(zip(columns, columns[1:])):
-            for col in before:
-                acc = {}
-                get = acc.get
-                for i, v in col.items():
-                    for j, x in after[i].items():
-                        acc[j] = get(j, 0) + v * x
-                if any(acc.values()):
-                    raise ValueError("d.d != 0 between degrees %d and %d" % (k, k + 2))
+        # every column of d_k must be killed by d_(k+1)
+        for k in range(len(columns) - 1):
+            zero = None
+            if columns[k] is None and columns[k + 1] is None:
+                zero = _labels_cancel(faces[k], faces[k + 1])
+            if zero is None:
+                zero = _columns_cancel(self._merged(k), self._merged(k + 1))
+            if not zero:
+                raise ValueError("d.d != 0 between degrees %d and %d" % (k, k + 2))
+
+    def _merged(self, k):
+        """The column vectors of d_k: ``columns[k]`` itself when d_k has no
+        label faces, else new dicts with those added in."""
+        cols, faces = self._columns[k], self._faces[k]
+        if cols is not None and not faces:
+            return cols
+        cols = [{} for _ in range(self.dims[k])] if cols is None else list(map(dict, cols))
+        for so, to, labels, sign in faces:
+            for i, j in enumerate(labels, to):
+                if j >= 0:
+                    col = cols[so + j]
+                    v = col.get(i, 0) + sign
+                    if v:
+                        col[i] = v
+                    else:
+                        del col[i]
+        return cols
+
+    @property
+    def columns(self):
+        return [self._merged(k) for k in range(len(self._columns))]
 
     @property
     def differentials(self):
@@ -705,14 +755,28 @@ class CochainComplex:
         """H^k dims from the ranks of the differentials, eliminated along the
         chain: d_(k+1) only on the indices of C^(k+1) off the rank(d_k)
         independent pivot rows of d_k, whose unit vectors and im d_k span
-        C^(k+1); as d.d = 0 (checked at construction) it has the same rank."""
+        C^(k+1); as d.d = 0 (checked at construction) it has the same rank.
+        Each d_k's rows are built from its columns and label faces at once."""
         ranks, pivots = [0], ()     # ranks[k] = rank d_(k-1), the rank into degree k
-        for k, cols in enumerate(self.columns):
+        for k, (cols, faces) in enumerate(zip(self._columns, self._faces)):
             rows = [{} for _ in range(self.dims[k + 1])]
-            for j, col in enumerate(cols):
+            for j, col in enumerate(cols or ()):
                 if j not in pivots:
                     for i, v in col.items():
                         rows[i][j] = v
+            table = list(range(self.dims[k]))     # column index, or -1 at a pivot
+            for j in pivots:
+                table[j] = -1
+            for so, to, labels, sign in faces:
+                column = table[so:so + max(labels, default=-1) + 1]
+                column.append(-1)
+                for row, j in zip(rows[to:to + len(labels)], map(column.__getitem__, labels)):
+                    if j >= 0:
+                        v = row.get(j, 0) + sign
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
             pivots = set(_pivot_rows(rows))
             ranks.append(len(pivots))
         ranks.append(0)
@@ -727,6 +791,59 @@ class CochainComplex:
         rhs = sum((-1) ** k * d for k, d in hdims.items())
         if lhs != rhs:
             raise CrossCheckError("Euler characteristic mismatch: %d vs %d" % (lhs, rhs))
+
+
+def _columns_cancel(before, after):
+    """Whether the columns ``after`` of d_(k+1) kill every column of d_k in
+    ``before``: sum_i v col_i(d_(k+1)) = 0 for each, zeros kept until one test."""
+    for col in before:
+        acc = {}
+        get = acc.get
+        for i, v in col.items():
+            for j, x in after[i].items():
+                acc[j] = get(j, 0) + v * x
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _labels_cancel(firsts, seconds):
+    """Whether the label faces ``seconds`` of d_(k+1) kill those ``firsts`` of
+    d_k, or None unless they meet block to block: the faces of d_k into one
+    offset span the same rows, those spans are disjoint, and a face of d_(k+1)
+    reads its rows from the one span starting at its offset, or from rows in
+    no span.  From each source offset, each path through a middle block
+    composes its two label lists into one on the block two degrees up,
+    weighted by the product of the signs.  Composites whose weights add up
+    to zero cancel as wholes; the weighted entries of the rest are summed by
+    (row, column), across source offsets, whose columns may overlap."""
+    out_of, by_source, spans = {}, {}, {}
+    for so, to, labels, sign in firsts:
+        by_source.setdefault(so, []).append((to, labels + [-1], sign))   # [-1]: off the block
+        if spans.setdefault(to, len(labels)) != len(labels):
+            return None
+    starts = sorted(spans)
+    ends = [start + spans[start] for start in starts]
+    if any(map(int.__gt__, ends, starts[1:])):
+        return None
+    for so, to, labels, sign in seconds:
+        out_of.setdefault(so, []).append((to, labels, sign))
+        top = so + max(labels, default=-1)
+        i = bisect_right(starts, top) - 1   # the last span that starts by ``top``
+        if i >= 0 and ends[i] > so and (starts[i] != so or ends[i] <= top):
+            return None
+    acc = {}    # (row, column) -> entry of d_(k+1) d_k, from the composites left
+    for so, paths in by_source.items():
+        weights = {}    # (target offset, composite labels) -> weight
+        for mid, labels, sign in paths:
+            for to, after, s in out_of.get(mid, ()):
+                key = to, tuple(map(labels.__getitem__, after))
+                weights[key] = weights.get(key, 0) + sign * s
+        for (to, labels), w in weights.items():
+            if w:
+                for i, j in compress(enumerate(labels, to), map((-1).__lt__, labels)):
+                    acc[i, so + j] = acc.get((i, so + j), 0) + w
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------

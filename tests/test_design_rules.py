@@ -48,6 +48,10 @@
   complex (cubic, horizontal, truncated full and reduced) in one
   face-complex builder, so ``CochainComplex(`` occurs once in
   ``homology.py``, and ``reduced_complex`` constructs exactly one complex.
+* a face between orbit spaces stays the label list its proof gives: the
+  cube of ``SnModule.regular(5)`` and the symmetric truncated complex are
+  assembled, checked (``d.d = 0``) and ranked with no ``image_coords``, no
+  ``coords_of`` and no column dicts built from label faces.
 * a subspace is its echelon form: every subspace ``linalg`` returns is an
   ``Echelon`` filled by its own ``insert`` (a ``QuotientSpace`` is the
   subspace of its coset representatives), and none holds another
@@ -268,6 +272,24 @@ def test_reduced_complex_is_one_face_complex(monkeypatch):
     monkeypatch.setattr(homology, "CochainComplex", counting)
     homology.reduced_complex(SymmetricGroupSequence(), 4)
     assert len(built) == 1
+
+
+def test_orbit_faces_stay_label_lists(monkeypatch):
+    import swcohom.homology as homology
+    import swcohom.linalg as linalg
+
+    diagram = homology.cubic_invariants_diagram(homology.SnModule.regular(5))
+    calls = []
+    for owner, name in ((linalg.Subspace, "image_coords"), (linalg.Subspace, "coords_of"),
+                        (linalg.CochainComplex, "_merged")):
+        def counting(*args, inner=getattr(owner, name), name=name):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(owner, name, counting)
+    assert homology.cubic_complex(diagram).cohomology_dims() == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    truncated = homology.deformation_complex_truncated(SymmetricGroupSequence(), 4)
+    assert truncated.cohomology_dims() == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
+    assert calls == []
 
 
 def _attributes(obj):

@@ -562,15 +562,15 @@ def test_containment_failure_names_both_vertices(monkeypatch):
 
 def test_each_face_membership_is_tested_once(monkeypatch):
     # the cube of S_4's regular rep: every vertex is adopted from orbit
-    # indicators, and one block lookup per (source vertex, refinement face)
-    # proves both the containment and the coordinates of all its rows, with
-    # no elimination and no per-row ``coords_of``
+    # indicators, and one ``face_labels`` proof per (source vertex, refinement
+    # face) proves both the containment and the coordinates of all its rows,
+    # with no elimination and no per-row ``coords_of``
     import swcohom.linalg as linalg
 
     inserts = _count_calls(monkeypatch, linalg.Echelon, "insert")
     residues = _count_calls(monkeypatch, linalg.Echelon, "_residue")
     coords = _count_calls(monkeypatch, linalg.Subspace, "coords_of")
-    blocks = _count_calls(monkeypatch, linalg.Subspace, "image_coords")
+    blocks = _count_calls(monkeypatch, linalg.Subspace, "face_labels")
     diagram = cubic_invariants_diagram(SnModule.regular(4))
     assert cubic_cohomology(diagram) == {0: 0, 1: 0, 2: 0, 3: 1}
     assert inserts == [] and residues == [] and coords == []
@@ -752,6 +752,70 @@ def test_dd_is_checked_on_every_column(k):
     columns[k][-1] = {**last, i: -last[i]}
     with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees %d and %d$" % (k, k + 2)):
         CochainComplex(dims, columns)
+
+
+def _flipped(faces, key):
+    """``faces`` with the sign of the first face out of ``key`` flipped."""
+    def flipped(source):
+        out = list(faces(source))
+        if source == key:
+            sign, target, index_map = out[0]
+            out[0] = (-sign, target, index_map)
+        return out
+    return flipped
+
+
+def _cube_layout(weight):
+    return [[comp for comp in compositions(weight) if len(comp) == k + 1] for k in range(weight)]
+
+
+@pytest.mark.parametrize("k, degrees", [(0, (0, 2)), (1, (0, 2)), (2, (1, 3))])
+def test_a_flipped_label_face_is_refused(monkeypatch, k, degrees):
+    # the cube of S_4's regular rep, every face a label list, with one face of
+    # d_k flipped: the label route alone must refuse it, at the first pair of
+    # degrees it breaks (a face of d_1 breaks d_1 d_0 before d_2 d_1)
+    import swcohom.homology as homology
+    import swcohom.linalg as linalg
+
+    diagram, layout = cubic_invariants_diagram(SnModule.regular(4)), _cube_layout(4)
+    columns = _count_calls(monkeypatch, linalg, "_columns_cancel")
+    homology._face_complex(layout, diagram.__getitem__, homology._refinement_faces)
+    faces = _flipped(homology._refinement_faces, layout[k][-1])
+    with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees %d and %d$" % degrees):
+        homology._face_complex(layout, diagram.__getitem__, faces)
+    assert columns == []
+
+
+def _natural_with_sum_basis():
+    """The natural S_3 module in the basis (e1, e2, e1 + e2 + e3): t_1 swaps
+    the first two vectors, and t_2 sends e2 to e3 = b3 - b1 - b2."""
+    t1 = SparseMatrix.permutation([1, 0, 2])
+    t2 = SparseMatrix(3, 3, {(0, 0): 1, (0, 1): -1, (1, 1): -1, (2, 1): 1, (2, 2): 1})
+    return SnModule(3, 3, [t1, t2], "perm")
+
+
+def test_a_diagram_mixing_label_and_column_faces(monkeypatch):
+    # t_1 is a permutation matrix and t_2 is not: (2, 1) and (1, 1, 1) are
+    # adopted, (3) and (1, 2) solved, so d_1 adds the label face
+    # (2, 1) -> (1, 1, 1) to the column face (1, 2) -> (1, 1, 1), and d.d is
+    # checked on columns
+    import swcohom.homology as homology
+    import swcohom.linalg as linalg
+
+    module = _natural_with_sum_basis()
+    assert module.perms[0] is not None and module.perms[1] is None
+    diagram = cubic_invariants_diagram(module)
+    assert {comp for comp, space in diagram.items() if space._pos is not None} == \
+        {(2, 1), (1, 1, 1)}
+    copies = {comp: _eliminated(space) for comp, space in diagram.items()}
+    labels = _count_calls(monkeypatch, linalg, "_labels_cancel")
+    cx, reference = cubic_complex(diagram), cubic_complex(copies)
+    assert labels == []
+    assert cx.columns == reference.columns
+    assert cx.cohomology_dims() == reference.cohomology_dims() == {0: 0, 1: 0, 2: 0}
+    faces = _flipped(homology._refinement_faces, (2, 1))
+    with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+        homology._face_complex(_cube_layout(3), diagram.__getitem__, faces)
 
 
 # -- horizontal complexes ----------------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
@@ -376,6 +376,19 @@ def _outcome(call):
         return str(exc)
 
 
+def _proved_block(space, source, index_map):
+    """``space.image_coords(source, index_map, 2, -1)``, read off the label
+    list of ``face_labels`` wherever that proves the face."""
+    labels = space.face_labels(source, index_map)
+    if labels is None:
+        return space.image_coords(source, index_map, 2, -1)
+    block = [{} for _ in range(source.dim)]
+    for p, j in enumerate(labels):
+        if j >= 0:
+            block[j][2 + p] = -1
+    return block
+
+
 def test_from_indicators_adopts_what_elimination_builds():
     partitions, maps, dim = _regular4_orbit_partitions()
     assert len(partitions) == 8 and any(len(orbit) > 1 for orbit in partitions[0])
@@ -394,8 +407,9 @@ def test_from_indicators_adopts_what_elimination_builds():
         # lookup), row by row otherwise: a t_i of the Young subgroup maps
         # each orbit onto itself, another one may map an orbit out of the space
         for source, index_map in [(s, m) for s in (adopted, built, full) for m in [None] + maps]:
-            block = _outcome(lambda: adopted.image_coords(source, index_map, 2, -1))
+            block = _outcome(lambda: _proved_block(adopted, source, index_map))
             assert block == _outcome(lambda: built.image_coords(source, index_map, 2, -1))
+            assert block == _outcome(lambda: adopted.image_coords(source, index_map, 2, -1))
             faces.append(block == "vector not in subspace")
         # a refused insert keeps the arrays; an accepted one clears its pivot
         # from the 0/1 rows it keeps from then on, so both stay equal row by
@@ -453,6 +467,7 @@ def test_blocks_the_array_proof_refuses_agree_with_elimination(source, target, i
     adopted = from_indicators(supports, dim)
     built = Subspace.from_vectors([dict.fromkeys(support, 1) for support in supports], dim)
     for space in (adopted, built):
+        assert _outcome(lambda: _proved_block(space, source, index_map)) == block
         assert _outcome(lambda: space.image_coords(source, index_map, 2, -1)) == block
 
 
@@ -541,6 +556,19 @@ def test_subspace_sum_of_many_equals_the_pairwise_fold():
                 reduce(subspace_sum, spaces, zero).basis()
             if spaces:
                 assert subspace_sum(*spaces).basis() == reduce(subspace_sum, spaces).basis()
+
+
+def test_an_insert_into_a_sum_rebuilds_its_column_index():
+    # the sum keeps no column index; inserts after it, whose pivots the sum's
+    # rows hold, must still clear those columns from every row
+    U = Subspace.from_vectors([{0: 2, 1: 1, 3: 1}, {2: 1, 3: -1, 4: 2}], 5)
+    W = from_indicators([[1, 4]], 5)
+    S = subspace_sum(U, W)
+    assert S._uses is None
+    extra = [{3: 1, 4: 1}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 3}]
+    assert [S.insert(vec) for vec in extra] == [3, 4]
+    rows = [row for space in (U, W) for row, _ in space.integral_rows()] + extra
+    assert S.integral_rows() == Subspace.from_vectors(rows, 5).integral_rows()
 
 
 def test_grassmann_identity_randomized():
@@ -666,6 +694,98 @@ def test_cochain_complex_rejects_a_bad_shape():
     for dims, cols in (([2, 1], eye), ([1, 1], [{1: 1}])):
         with pytest.raises(ValueError, match="^differential 0 is no 1x%d matrix$" % dims[0]):
             CochainComplex(dims, [cols])
+
+
+def test_label_faces_are_read_back_as_columns():
+    # d_0 sends the one basis vector to both middle vectors, d_1 maps them to
+    # the top block's second vector; two faces from one source into one block
+    # add, here to zero
+    cx = CochainComplex([1, 2, 2], [None, None],
+                        [[(0, 0, [0], 1), (0, 1, [0], 1)],
+                         [(0, 0, [-1, 0], 1), (1, 0, [-1, 0], -1)]])
+    assert cx.columns == [[{0: 1, 1: 1}], [{1: 1}, {1: -1}]]
+    assert [d.entries for d in cx.differentials] == [{(0, 0): 1, (1, 0): 1},
+                                                     {(1, 0): 1, (1, 1): -1}]
+    assert cx.cohomology_dims() == {0: 0, 1: 0, 2: 1}
+    cancelled = CochainComplex([1, 1], [None], [[(0, 0, [0], 2), (0, 0, [0], -2)]])
+    assert cancelled.columns == [[{}]] and cancelled.cohomology_dims() == {0: 1, 1: 1}
+    # a label face past the target's or the source's dimension
+    for dims, face in (([1, 1], (0, 0, [0, 0], 1)), ([1, 2], (0, 1, [1], 1))):
+        with pytest.raises(ValueError, match="^differential 0 is no %dx1 matrix$" % dims[1]):
+            CochainComplex(dims, [None], [[face]])
+
+
+@pytest.mark.parametrize("signs, zero", [
+    ((-1, -1, 2), True),    # a sign-2 path cancels two sign -1 paths
+    ((-1, 2), False),       # but not one
+    ((-1, -1, 1), False),
+], ids=["two-against-two", "two-against-one", "unbalanced"])
+def test_label_faces_cancel_by_integer_weight(signs, zero):
+    # the one vector of C^0 goes to each middle block, and each middle block
+    # to the one vector on top with its sign: the paths share one composite
+    firsts = [(0, m, [0], 1) for m in range(len(signs))]
+    seconds = [(m, 0, [0], sign) for m, sign in enumerate(signs)]
+    build = partial(CochainComplex, [1, len(signs), 1], [None, None], [firsts, seconds])
+    if zero:
+        build()
+    else:
+        with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+            build()
+
+
+@pytest.mark.parametrize("last, zero", [(-1, True), (-2, False)])
+def test_label_faces_cancel_entry_by_entry(last, zero):
+    # three paths with three different composites, (0, -1), (-1, 0) and (0, 0):
+    # no two cancel as wholes, but their entries do when the last sign is -1
+    firsts = [(0, m, [0], 1) for m in range(3)]
+    seconds = [(0, 0, [0, -1], 1), (1, 0, [-1, 0], 1), (2, 0, [0, 0], last)]
+    build = partial(CochainComplex, [1, 3, 2], [None, None], [firsts, seconds])
+    if zero:
+        assert build().cohomology_dims() == {0: 0, 1: 0, 2: 0}
+    else:
+        with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+            build()
+
+
+@pytest.mark.parametrize("sign, zero", [(-1, True), (1, False)])
+def test_label_faces_from_overlapping_sources_cancel_by_column(sign, zero):
+    # the faces from offsets 0 and 1 both hit column 1 of C^0, through
+    # different middle rows: their composites differ in their source offset,
+    # so only the sum by column sees them cancel
+    firsts = [(0, 0, [1], 1), (1, 1, [0], sign)]
+    seconds = [(0, 0, [0], 1), (1, 0, [0], 1)]
+    build = partial(CochainComplex, [2, 2, 1], [None, None], [firsts, seconds])
+    if zero:
+        assert build().cohomology_dims() == {0: 1, 1: 0, 2: 0}
+    else:
+        with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+            build()
+
+
+@pytest.mark.parametrize("firsts, seconds, zero, h", [
+    # d_0 fills the two middle rows as one block; d_1 reads them as the
+    # blocks at offsets 0 and 1, so the path through row 1 starts at no
+    # offset d_0 ends at
+    ([(0, 0, [0, 0], 1)], [(0, 0, [0], 1), (1, 0, [0], -1)], True, {0: 0, 1: 0, 2: 0}),
+    ([(0, 0, [0, 0], 1)], [(0, 0, [0], 1), (1, 0, [0], 1)], False, None),
+    # two faces into offset 0 span one row and two rows
+    ([(0, 0, [0], 1), (0, 0, [-1, 0], 1)], [(0, 0, [0], 1), (1, 0, [0], -1)], True,
+     {0: 0, 1: 0, 2: 0}),
+    ([(0, 0, [0], 1), (0, 0, [-1, 0], 1)], [(0, 0, [0], 1), (1, 0, [0], 1)], False, None),
+    # the spans at offsets 0 and 1 overlap in row 1, where d_0 cancels or not
+    ([(0, 0, [-1, 0], 1), (0, 1, [0], -1)], [(1, 0, [0], 1)], True, {0: 1, 1: 1, 2: 0}),
+    ([(0, 0, [-1, 0], 1), (0, 1, [0], 1)], [(1, 0, [0], 1)], False, None),
+], ids=["one-block-read-as-two", "one-block-read-as-two-bad", "unequal-spans",
+        "unequal-spans-bad", "overlapping-spans", "overlapping-spans-bad"])
+def test_label_faces_that_do_not_meet_block_to_block_are_checked_on_columns(firsts, seconds,
+                                                                            zero, h):
+    # only the column product sees every path here
+    build = partial(CochainComplex, [1, 2, 1], [None, None], [firsts, seconds])
+    if zero:
+        assert build().cohomology_dims() == h
+    else:
+        with pytest.raises(ValueError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+            build()
 
 
 def test_cochain_complex_rejects_nonzero_square():
